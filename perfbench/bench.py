@@ -108,6 +108,13 @@ def check(state, done) -> tuple[list, list]:
     return reasons, broken
 
 
+def unconverged_note(done) -> str:
+    """The printed count of jobs with an unconverged solve (see `jobs.failure`)."""
+    n_jobs, n_solves = jobs.unconverged_jobs(done)
+    return (f"unconverged: {n_jobs}/{len(done)} jobs had a converged=False solve "
+            f"({n_solves} solves); not counted as failed")
+
+
 def tail(times):
     """Highest percentile with at least TAIL_BEYOND samples above it: (value, percentile)."""
     ordered = sorted(times)
@@ -185,6 +192,7 @@ def plain_run(name, workload, seed, seconds, tmp):
     failed = sum(r is not None for r in reasons)
     notes = [f"job_s.tail is p{tail_pct:.1f}: {TAIL_BEYOND} of {len(done)} jobs beyond it",
              f"fail_rate = {failed}/{len(done)} = {failed / len(done):.4g}",
+             unconverged_note(done),
              f"speed scale {scale:.4f} (jobs), {setup_scale:.4f} (set-up); unscaled wall figures: "
              f"job_s {statistics.median(raw):.4f}, job_s.tail {tail(raw)[0]:.4f}, "
              f"jobs_per_s {len(done) / wall:.4f}, "
@@ -234,7 +242,7 @@ def traced_run(name, workload, seed, seconds, tmp):
     reasons, broken = check(state, done)
     metrics = layer_metrics(setup_spans, per_job, statistics.median(overheads))
     notes = [f"{len(per_job)} inputs run untraced and traced; "
-             "per-job figures are means over the traced runs"]
+             "per-job figures are means over the traced runs", unconverged_note(done)]
     return metrics, len(done), reasons, broken, state.violations, notes
 
 

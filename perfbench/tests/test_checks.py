@@ -24,10 +24,12 @@ def _estimate(converged: bool) -> ItemEstimate:
                         solve_results=(ok, last))
 
 
-def test_unconverged_solve_fails_the_job():
+def test_unconverged_solve_is_counted_apart_from_failures():
     item = _item()
-    assert jobs.failure(item, _outcome(_estimate(converged=True))) is None
-    assert jobs.failure(item, _outcome(_estimate(converged=False))) == "unconverged solve"
+    good, flagged = _outcome(_estimate(converged=True)), _outcome(_estimate(converged=False))
+    assert jobs.failure(item, good) is None
+    assert jobs.failure(item, flagged) is None
+    assert jobs.unconverged_jobs([(0, 0.1, good), (0, 0.1, flagged), (0, 0.1, flagged)]) == (2, 2)
 
 
 def test_estimate_checks():
@@ -43,8 +45,12 @@ def test_estimate_checks():
         assert jobs.failure(item, jobs.Outcome(thetas=[good, theta])) == reason
     flat = jobs.Outcome(thetas=[good], intervals=[(np.array([0.1, -1.0]), np.array([0.1, 0.0]))])
     assert jobs.failure(item, flat) == "interval lower >= upper"
-    lsat_item = jobs.Item(seed=0, theta_star=np.array([0.5, -0.5]), max_dev=0.05)
-    assert jobs.failure(lsat_item, jobs.Outcome(thetas=[np.array([0.44, -0.44])])) \
+    lsat_item = jobs.Item(seed=0, theta_star=np.array([0.5, -0.5]), max_dev=(0.08, 0.05))
+    near, off = np.array([0.44, -0.44]), np.array([0.4, -0.4])
+    assert jobs.failure(lsat_item, jobs.Outcome(thetas=[near, near])) \
+        == "published LSAT theta missed"
+    assert jobs.failure(lsat_item, jobs.Outcome(thetas=[near, good])) is None
+    assert jobs.failure(lsat_item, jobs.Outcome(thetas=[off, good])) \
         == "published LSAT theta missed"
     assert jobs.failure(item, jobs.Outcome(error="exit code 3")) == "exit code 3"
 
@@ -66,7 +72,8 @@ def test_failed_jobs_are_counted_and_the_run_goes_on():
     bench.loop(len(pool), lambda k: done.append((k, *bench.run_job(workload, pool[k]))), 0.0, 6)
     reasons, broken = bench.check(state, done)
     assert [k for k, _, _ in done] == [0, 1, 2, 0, 1, 2]
-    assert reasons == [None, "unconverged solve", "raised RuntimeError"] * 2
+    assert reasons == [None, None, "raised RuntimeError"] * 2
+    assert jobs.unconverged_jobs(done) == (2, 2)
     assert broken == []
 
 
