@@ -8,6 +8,7 @@ comparison-graph spectra, `inference` builds confidence intervals, and
 """
 
 from .errors import (
+    ConvergenceError,
     DataFormatError,
     DisconnectedGraphError,
     DivergenceError,
@@ -61,6 +62,7 @@ from .pairing import (
     disagreement_prob,
     enumerate_weighted_pairs,
     random_split,
+    split_wins,
 )
 from .solver import (
     BtlObjective,
@@ -71,6 +73,7 @@ from .solver import (
     hessian,
     nll,
     solve_newton,
+    solve_newton_batch,
     solve_pgd,
 )
 

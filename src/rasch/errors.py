@@ -52,3 +52,21 @@ class DivergenceError(EstimationError):
             f"after {iterations} iterations; an item likely has an all-wins "
             f"or all-losses record"
         )
+
+
+class ConvergenceError(EstimationError):
+    """Newton reached ``max_iter`` with the gradient still above ``tol``.
+
+    Estimators raise it rather than use (or average) such a solve;
+    ``split_index`` names the split for the split-based methods.
+    """
+
+    def __init__(self, grad_inf_norm: float, iterations: int, split_index: int | None = None):
+        self.grad_inf_norm = grad_inf_norm
+        self.iterations = iterations
+        self.split_index = split_index
+        where = "" if split_index is None else f" (split {split_index})"
+        super().__init__(
+            f"solver did not converge{where}: gradient sup-norm {grad_inf_norm:.3g} "
+            f"after {iterations} iterations"
+        )

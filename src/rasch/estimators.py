@@ -1,12 +1,13 @@
 """Item-parameter estimators and top-K selection.
 
-Four methods share one solver.  ``rp`` pairs each user's responses once at
-random and maximizes the resulting comparison likelihood; ``mrp`` repeats the
-split ``n_split`` times with independent sub-streams and averages the
-estimates; ``wp`` and ``pmle`` skip the splitting and use every within-user
-pair, with and without the per-user reweighting.  Split ``k`` of seed ``s``
-always draws from the same sub-stream, so ``mrp`` with ``n_split=1``
-reproduces ``rp`` exactly.
+Four methods share one Newton solver.  ``mrp`` pairs each user's responses
+at random ``n_split`` times with independent sub-streams, compiles each split
+into an m x m win matrix, fits all splits as one batch and averages the
+estimates; ``rp`` is the same code with a single split, so it equals ``mrp``
+with ``n_split=1`` bit for bit.  ``wp`` and ``pmle`` skip the splitting and
+use every within-user pair, with and without the per-user reweighting.
+A split that cannot be fitted (disconnected comparison graph, diverging or
+unconverged solve) raises instead of entering the average.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EstimationError
+from .errors import ConvergenceError
 from .model import ResponseData
-from .pairing import compile_comparisons, enumerate_weighted_pairs, random_split
-from .solver import BtlObjective, SolveResult, SolverOptions, solve_newton
+from .pairing import enumerate_weighted_pairs, split_wins
+from .solver import BtlObjective, SolverOptions, solve_newton, solve_newton_batch
 
 __all__ = [
     "EstimatorConfig",
@@ -61,9 +62,11 @@ class EstimatorConfig:
 class ItemEstimate:
     """Zero-mean estimate with fit metadata.
 
-    ``per_split_estimates`` (splits x m) and ``split_objectives`` are present
-    for the split-based methods; the objectives let the inference module reuse
-    the exact per-split Hessians without regenerating the pairings.
+    ``per_split_estimates`` (splits x m) and ``split_wins`` (splits x m x m
+    win matrices) are present for the split-based methods; the win matrices
+    let the inference module reuse the exact per-split curvature without
+    regenerating the pairings.  ``solve_results`` holds one `SolveResult` per
+    split (one in all for ``wp``/``pmle``).
     """
 
     theta_hat: np.ndarray
@@ -71,7 +74,7 @@ class ItemEstimate:
     seed: int | None
     n_split: int | None
     per_split_estimates: np.ndarray | None = None
-    split_objectives: tuple = field(default=(), repr=False)
+    split_wins: np.ndarray | None = field(default=None, repr=False)
     solve_results: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
@@ -108,59 +111,53 @@ class ItemEstimate:
                    seed=obj["seed"], n_split=obj["n_split"])
 
 
-def _solve_split(data: ResponseData, seed: int, k: int,
-                 opts: SolverOptions) -> tuple[BtlObjective, SolveResult]:
-    split = random_split(data, seed, split_index=k)
-    pc = compile_comparisons(data, split)
-    obj = BtlObjective.from_comparisons(pc)
-    return obj, solve_newton(obj, opts)
+def _centred_mean(estimates: np.ndarray) -> np.ndarray:
+    """Zero-mean average of per-split estimates (K x m).
+
+    Every method ends here, ``wp``/``pmle`` with K = 1, so that methods fitting
+    the same win matrix return the same bits.
+    """
+    theta = estimates.mean(axis=0)
+    theta -= theta.mean()
+    return theta
+
+
+def _fit_splits(data: ResponseData, cfg: EstimatorConfig, method: str, n_split: int) -> ItemEstimate:
+    W = split_wins(data, cfg.seed, n_split)
+    W.setflags(write=False)
+    results = solve_newton_batch(W, cfg.solver)
+    estimates = np.stack([r.theta_hat for r in results])
+    return ItemEstimate(
+        theta_hat=_centred_mean(estimates), method=method, seed=cfg.seed, n_split=n_split,
+        per_split_estimates=estimates if cfg.keep_split_estimates else None,
+        split_wins=W, solve_results=results,
+    )
 
 
 def rp_mle(data: ResponseData, cfg: EstimatorConfig | None = None) -> ItemEstimate:
-    """Single random pairing followed by the comparison MLE."""
-    cfg = cfg or EstimatorConfig(method="rp")
-    obj, res = _solve_split(data, cfg.seed, 0, cfg.solver)
-    return ItemEstimate(
-        theta_hat=res.theta_hat, method="rp", seed=cfg.seed, n_split=1,
-        per_split_estimates=res.theta_hat[None, :] if cfg.keep_split_estimates else None,
-        split_objectives=(obj,), solve_results=(res,),
-    )
+    """Single random pairing followed by the comparison MLE: `mrp_mle` with one split."""
+    return _fit_splits(data, cfg or EstimatorConfig(method="rp"), "rp", 1)
 
 
 def mrp_mle(data: ResponseData, cfg: EstimatorConfig) -> ItemEstimate:
     """Average of ``n_split`` independent random-pairing estimates.
 
-    Splits are solved in index order and any failure (disconnected comparison
-    graph, diverging MLE) aborts the whole estimate with the failing split
-    index attached: silently skipping a split would bias the average.
+    All splits are fitted as one batch.  Any failure (disconnected comparison
+    graph, diverging or unconverged solve) aborts the whole estimate with the
+    error of the lowest-indexed failing split, its index attached: silently
+    skipping or keeping such a split would bias the average.
     """
-    objectives = []
-    results = []
-    estimates = np.empty((cfg.n_split, data.n_items))
-    for k in range(cfg.n_split):
-        try:
-            obj, res = _solve_split(data, cfg.seed, k, cfg.solver)
-        except EstimationError as exc:
-            exc.split_index = k
-            raise
-        objectives.append(obj)
-        results.append(res)
-        estimates[k] = res.theta_hat
-    theta = estimates.mean(axis=0)
-    theta -= theta.mean()
-    return ItemEstimate(
-        theta_hat=theta, method="mrp", seed=cfg.seed, n_split=cfg.n_split,
-        per_split_estimates=estimates if cfg.keep_split_estimates else None,
-        split_objectives=tuple(objectives), solve_results=tuple(results),
-    )
+    return _fit_splits(data, cfg, "mrp", cfg.n_split)
 
 
 def _pseudo(data: ResponseData, cfg: EstimatorConfig, scheme: str) -> ItemEstimate:
     wp = enumerate_weighted_pairs(data, scheme)
     obj = BtlObjective.from_weighted_pairs(wp)
     res = solve_newton(obj, cfg.solver)
-    return ItemEstimate(theta_hat=res.theta_hat, method=scheme, seed=cfg.seed,
-                        n_split=None, solve_results=(res,))
+    if not res.converged:
+        raise ConvergenceError(res.grad_inf_norm, res.iterations)
+    return ItemEstimate(theta_hat=_centred_mean(res.theta_hat[None]), method=scheme,
+                        seed=cfg.seed, n_split=None, solve_results=(res,))
 
 
 def wp_mle(data: ResponseData, cfg: EstimatorConfig | None = None) -> ItemEstimate:

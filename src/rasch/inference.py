@@ -18,8 +18,9 @@ import numpy as np
 from .errors import EstimationError
 from .estimators import ItemEstimate
 from .model import GroundTruth, ResponseData, sigmoid
-from .pairing import compile_comparisons, enumerate_weighted_pairs, random_split
-from .solver import BtlObjective, hessian
+from .laplacian import _laplacian_matrix, _rank_completion_inverse
+from .pairing import compile_comparisons, enumerate_weighted_pairs, random_split, split_wins
+from .solver import BtlObjective, _counts, _derivatives, hessian
 
 __all__ = [
     "PluginCovariance",
@@ -104,13 +105,6 @@ class PluginCovariance:
             raise ValueError(f"Sigma_hat is not PSD: min eigenvalue {eig[0]}")
 
 
-def _pinv_null_one(mat: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of a symmetric matrix whose null space is span(1)."""
-    m = mat.shape[0]
-    J = np.full((m, m), 1.0 / m)
-    return np.linalg.inv(mat + J) - J
-
-
 def _wp_user_gradients(data: ResponseData, theta: np.ndarray) -> np.ndarray:
     """n x m matrix of per-user weighted-pseudo score vectors at ``theta``."""
     wp = enumerate_weighted_pairs(data, "wp")
@@ -133,15 +127,12 @@ def _split_user_gradients(data: ResponseData, theta: np.ndarray, seed: int, k: i
     return G
 
 
-def _split_objectives(data: ResponseData, est: ItemEstimate) -> list[BtlObjective]:
-    if est.split_objectives:
-        return list(est.split_objectives)
+def _split_wins(data: ResponseData, est: ItemEstimate) -> np.ndarray:
+    if est.split_wins is not None:
+        return est.split_wins
     if est.seed is None or est.n_split is None:
         raise ValueError("estimate lacks split structure and a seed to regenerate it")
-    return [
-        BtlObjective.from_comparisons(compile_comparisons(data, random_split(data, est.seed, k)))
-        for k in range(est.n_split)
-    ]
+    return split_wins(data, est.seed, est.n_split)
 
 
 def plugin_covariance(data: ResponseData, est: ItemEstimate,
@@ -149,8 +140,10 @@ def plugin_covariance(data: ResponseData, est: ItemEstimate,
     """Estimate the sampling covariance of ``est.theta_hat``.
 
     For split-based estimates, ``H_hat`` averages the per-split Hessians at
-    the estimate; for the weighted pseudo-MLE it is the (per-user averaged)
-    objective Hessian.  ``V_diff_hat`` always comes from per-user
+    the estimate: the Laplacian of ``(sum_k N_k) * sigma'(theta_i - theta_j)``
+    over ``n * n_split``, with ``N_k`` the comparison counts of split ``k``.
+    For the weighted pseudo-MLE it is the (per-user averaged) objective
+    Hessian.  ``V_diff_hat`` always comes from per-user
     weighted-pseudo gradients, the large-``n_split`` approximation.  Set
     ``exact_split_mixture`` to blend in the per-split score covariance for the
     finite-split formula (split methods only).
@@ -158,9 +151,9 @@ def plugin_covariance(data: ResponseData, est: ItemEstimate,
     theta = est.theta_hat
     n = data.n_users
     if est.method in ("rp", "mrp"):
-        objectives = _split_objectives(data, est)
-        H = sum(hessian(obj, theta).matrix for obj in objectives)
-        H /= n * len(objectives)
+        W = _split_wins(data, est)
+        total = W.sum(axis=0)
+        H = _laplacian_matrix(_derivatives(total, _counts(total), theta)[1]) / (n * W.shape[0])
     elif est.method == "wp":
         wp_obj = BtlObjective.from_weighted_pairs(enumerate_weighted_pairs(data, "wp"))
         H = hessian(wp_obj, theta).matrix / n
@@ -183,7 +176,7 @@ def plugin_covariance(data: ResponseData, est: ItemEstimate,
         V_same /= n * ns
         V = V_same / ns + (ns - 1) / ns * V_diff
 
-    Hpinv = _pinv_null_one(H)
+    Hpinv = _rank_completion_inverse(H)
     Sigma = Hpinv @ V @ Hpinv / n
     Sigma = (Sigma + Sigma.T) / 2.0
     return PluginCovariance(H_hat=H, V_diff_hat=V_diff, Sigma_hat=Sigma, n=n, V_same_hat=V_same)

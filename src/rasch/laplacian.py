@@ -34,44 +34,35 @@ __all__ = [
 
 
 def connected_components(m: int, edges_i, edges_j) -> list[list[int]]:
-    """Vertex partition of the graph on ``m`` nodes.
-
-    Small graphs use vectorized min-label propagation on a dense adjacency
-    matrix; larger ones fall back to union-find with path compression.
-    """
+    """Vertex partition of the graph on ``m`` nodes, by min-label propagation
+    on a dense adjacency matrix."""
     ei = np.asarray(edges_i, np.int64)
     ej = np.asarray(edges_j, np.int64)
-    if m <= 512:
-        adj = np.zeros((m, m), dtype=bool)
-        adj[ei, ej] = True
-        adj[ej, ei] = True
-        labels = np.arange(m)
-        while True:
-            nbr_min = np.where(adj, labels[None, :], m).min(axis=1)
-            new = np.minimum(labels, nbr_min)
-            if np.array_equal(new, labels):
-                break
-            labels = new
-    else:
-        parent = np.arange(m, dtype=np.int64)
-
-        def find(a):
-            root = a
-            while parent[root] != root:
-                root = parent[root]
-            while parent[a] != root:  # path compression
-                parent[a], a = root, parent[a]
-            return root
-
-        for a, b in zip(ei, ej):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-        labels = np.asarray([find(v) for v in range(m)])
+    adj = np.zeros((m, m), dtype=bool)
+    adj[ei, ej] = True
+    adj[ej, ei] = True
+    labels = _component_labels(adj)
     groups: dict[int, list[int]] = {}
     for v in range(m):
         groups.setdefault(int(labels[v]), []).append(v)
     return list(groups.values())
+
+
+def _component_labels(adj: np.ndarray) -> np.ndarray:
+    """Smallest vertex index in each vertex's component, for a stack of graphs.
+
+    ``adj`` is a symmetric boolean adjacency array of shape ``(..., m, m)``;
+    a graph is connected iff all of its labels are 0.  Min-label propagation
+    takes as many rounds as the largest component diameter.
+    """
+    m = adj.shape[-1]
+    labels = np.broadcast_to(np.arange(m), adj.shape[:-1]).copy()
+    while True:
+        nbr_min = np.where(adj, labels[..., None, :], m).min(axis=-1, initial=m)
+        new = np.minimum(labels, nbr_min)
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
 @dataclass(frozen=True)
@@ -120,17 +111,33 @@ class WeightedLaplacian:
         return np.diag(self.matrix).copy()
 
 
+def _laplacian_matrix(weights: np.ndarray) -> np.ndarray:
+    """Laplacian ``diag(W 1) - W`` of each symmetric, zero-diagonal weight
+    matrix in a stack of shape ``(..., m, m)``."""
+    m = weights.shape[-1]
+    mat = -weights
+    diag = np.arange(m)
+    mat[..., diag, diag] = weights.sum(axis=-1)
+    return mat
+
+
+def _rank_completion_inverse(mat: np.ndarray) -> np.ndarray:
+    """``(L + J/m)^{-1} - J/m`` with ``J = 11^T``: the pseudo-inverse of a
+    symmetric matrix whose null space is exactly span(1)."""
+    m = mat.shape[0]
+    J = np.full((m, m), 1.0 / m)
+    return np.linalg.inv(mat + J) - J
+
+
 def _from_edges(m: int, idx_i, idx_j, weights) -> WeightedLaplacian:
     idx_i = np.asarray(idx_i, np.int64)
     idx_j = np.asarray(idx_j, np.int64)
     weights = np.asarray(weights, float)
-    mat = np.zeros((m, m))
-    np.add.at(mat, (idx_i, idx_j), -weights)
-    np.add.at(mat, (idx_j, idx_i), -weights)
-    deg = -mat.sum(axis=1)
-    mat[np.diag_indices(m)] = deg
+    dense = (np.bincount(idx_i * m + idx_j, weights, m * m)
+             + np.bincount(idx_j * m + idx_i, weights, m * m)).reshape(m, m)
     positive = weights > 0
-    return WeightedLaplacian(matrix=mat, edges_i=idx_i[positive], edges_j=idx_j[positive])
+    return WeightedLaplacian(matrix=_laplacian_matrix(dense),
+                             edges_i=idx_i[positive], edges_j=idx_j[positive])
 
 
 def build_count_laplacian(pc: PairedComparisons) -> WeightedLaplacian:
@@ -177,9 +184,7 @@ def pseudo_inverse(lap: WeightedLaplacian) -> np.ndarray:
     """
     if not lap.connected:
         raise DisconnectedGraphError(lap.components)
-    m = lap.m
-    J = np.full((m, m), 1.0 / m)
-    return np.linalg.inv(lap.matrix + J) - J
+    return _rank_completion_inverse(lap.matrix)
 
 
 def pseudo_inverse_trace(lap: WeightedLaplacian, method: str = "auto") -> float:

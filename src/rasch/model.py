@@ -24,7 +24,6 @@ __all__ = [
     "ResponseData",
     "sigmoid",
     "sigmoid_deriv",
-    "log1pexp",
     "sample_ground_truth",
     "rasch_response_prob",
     "sample_responses",
@@ -56,11 +55,6 @@ def sigmoid_deriv(x):
     t = np.exp(-np.abs(x))
     out = t / (1.0 + t) ** 2
     return out if out.ndim else float(out)
-
-
-def log1pexp(x):
-    """``log(1 + exp(x))`` without overflow."""
-    return np.logaddexp(0.0, x)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +159,6 @@ class ResponseData:
     @property
     def n_edges(self) -> int:
         return self.user_ids.size
-
-    @property
-    def edges(self) -> list[tuple[int, int, int]]:
-        """Edge list as (user_id, item_id, response) tuples.  O(n_edges)."""
-        return list(zip(self.user_ids.tolist(), self.item_ids.tolist(), self.responses.tolist()))
 
     @cached_property
     def user_indptr(self) -> np.ndarray:

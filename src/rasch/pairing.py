@@ -4,15 +4,16 @@ Two routes are implemented.  The random disjoint route shuffles each user's
 responded items, pairs them consecutively (dropping one item when the count is
 odd), and keeps a comparison record only when the two responses differ.  Each
 response is used at most once per split, which is what makes the resulting
-comparison outcomes conditionally independent.  The overlapping route
-enumerates every within-user item pair, used by the weighted and plain
-pseudo-likelihood estimators.
+comparison outcomes conditionally independent.  `random_split` and
+`compile_comparisons` keep the per-pair records; `split_wins` compiles the
+splits of a multi-split fit straight into m x m win matrices.  The
+overlapping route enumerates every within-user item pair, used by the
+weighted and plain pseudo-likelihood estimators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "WeightedPairs",
     "random_split",
     "compile_comparisons",
+    "split_wins",
     "btl_win_prob",
     "disagreement_prob",
     "enumerate_weighted_pairs",
@@ -65,10 +67,6 @@ class SplitAssignment:
     def n_pairs(self) -> int:
         return self.users.size
 
-    @property
-    def pairs(self) -> list[tuple[int, int, int]]:
-        return list(zip(self.users.tolist(), self.items_hi.tolist(), self.items_lo.tolist()))
-
 
 @dataclass(frozen=True)
 class PairedComparisons:
@@ -108,27 +106,6 @@ class PairedComparisons:
     def n_edges(self) -> int:
         return self.edge_i.size
 
-    @property
-    def total_count(self) -> int:
-        """Total number of effective comparisons across all edges."""
-        return int(self.edge_count.sum())
-
-    @property
-    def records(self) -> list[tuple[int, int, int, int]]:
-        return list(zip(self.rec_i.tolist(), self.rec_j.tolist(),
-                        self.rec_t.tolist(), self.rec_y.tolist()))
-
-    @property
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.edge_i.tolist(), self.edge_j.tolist()))
-
-    def degrees(self) -> np.ndarray:
-        """Weighted degree of each item: total comparisons it appears in."""
-        d = np.zeros(self.m)
-        np.add.at(d, self.edge_i, self.edge_count)
-        np.add.at(d, self.edge_j, self.edge_count)
-        return d
-
     def count(self, i: int, j: int) -> int:
         """Number of comparison records on the unordered pair {i, j}."""
         hi, lo = max(i, j), min(i, j)
@@ -145,34 +122,6 @@ class PairedComparisons:
         wins_hi = float(self.edge_wins_hi[hit].sum())
         frac_hi = wins_hi / n
         return frac_hi if j > i else 1.0 - frac_hi
-
-    _DENSE_LIMIT = 64
-
-    def count_matrix(self) -> np.ndarray:
-        """Dense symmetric L matrix; only for m <= 64."""
-        if self.m > self._DENSE_LIMIT:
-            raise ValueError(f"dense matrix only supported for m <= {self._DENSE_LIMIT}")
-        L = np.zeros((self.m, self.m))
-        L[self.edge_i, self.edge_j] = self.edge_count
-        L[self.edge_j, self.edge_i] = self.edge_count
-        return L
-
-    def mean_matrix(self) -> np.ndarray:
-        """Dense matrix of averaged outcomes Y_ij (NaN off the edge set); m <= 64."""
-        if self.m > self._DENSE_LIMIT:
-            raise ValueError(f"dense matrix only supported for m <= {self._DENSE_LIMIT}")
-        Y = np.full((self.m, self.m), np.nan)
-        frac_hi = self.edge_wins_hi / self.edge_count
-        Y[self.edge_j, self.edge_i] = frac_hi        # Y_ji: fraction won by i = hi
-        Y[self.edge_i, self.edge_j] = 1.0 - frac_hi  # Y_ij: fraction won by j = lo
-        return Y
-
-    def to_csv(self, path) -> None:
-        """Debug export: ``item_i,item_j,wins_ij,losses_ij`` per aggregated edge."""
-        with open(path, "w") as fh:
-            fh.write("item_i,item_j,wins_ij,losses_ij\n")
-            for i, j, n, w in zip(self.edge_i, self.edge_j, self.edge_count, self.edge_wins_hi):
-                fh.write(f"{i},{j},{int(w)},{int(n - w)}\n")
 
 
 @dataclass(frozen=True)
@@ -206,24 +155,17 @@ class WeightedPairs:
     def n_records(self) -> int:
         return self.users.size
 
-    @property
-    def records(self) -> list[tuple[int, int, int, int, float]]:
-        return list(zip(self.items_hi.tolist(), self.items_lo.tolist(),
-                        self.users.tolist(), self.y.tolist(), self.weights.tolist()))
-
 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
 
-def random_split(data: ResponseData, seed: int, split_index: int = 0) -> SplitAssignment:
-    """Disjoint random pairing of each user's responded items.
+def _paired_positions(data: ResponseData, seed: int, split_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edge positions ``(a, b)`` of the pairs of split ``split_index``.
 
-    Shuffling a user's items and taking consecutive disjoint pairs yields a
-    uniformly random perfect matching on a uniformly random even-sized subset
-    (the left-over item of an odd count is uniform).  ``split_index`` selects
-    an independent sub-stream, so repeated splits of the same data never share
-    randomness.
+    Each user's responses are shuffled and taken consecutively in pairs;
+    ``a[k]`` and ``b[k]`` index the two responses of pair ``k`` in the data's
+    canonical edge order.
     """
     rng = _rng.substream(seed, _rng.SPLIT, split_index)
     keys = rng.random(data.n_edges)
@@ -235,8 +177,19 @@ def random_split(data: ResponseData, seed: int, split_index: int = 0) -> SplitAs
     else:
         order = np.lexsort((keys, data.user_ids))
     slots = data._pair_slots
-    idx_a = order[slots]
-    idx_b = order[slots + 1]
+    return order[slots], order[slots + 1]
+
+
+def random_split(data: ResponseData, seed: int, split_index: int = 0) -> SplitAssignment:
+    """Disjoint random pairing of each user's responded items.
+
+    Shuffling a user's items and taking consecutive disjoint pairs yields a
+    uniformly random perfect matching on a uniformly random even-sized subset
+    (the left-over item of an odd count is uniform).  ``split_index`` selects
+    an independent sub-stream, so repeated splits of the same data never share
+    randomness.
+    """
+    idx_a, idx_b = _paired_positions(data, seed, split_index)
     items_a = data.item_ids[idx_a]
     items_b = data.item_ids[idx_b]
     a_is_hi = items_a >= items_b
@@ -247,6 +200,27 @@ def random_split(data: ResponseData, seed: int, split_index: int = 0) -> SplitAs
         edge_hi=np.where(a_is_hi, idx_a, idx_b),
         edge_lo=np.where(a_is_hi, idx_b, idx_a),
     )
+
+
+def split_wins(data: ResponseData, seed: int, n_split: int) -> np.ndarray:
+    """Win matrices of splits ``0 .. n_split-1``, stacked as ``(n_split, m, m)``.
+
+    ``W[k, i, j]`` counts the comparisons of split ``k`` that item ``i`` won
+    against item ``j``: pairs whose responses differ, won by the item with
+    ``X = 1``.  Split ``k`` pairs exactly as ``random_split(data, seed, k)``.
+    """
+    m = data.n_items
+    mm = m * m
+    # A pair's key is the sum of its two responses' codes: item * m for X = 1
+    # (the winner), item + 2m^2 for X = 0.  Pairs that differ land on
+    # 2m^2 + winner * m + loser; agreeing pairs fall below or above that range.
+    code = np.where(data.responses == 1, data.item_ids * m, data.item_ids + 2 * mm)
+    out = np.empty((n_split, m, m))
+    for k in range(n_split):
+        idx_a, idx_b = _paired_positions(data, seed, k)
+        bins = np.bincount(code[idx_a] + code[idx_b], minlength=3 * mm)
+        out[k] = bins[2 * mm:3 * mm].reshape(m, m)
+    return out
 
 
 def _lookup_edges(data: ResponseData, users: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -299,19 +273,12 @@ def compile_comparisons(data: ResponseData, split: SplitAssignment) -> PairedCom
 
 def _aggregate(m, rec_i, rec_j, rec_t, rec_y):
     ekey = rec_i * m + rec_j
-    if m * m <= 4_000_000:
-        # dense bins beat a sort for the small item counts this package targets
-        all_counts = np.bincount(ekey, minlength=m * m)
-        uniq = np.flatnonzero(all_counts)
-        count = all_counts[uniq]
-        wins_hi = np.bincount(ekey, weights=(1 - rec_y).astype(float), minlength=m * m)[uniq]
-    else:
-        uniq, inverse = np.unique(ekey, return_inverse=True)
-        count = np.bincount(inverse, minlength=uniq.size).astype(np.int64)
-        wins_hi = np.bincount(inverse, weights=(1 - rec_y).astype(float), minlength=uniq.size)
+    all_counts = np.bincount(ekey, minlength=m * m)
+    uniq = np.flatnonzero(all_counts)
+    wins_hi = np.bincount(ekey, weights=(1 - rec_y).astype(float), minlength=m * m)[uniq]
     return PairedComparisons(
         m=m, rec_i=rec_i, rec_j=rec_j, rec_t=rec_t, rec_y=rec_y,
-        edge_i=(uniq // m), edge_j=(uniq % m), edge_count=count, edge_wins_hi=wins_hi,
+        edge_i=(uniq // m), edge_j=(uniq % m), edge_count=all_counts[uniq], edge_wins_hi=wins_hi,
     )
 
 

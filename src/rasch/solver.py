@@ -1,22 +1,40 @@
-"""Negative log-likelihood of aggregated pairwise comparisons and its minimizers.
+"""Negative log-likelihood of pairwise comparisons and its minimizers.
 
-The objective lives on the zero-sum subspace: each term couples one item pair
-through the difference ``theta_i - theta_j``, so the loss is invariant to a
-common shift and its Hessian is a weighted graph Laplacian.  The default
-minimizer is a damped Newton iteration with the rank-completion trick
-(``H + 11^T/m`` is positive definite whenever the comparison graph is
-connected); a preconditioned gradient descent is kept as an alternative.
+A comparison objective is a dense win matrix ``W`` (m x m): ``W[i, j]`` is
+the (possibly weighted) number of comparisons item ``i`` won against item
+``j``, and ``N = W + W^T`` counts the comparisons on each pair.  The loss
+``sum_ij W_ij log(1 + e^(theta_j - theta_i))`` depends on differences only,
+so it is invariant to a common shift and its Hessian is the graph Laplacian
+of ``N * sigma'(theta_i - theta_j)``.
+
+`solve_newton_batch` fits a stack of K win matrices, such as the splits of
+one multi-split estimate, by damped Newton on all of them at once: one
+batched linear solve ``(H + 11^T/m) d = -g`` per iteration (positive
+definite whenever the comparison graph is connected) and a step size per
+matrix.  The Armijo line search compares losses, which near the optimum
+differ by less than their own round-off; once the predicted decrease
+``-g.d`` is below ``1e-13 max(1, |f|)`` the full Newton step is taken.
+`BtlObjective`, `nll`, `gradient`, `hessian` and `solve_newton` are the
+edge-list front end over the same dense functions; a preconditioned gradient
+descent is kept as an alternative minimizer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, DivergenceError
-from .laplacian import WeightedLaplacian, _from_edges, connected_components, pseudo_inverse
-from .model import log1pexp, sigmoid
+from .errors import ConvergenceError, DisconnectedGraphError, DivergenceError
+from .laplacian import (
+    WeightedLaplacian,
+    _component_labels,
+    _from_edges,
+    _laplacian_matrix,
+    connected_components,
+    pseudo_inverse,
+)
 from .pairing import PairedComparisons, WeightedPairs
 
 __all__ = [
@@ -28,8 +46,16 @@ __all__ = [
     "gradient",
     "hessian",
     "solve_newton",
+    "solve_newton_batch",
     "solve_pgd",
 ]
+
+# A float64 loss summed over m^2 terms carries a relative round-off far above
+# 1e-16; a predicted decrease below this share of |f| cannot be resolved by
+# comparing losses.
+ROUNDOFF = 1e-13
+ARMIJO = 1e-4
+MIN_STEP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,7 +64,8 @@ class BtlObjective:
 
     One term per unordered item pair with ``item_i > item_j``.  ``weight`` is
     the (possibly weighted) number of comparisons on the pair and ``wins_i``
-    the weighted number won by ``item_i``; ``0 <= wins_i <= weight``.
+    the weighted number won by ``item_i``; ``0 <= wins_i <= weight``.  The
+    solver works on the dense form `wins`.
     """
 
     m: int
@@ -68,9 +95,15 @@ class BtlObjective:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def n_terms(self) -> int:
-        return self.item_i.size
+    @cached_property
+    def wins(self) -> np.ndarray:
+        """Win matrix: ``wins[i, j]`` is the weight of comparisons ``i`` won against ``j``."""
+        m = self.m
+        W = (np.bincount(self.item_i * m + self.item_j, self.wins_i, m * m)
+             + np.bincount(self.item_j * m + self.item_i, self.weight - self.wins_i, m * m))
+        W = W.reshape(m, m)
+        W.setflags(write=False)
+        return W
 
     def components(self) -> list[list[int]]:
         return connected_components(self.m, self.item_i, self.item_j)
@@ -82,12 +115,14 @@ class BtlObjective:
 
     @classmethod
     def from_weighted_pairs(cls, wp: WeightedPairs) -> "BtlObjective":
-        key = wp.items_hi * wp.m + wp.items_lo
-        uniq, inverse = np.unique(key, return_inverse=True)
-        weight = np.bincount(inverse, weights=wp.weights, minlength=uniq.size)
-        wins_hi = np.bincount(inverse, weights=wp.weights * (1 - wp.y), minlength=uniq.size)
-        return cls(m=wp.m, item_i=uniq // wp.m, item_j=uniq % wp.m,
-                   weight=weight, wins_i=wins_hi)
+        m = wp.m
+        # y = 1 iff the lower-indexed item won
+        key = np.where(wp.y == 1, wp.items_lo * m + wp.items_hi, wp.items_hi * m + wp.items_lo)
+        W = np.bincount(key, wp.weights, m * m).reshape(m, m)
+        N = W + W.T
+        item_i, item_j = np.nonzero(np.tril(N, -1))
+        return cls(m=m, item_i=item_i, item_j=item_j,
+                   weight=N[item_i, item_j], wins_i=W[item_i, item_j])
 
 
 @dataclass(frozen=True)
@@ -131,33 +166,27 @@ class SolveResult:
 
 
 def nll(obj: BtlObjective, theta: np.ndarray) -> float:
-    """``sum_e (-wins_i * (theta_i - theta_j) + weight * log(1 + e^(theta_i - theta_j)))``."""
-    diff = _diff(obj, theta)
-    return float(np.sum(-obj.wins_i * diff + obj.weight * log1pexp(diff)))
+    """``sum_ij wins[i, j] * log(1 + e^(theta_j - theta_i))``."""
+    return float(_loss(obj.wins, _check_theta(obj, theta)))
 
 
 def gradient(obj: BtlObjective, theta: np.ndarray) -> np.ndarray:
-    """Analytic gradient; orthogonal to the all-ones vector by construction."""
-    diff = _diff(obj, theta)
-    g_edge = obj.weight * sigmoid(diff) - obj.wins_i
-    g = np.zeros(obj.m)
-    np.add.at(g, obj.item_i, g_edge)
-    np.add.at(g, obj.item_j, -g_edge)
-    return g
+    """Analytic gradient; orthogonal to the all-ones vector up to round-off."""
+    return _derivatives(obj.wins, _counts(obj.wins), _check_theta(obj, theta))[0]
 
 
 def hessian(obj: BtlObjective, theta: np.ndarray) -> WeightedLaplacian:
-    """Hessian as a weighted Laplacian with weights ``weight * sigma'(diff)``."""
-    diff = _diff(obj, theta)
-    s = sigmoid(diff)
-    return _from_edges(obj.m, obj.item_i, obj.item_j, obj.weight * s * (1.0 - s))
+    """Hessian as a weighted Laplacian with weights ``count * sigma'(diff)``."""
+    Z = _derivatives(obj.wins, _counts(obj.wins), _check_theta(obj, theta))[1]
+    edges_i, edges_j = np.nonzero(np.tril(Z, -1))
+    return WeightedLaplacian(matrix=_laplacian_matrix(Z), edges_i=edges_i, edges_j=edges_j)
 
 
-def _diff(obj: BtlObjective, theta) -> np.ndarray:
+def _check_theta(obj: BtlObjective, theta) -> np.ndarray:
     theta = np.asarray(theta, float)
     if theta.shape != (obj.m,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({obj.m},)")
-    return theta[obj.item_i] - theta[obj.item_j]
+    return theta
 
 
 def _check_connected(obj: BtlObjective) -> None:
@@ -175,42 +204,143 @@ def _init(obj: BtlObjective, start) -> np.ndarray:
     return theta - theta.mean()
 
 
+# ---------------------------------------------------------------------------
+# Dense objective: win matrices W of shape (..., m, m), parameters (..., m)
+# ---------------------------------------------------------------------------
+
+def _counts(W: np.ndarray) -> np.ndarray:
+    """Comparison counts ``N = W + W^T`` of each win matrix in a stack."""
+    return W + np.swapaxes(W, -1, -2)
+
+
+def _pairwise(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Differences ``D[..., i, j] = theta_i - theta_j`` and ``exp(-|D|)``."""
+    D = theta[..., :, None] - theta[..., None, :]
+    return D, np.exp(-np.abs(D))
+
+
+def _loss(W: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``sum_ij W_ij log(1 + e^(-D_ij))`` for each win matrix of a stack."""
+    D, t = _pairwise(theta)
+    terms = W * (np.log1p(t) + np.maximum(-D, 0.0))
+    return terms.reshape(*terms.shape[:-2], terms.shape[-1] ** 2).sum(axis=-1)
+
+
+def _derivatives(W: np.ndarray, N: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient, the row sums of ``N * sigma(D) - W``, and the Hessian weights
+    ``N * sigma'(D)``, both from one exponential of the differences."""
+    D, t = _pairwise(theta)
+    r = 1.0 / (1.0 + t)
+    sig = np.where(D >= 0.0, r, t * r)
+    return (N * sig - W).sum(axis=-1), N * (t * r * r)
+
+
+def _newton(W: np.ndarray, theta: np.ndarray, opts: SolverOptions):
+    """Damped Newton from ``theta`` (K, m) on every win matrix of ``W`` (K, m, m).
+
+    A split leaves the batch once its gradient sup-norm is at most ``tol``, or
+    after ``max_iter`` iterations.  Returns ``(results, diverged)``:
+    ``results[k]`` is the `SolveResult` of split ``k``, and ``diverged`` is
+    ``(k, spread, iterations)`` for the lowest-indexed split whose spread
+    crossed ``divergence_bound``, or None.  Splits above a diverged one are
+    dropped unsolved and their results may stay None.  Every operation acts
+    on each split alone, so a split's result does not depend on the batch.
+    """
+    K, m, _ = W.shape
+    N = _counts(W)
+    J = np.full((m, m), 1.0 / m)
+    rows = np.arange(K)  # split index of each row still in the batch
+    results: list[SolveResult | None] = [None] * K
+    diverged = None
+    f0 = _loss(W, theta)
+    g, Z = _derivatives(W, N, theta)
+    iterations = 0
+    while rows.size:
+        gnorm = np.abs(g).max(axis=-1)
+        done = (gnorm <= opts.tol) | (iterations >= opts.max_iter)
+        for r in np.flatnonzero(done):
+            results[rows[r]] = SolveResult(theta_hat=theta[r].copy(), grad_inf_norm=float(gnorm[r]),
+                                           iterations=iterations, converged=bool(gnorm[r] <= opts.tol))
+        if done.any():
+            keep = ~done
+            rows, W, N, theta, g, Z, f0 = (a[keep] for a in (rows, W, N, theta, g, Z, f0))
+            if not rows.size:
+                break
+        step = np.linalg.solve(_laplacian_matrix(Z) + J, -g[..., None])[..., 0]
+        step -= step.mean(axis=-1, keepdims=True)
+        slope = (g * step).sum(axis=-1)
+        t = np.ones(rows.size)
+        trial = theta + step
+        f = _loss(W, trial)
+        # where the predicted decrease is below the round-off of f0 the loss
+        # comparison is noise, so the full Newton step is taken
+        pending = (-slope > ROUNDOFF * np.maximum(1.0, np.abs(f0))) & (f > f0 + ARMIJO * slope)
+        while pending.any():
+            p = np.flatnonzero(pending)
+            t[p] *= 0.5
+            trial[p] = theta[p] + t[p, None] * step[p]
+            f[p] = _loss(W[p], trial[p])
+            pending[p] = (t[p] > MIN_STEP) & (f[p] > f0[p] + ARMIJO * t[p] * slope[p])
+        theta = trial - trial.mean(axis=-1, keepdims=True)
+        f0 = f
+        iterations += 1
+        spread = theta.max(axis=-1) - theta.min(axis=-1)
+        over = np.flatnonzero(spread > opts.divergence_bound)
+        if over.size:
+            r = over[0]
+            diverged = (int(rows[r]), float(spread[r]), iterations)
+            keep = rows < rows[r]
+            rows, W, N, theta, f0 = (a[keep] for a in (rows, W, N, theta, f0))
+        g, Z = _derivatives(W, N, theta)
+    return results, diverged
+
+
 def solve_newton(obj: BtlObjective, opts: SolverOptions | None = None,
                  start: np.ndarray | None = None) -> SolveResult:
     """Damped Newton on the zero-sum subspace.
 
     Steps solve ``(H + 11^T/m) d = -g`` and are projected back to the
-    zero-sum subspace, with an Armijo backtracking line search on the loss.
-    Stops when the gradient sup-norm drops below ``opts.tol``.  Raises
+    zero-sum subspace, with an Armijo backtracking line search on the loss
+    that takes the full step once the predicted decrease is below the loss's
+    round-off.  Stops when the gradient sup-norm drops below ``opts.tol``;
+    after ``max_iter`` iterations it returns ``converged=False``.  Raises
     `DivergenceError` once the fitted spread exceeds ``divergence_bound``,
     the practical signature of a nonexistent MLE.
     """
     opts = opts or SolverOptions()
     _check_connected(obj)
-    theta = _init(obj, start)
-    J = np.full((obj.m, obj.m), 1.0 / obj.m)
-    g = gradient(obj, theta)
-    gnorm = float(np.abs(g).max())
-    iterations = 0
-    while gnorm > opts.tol and iterations < opts.max_iter:
-        H = hessian(obj, theta).matrix + J
-        step = np.linalg.solve(H, -g)
-        step -= step.mean()
-        f0 = nll(obj, theta)
-        slope = float(g @ step)
-        t = 1.0
-        while t > 1e-12 and nll(obj, theta + t * step) > f0 + 1e-4 * t * slope:
-            t *= 0.5
-        theta = theta + t * step
-        theta -= theta.mean()
-        iterations += 1
-        spread = float(theta.max() - theta.min())
-        if spread > opts.divergence_bound:
-            raise DivergenceError(spread, iterations)
-        g = gradient(obj, theta)
-        gnorm = float(np.abs(g).max())
-    return SolveResult(theta_hat=theta, grad_inf_norm=gnorm,
-                       iterations=iterations, converged=gnorm <= opts.tol)
+    results, diverged = _newton(obj.wins[None], _init(obj, start)[None], opts)
+    if diverged is not None:
+        raise DivergenceError(diverged[1], diverged[2])
+    return results[0]
+
+
+def solve_newton_batch(W, opts: SolverOptions | None = None) -> tuple[SolveResult, ...]:
+    """Fit every win matrix of the stack ``W`` (K, m, m) from zero, all at once.
+
+    Split ``k`` gets the same `SolveResult`, bit for bit, as when solved
+    alone.  Raises the error that solving the splits one after another in
+    index order would raise first: that of the lowest-indexed split whose
+    comparison graph is disconnected (`DisconnectedGraphError`), whose
+    iterates diverge (`DivergenceError`) or which ends unconverged
+    (`ConvergenceError`), with ``split_index`` set.
+    """
+    opts = opts or SolverOptions()
+    W = np.asarray(W, float)
+    K, m, _ = W.shape
+    connected = (_component_labels(_counts(W) > 0) == 0).all(axis=-1)
+    first = K if connected.all() else int(np.argmin(connected))
+    results, diverged = _newton(W[:first], np.zeros((first, m)), opts)
+    failed = first if diverged is None else diverged[0]
+    for k in range(failed):
+        if not results[k].converged:
+            raise ConvergenceError(results[k].grad_inf_norm, results[k].iterations, split_index=k)
+    if diverged is not None:
+        raise DivergenceError(diverged[1], diverged[2], split_index=diverged[0])
+    if first < K:
+        edges = np.nonzero(np.tril(_counts(W[first]), -1))
+        raise DisconnectedGraphError(connected_components(m, *edges), split_index=first)
+    return tuple(results)
 
 
 def _default_eta(obj: BtlObjective, precond_pinv: np.ndarray) -> float:

@@ -1,9 +1,13 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from rasch import cli
 from rasch.cli import main
+from rasch.estimators import EstimatorConfig
+from rasch.solver import SolverOptions
 
 LOG3 = np.log(3.0)
 
@@ -104,6 +108,17 @@ class TestEstimate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DisconnectedGraphError"
         assert err["components"] == [[0, 1], [2, 3]]
+
+    def test_unconverged_split_exit_3_with_split_index(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "d.csv"
+        main(["simulate", "--n", "200", "--m", "5", "--p", "0.8", "--seed", "2",
+              "--out", str(src)])
+        monkeypatch.setattr(cli, "EstimatorConfig",
+                            functools.partial(EstimatorConfig, solver=SolverOptions(max_iter=1)))
+        assert main(["estimate", str(src), "--method", "mrp", "--n-split", "3"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConvergenceError"
+        assert err["split_index"] == 0
 
 
 class TestInfer:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rasch.errors import DisconnectedGraphError, EstimationError
+from rasch.errors import ConvergenceError, DisconnectedGraphError, EstimationError
 from rasch.estimators import (
     EstimatorConfig,
     ItemEstimate,
@@ -14,6 +14,7 @@ from rasch.estimators import (
     wp_mle,
 )
 from rasch.model import GroundTruth, ResponseData, sample_ground_truth, sample_responses
+from rasch.solver import SolverOptions
 
 LOG3 = np.log(3.0)
 
@@ -54,12 +55,19 @@ class TestRpMle:
         assert winners.min() >= 10  # ~25 each under exchangeability
 
 
+def _six_item_data(seed):
+    gt = sample_ground_truth(300, 6, "standard-normal", seed=seed)
+    return sample_responses(gt, 0.6, seed=seed)
+
+
 class TestMrpMle:
     def test_single_split_reproduces_rp(self):
-        _, data = _pair_data(300, seed=2)
-        a = rp_mle(data, EstimatorConfig(method="rp", seed=17))
-        b = mrp_mle(data, EstimatorConfig(method="mrp", seed=17, n_split=1))
-        np.testing.assert_array_equal(a.theta_hat, b.theta_hat)
+        # six items: re-centring the one-split average used to move the last bit
+        cases = [(_pair_data(300, seed=2)[1], 17)] + [(_six_item_data(s), s) for s in (0, 1, 5, 7)]
+        for data, seed in cases:
+            a = rp_mle(data, EstimatorConfig(method="rp", seed=seed))
+            b = mrp_mle(data, EstimatorConfig(method="mrp", seed=seed, n_split=1))
+            assert a.theta_hat.tobytes() == b.theta_hat.tobytes(), seed
 
     def test_average_of_split_estimates(self):
         gt = sample_ground_truth(400, 6, "standard-normal", seed=4)
@@ -79,6 +87,27 @@ class TestMrpMle:
         with pytest.raises(EstimationError) as err:
             mrp_mle(data, EstimatorConfig(method="mrp", seed=0, n_split=3))
         assert err.value.split_index == 0
+
+    def test_unconverged_split_raises_with_index(self):
+        data = _six_item_data(0)
+        cfg = EstimatorConfig(method="mrp", seed=0, n_split=3, solver=SolverOptions(max_iter=1))
+        with pytest.raises(ConvergenceError) as err:
+            mrp_mle(data, cfg)
+        assert err.value.split_index == 0
+        assert err.value.iterations == 1 and err.value.grad_inf_norm > 1e-10
+        with pytest.raises(ConvergenceError) as err:
+            rp_mle(data, EstimatorConfig(method="rp", seed=0, solver=SolverOptions(max_iter=1)))
+        assert err.value.split_index == 0
+
+    def test_all_zeros_splits_converge_in_few_iterations(self):
+        # criterion 5's setting: the optimum sits at zero, where the loss
+        # differences of late Newton steps are below the loss's round-off;
+        # a line search that trusts them stalls for up to max_iter iterations
+        gt = GroundTruth(np.zeros(50), np.zeros(10_000))
+        data = sample_responses(gt, 0.2, seed=0, mode="uniform-mp")
+        est = mrp_mle(data, EstimatorConfig(method="mrp", seed=0, n_split=50))
+        assert len(est.solve_results) == 50
+        assert all(r.converged and r.iterations <= 4 for r in est.solve_results)
 
     def test_split_retention_flag(self):
         _, data = _pair_data(100, seed=5)
@@ -104,6 +133,13 @@ class TestPseudoEstimators:
         a = rp_mle(data, EstimatorConfig(method="rp", seed=8))
         b = pmle(data)
         np.testing.assert_array_equal(a.theta_hat, b.theta_hat)
+
+    def test_unconverged_pseudo_fit_raises(self):
+        data = _six_item_data(1)
+        for fit, method in ((wp_mle, "wp"), (pmle, "pmle")):
+            with pytest.raises(ConvergenceError) as err:
+                fit(data, EstimatorConfig(method=method, solver=SolverOptions(max_iter=1)))
+            assert err.value.split_index is None
 
     def test_wp_deterministic(self):
         gt = sample_ground_truth(300, 6, "standard-normal", seed=9)

@@ -220,7 +220,7 @@ def _components_reference(m, ei, ej):
 
 
 class TestComponents:
-    @pytest.mark.parametrize("pad", [0, 600])  # exercises both internal paths
+    @pytest.mark.parametrize("pad", [0, 600])  # small and large item counts
     def test_matches_bfs_reference(self, pad):
         rng = np.random.default_rng(1)
         for _ in range(10):

@@ -9,6 +9,7 @@ from rasch.pairing import (
     disagreement_prob,
     enumerate_weighted_pairs,
     random_split,
+    split_wins,
 )
 
 
@@ -149,6 +150,18 @@ class TestCompile:
         b = np.asarray([y[(3, 2)][t] for t in common], float)
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 0.01
+
+    def test_split_wins_match_compiled_records(self):
+        gt = GroundTruth(np.array([0.9, 0.0, -0.4, 0.3, -0.8]), np.zeros(600))
+        data = sample_responses(gt, 0.7, seed=17)
+        W = split_wins(data, seed=4, n_split=3)
+        assert W.shape == (3, 5, 5)
+        for k in range(3):
+            pc = compile_comparisons(data, random_split(data, seed=4, split_index=k))
+            want = np.zeros((5, 5))
+            np.add.at(want, (pc.rec_i, pc.rec_j), 1 - pc.rec_y)  # larger-indexed item won
+            np.add.at(want, (pc.rec_j, pc.rec_i), pc.rec_y)
+            np.testing.assert_array_equal(W[k], want)
 
 
 class TestBtlWinProb:

@@ -1,0 +1,128 @@
+"""Property-based checks of the dense comparison objective and the batched
+Newton engine.  Examples are derandomized so that every run tests the same
+inputs."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from rasch.errors import EstimationError
+from rasch.estimators import EstimatorConfig, mrp_mle, rp_mle
+from rasch.model import sample_ground_truth, sample_responses
+from rasch.solver import (
+    BtlObjective,
+    gradient,
+    hessian,
+    nll,
+    solve_newton,
+    solve_newton_batch,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def objectives(draw):
+    """A random edge-list objective with fractional weights, and a point."""
+    m = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(SEEDS))
+    lo, hi = np.triu_indices(m, k=1)
+    keep = rng.random(lo.size) < 0.7
+    weight = rng.uniform(0.5, 10.0, keep.sum())
+    wins = rng.uniform(0.0, 1.0, keep.sum()) * weight
+    obj = BtlObjective(m=m, item_i=hi[keep], item_j=lo[keep], weight=weight, wins_i=wins)
+    return obj, rng.normal(0.0, 2.0, m)
+
+
+def _per_edge(obj, theta):
+    """Loss, gradient and Hessian summed term by term over the edge list."""
+    m = obj.m
+    f, g, H = 0.0, np.zeros(m), np.zeros((m, m))
+    for i, j, w, a in zip(obj.item_i, obj.item_j, obj.weight, obj.wins_i):
+        d = theta[i] - theta[j]
+        p = 1.0 / (1.0 + math.exp(-d))
+        f += -a * d + w * math.log1p(math.exp(d))
+        g[i] += w * p - a
+        g[j] -= w * p - a
+        z = w * p * (1.0 - p)
+        H[i, i] += z
+        H[j, j] += z
+        H[i, j] -= z
+        H[j, i] -= z
+    return f, g, H
+
+
+def _win_stack(seed, K, m):
+    """K random win matrices whose MLEs exist: a two-way ring through all
+    items makes every item win and lose at least once."""
+    rng = np.random.default_rng(seed)
+    W = rng.integers(0, 6, (K, m, m)).astype(float)
+    W[:, np.arange(m), np.arange(m)] = 0.0
+    ring = np.arange(m)
+    W[:, ring, (ring + 1) % m] += 1.0
+    W[:, (ring + 1) % m, ring] += 1.0
+    return W
+
+
+@PROPERTY
+@given(objectives())
+def test_dense_derivatives_match_per_edge_sums(case):
+    obj, theta = case
+    f, g, H = _per_edge(obj, theta)
+    scale = max(1.0, float(obj.weight.sum()))
+    assert abs(nll(obj, theta) - f) <= 1e-12 * max(scale, abs(f))
+    np.testing.assert_allclose(gradient(obj, theta), g, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(hessian(obj, theta).matrix, H, rtol=0, atol=1e-12 * scale)
+
+
+@PROPERTY
+@given(objectives())
+def test_gradient_sums_to_zero_and_hessian_kills_ones(case):
+    obj, theta = case
+    scale = max(1.0, float(obj.weight.sum()))
+    assert abs(gradient(obj, theta).sum()) <= 1e-12 * scale
+    assert np.abs(hessian(obj, theta).matrix @ np.ones(obj.m)).max() <= 1e-12 * scale
+
+
+@PROPERTY
+@given(objectives(), st.floats(-50.0, 50.0))
+def test_estimate_ignores_a_common_shift_of_the_start(case, shift):
+    obj, theta = case
+    assume(len(obj.components()) == 1)
+    start = 0.5 * theta
+    a = solve_newton(obj, start=start)
+    b = solve_newton(obj, start=start + shift)
+    assert a.converged and b.converged
+    np.testing.assert_allclose(a.theta_hat, b.theta_hat, rtol=0, atol=1e-8)
+
+
+@PROPERTY
+@given(SEEDS, st.integers(2, 6), st.integers(2, 7), st.data())
+def test_split_result_does_not_depend_on_its_batch(seed, K, m, data):
+    W = _win_stack(seed, K, m)
+    k = data.draw(st.integers(0, K - 1), label="split")
+    size = data.draw(st.integers(k + 1, K), label="batch size")
+    alone = solve_newton_batch(W[k:k + 1])[0]
+    batched = solve_newton_batch(W[:size])[k]
+    assert batched.theta_hat.tobytes() == alone.theta_hat.tobytes()
+    assert batched.iterations == alone.iterations
+    assert batched.grad_inf_norm == alone.grad_inf_norm
+
+
+@PROPERTY
+@given(SEEDS, st.integers(2, 8), st.integers(20, 300))
+def test_rp_equals_one_split_mrp(seed, m, n):
+    gt = sample_ground_truth(n, m, "standard-normal", seed=seed)
+    data = sample_responses(gt, 0.7, seed=seed)
+    mrp_cfg = EstimatorConfig(method="mrp", seed=seed, n_split=1)
+    try:
+        a = rp_mle(data, EstimatorConfig(method="rp", seed=seed))
+    except EstimationError as exc:
+        with pytest.raises(type(exc)):
+            mrp_mle(data, mrp_cfg)
+        return
+    assert a.theta_hat.tobytes() == mrp_mle(data, mrp_cfg).theta_hat.tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rasch.errors import DisconnectedGraphError, DivergenceError
+from rasch.errors import ConvergenceError, DisconnectedGraphError, DivergenceError
 from rasch.laplacian import build_z_laplacian
 from rasch.model import GroundTruth, sample_responses
 from rasch.pairing import compile_comparisons, random_split
@@ -13,6 +13,7 @@ from rasch.solver import (
     hessian,
     nll,
     solve_newton,
+    solve_newton_batch,
     solve_pgd,
 )
 
@@ -224,3 +225,38 @@ class TestPgd:
         res = solve_pgd(obj, hessian(obj, newton.theta_hat), start=newton.theta_hat)
         assert res.converged and res.iterations <= 5
         np.testing.assert_allclose(res.theta_hat, newton.theta_hat, atol=1e-8)
+
+
+def _wins(m, entries):
+    """m x m win matrix from (winner, loser, count) triples."""
+    W = np.zeros((m, m))
+    for i, j, c in entries:
+        W[i, j] += c
+    return W
+
+
+class TestNewtonBatch:
+    FINE = _wins(3, [(0, 1, 3), (1, 0, 2), (1, 2, 4), (2, 1, 1), (0, 2, 2), (2, 0, 2)])
+    DISCONNECTED = _wins(3, [(0, 1, 3), (1, 0, 2)])
+    ALL_WINS = _wins(3, [(2, 0, 40), (2, 1, 40), (0, 1, 20), (1, 0, 20)])
+
+    def test_matches_solve_newton_per_split(self):
+        rng = np.random.default_rng(10)
+        objs = [_random_objective(rng, 6) for _ in range(4)]
+        batch = solve_newton_batch(np.stack([obj.wins for obj in objs]))
+        for obj, res in zip(objs, batch):
+            alone = solve_newton(obj)
+            assert res.theta_hat.tobytes() == alone.theta_hat.tobytes()
+            assert res.iterations == alone.iterations and res.converged
+
+    def test_lowest_failing_split_wins_whatever_its_kind(self):
+        stack = np.stack([self.FINE, self.DISCONNECTED, self.ALL_WINS])
+        with pytest.raises(DisconnectedGraphError) as err:
+            solve_newton_batch(stack)
+        assert err.value.split_index == 1 and err.value.components == [[0, 1], [2]]
+        with pytest.raises(DivergenceError) as err:
+            solve_newton_batch(stack[[0, 2, 1]])
+        assert err.value.split_index == 1
+        with pytest.raises(ConvergenceError) as err:
+            solve_newton_batch(stack[[0, 0, 2]], SolverOptions(max_iter=2))
+        assert err.value.split_index == 0
