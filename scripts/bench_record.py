@@ -1,0 +1,93 @@
+"""Write a ``BENCH_<PR>.json``: the benchmark and tier-1 tests of a parent
+checkout and a changed checkout, side by side.
+
+    python3 scripts/bench_record.py PARENT_DIR CHANGE_DIR --out BENCH_<N>.json
+
+Both directories are complete checkouts.  For every workload in the change's
+``BENCHMARK.json`` it runs ``perfbench/run.py --trace 0`` in ``PAIRS`` pairs
+with the fixed seeds 1..``PAIRS``, alternating which side runs first, and
+keeps the final JSON line of each run.  It then counts the lines of
+``src/rasch/*.py`` and runs the tier-1 suite once on each side.  Runs are
+sequential, so the two sides never share the processor.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SIDES = ("parent", "change")
+PAIRS = 10  # alternating pairs per workload, enough to read a comparison
+
+
+def run_workload(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} failed:\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def tier1(checkout: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "-p", "no:cacheprovider"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    summary = proc.stdout.strip().splitlines()[-1]
+    counts = {key: int(num) for num, key in re.findall(r"(\d+) (passed|failed|error)", summary)}
+    return {"wall_s": round(wall, 1), "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0), "summary": summary}
+
+
+def src_lines(checkout: Path) -> int:
+    return sum(len(p.read_text().splitlines()) for p in (checkout / "src" / "rasch").glob("*.py"))
+
+
+def medians(runs: list[dict]) -> dict:
+    names = runs[0]["metrics"]
+    return {name: statistics.median(r["metrics"][name]["value"] for r in runs) for name in names}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    workloads = {}
+    for w in (item["name"] for item in spec["workloads"]):
+        runs = {side: [] for side in SIDES}
+        for seed in range(1, PAIRS + 1):
+            order = SIDES if seed % 2 else SIDES[::-1]
+            for side in order:
+                runs[side].append({"seed": seed, "first": side == order[0]}
+                                  | run_workload(dirs[side], w, seed, seconds))
+                print(w, seed, side, "done", file=sys.stderr, flush=True)
+        workloads[w] = runs | {"median": {side: medians(runs[side]) for side in SIDES}}
+    record = {
+        "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
+        "pairs": PAIRS,
+        "workloads": workloads,
+        "src_lines": {side: src_lines(d) for side, d in dirs.items()},
+        "tier1": {side: tier1(d) for side, d in dirs.items()},
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,10 +27,8 @@ from .estimators import (
     wp_mle,
 )
 from .inference import confidence_intervals, plugin_covariance
-from .laplacian import build_z_laplacian, pseudo_inverse_trace
+from .laplacian import _z_laplacian, pseudo_inverse_trace
 from .model import GroundTruth, sample_ground_truth, sample_responses
-from .pairing import compile_comparisons, random_split
-from .solver import BtlObjective, solve_newton
 
 __all__ = [
     "ExperimentConfig",
@@ -179,12 +177,15 @@ def _trial_refined_l2(args):
     n, m, p, seed = args
     gt = sample_ground_truth(n, m, "standard-normal", seed=seed)
     data = sample_responses(gt, p, seed=seed)
-    pc = compile_comparisons(data, random_split(data, seed, split_index=0))
-    res = solve_newton(BtlObjective.from_comparisons(pc))
-    l2 = float(np.linalg.norm(res.theta_hat - gt.theta_star))
+    try:
+        est = rp_mle(data, EstimatorConfig(method="rp", seed=seed))
+    except EstimationError:
+        return {"failed": 1.0}
+    W = est.split_wins[0]
+    l2 = float(np.linalg.norm(est.theta_hat - gt.theta_star))
     out = {}
-    for tag, theta in (("zhat", res.theta_hat), ("z", gt.theta_star)):
-        root_trace = float(np.sqrt(pseudo_inverse_trace(build_z_laplacian(pc, theta))))
+    for tag, theta in (("zhat", est.theta_hat), ("z", gt.theta_star)):
+        root_trace = float(np.sqrt(pseudo_inverse_trace(_z_laplacian(W + W.T, theta))))
         out[f"reldev_{tag}"] = abs(l2 - root_trace) / root_trace
     return out
 

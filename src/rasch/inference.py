@@ -19,8 +19,8 @@ from .errors import EstimationError
 from .estimators import ItemEstimate
 from .model import GroundTruth, ResponseData, sigmoid
 from .laplacian import _laplacian_matrix, _rank_completion_inverse
-from .pairing import compile_comparisons, enumerate_weighted_pairs, random_split, split_wins
-from .solver import BtlObjective, _counts, _derivatives, hessian
+from .pairing import WeightedPairs, compile_comparisons, enumerate_weighted_pairs, random_split, split_wins
+from .solver import BtlObjective, _counts, _derivatives
 
 __all__ = [
     "PluginCovariance",
@@ -105,9 +105,8 @@ class PluginCovariance:
             raise ValueError(f"Sigma_hat is not PSD: min eigenvalue {eig[0]}")
 
 
-def _wp_user_gradients(data: ResponseData, theta: np.ndarray) -> np.ndarray:
-    """n x m matrix of per-user weighted-pseudo score vectors at ``theta``."""
-    wp = enumerate_weighted_pairs(data, "wp")
+def _wp_user_gradients(data: ResponseData, wp: WeightedPairs, theta: np.ndarray) -> np.ndarray:
+    """n x m matrix of per-user score vectors of the ``"wp"`` pairs ``wp`` at ``theta``."""
     diff = theta[wp.items_hi] - theta[wp.items_lo]
     val = wp.weights * (sigmoid(diff) - (1 - wp.y))
     G = np.zeros((data.n_users, data.n_items))
@@ -139,28 +138,26 @@ def plugin_covariance(data: ResponseData, est: ItemEstimate,
                       exact_split_mixture: bool = False) -> PluginCovariance:
     """Estimate the sampling covariance of ``est.theta_hat``.
 
-    For split-based estimates, ``H_hat`` averages the per-split Hessians at
-    the estimate: the Laplacian of ``(sum_k N_k) * sigma'(theta_i - theta_j)``
-    over ``n * n_split``, with ``N_k`` the comparison counts of split ``k``.
-    For the weighted pseudo-MLE it is the (per-user averaged) objective
-    Hessian.  ``V_diff_hat`` always comes from per-user
-    weighted-pseudo gradients, the large-``n_split`` approximation.  Set
-    ``exact_split_mixture`` to blend in the per-split score covariance for the
-    finite-split formula (split methods only).
+    ``H_hat`` averages the Hessians, at the estimate, of the K win matrices
+    the estimate was fitted on (the splits of ``rp``/``mrp``, the one weighted
+    pseudo-likelihood objective of ``wp``): the Laplacian of
+    ``(sum_k N_k) * sigma'(theta_i - theta_j)`` over ``n * K``, with ``N_k``
+    the comparison counts of matrix ``k``.  ``V_diff_hat`` always comes from
+    per-user weighted-pseudo gradients, the large-``n_split`` approximation.
+    Set ``exact_split_mixture`` to blend in the per-split score covariance for
+    the finite-split formula (split methods only).
     """
     theta = est.theta_hat
     n = data.n_users
-    if est.method in ("rp", "mrp"):
-        W = _split_wins(data, est)
-        total = W.sum(axis=0)
-        H = _laplacian_matrix(_derivatives(total, _counts(total), theta)[1]) / (n * W.shape[0])
-    elif est.method == "wp":
-        wp_obj = BtlObjective.from_weighted_pairs(enumerate_weighted_pairs(data, "wp"))
-        H = hessian(wp_obj, theta).matrix / n
-    else:
+    if est.method not in ("rp", "mrp", "wp"):
         raise ValueError(f"covariance is defined for rp/mrp/wp estimates, not {est.method!r}")
+    wp = enumerate_weighted_pairs(data, "wp")
+    W = (BtlObjective.from_weighted_pairs(wp).wins[None] if est.method == "wp"
+         else _split_wins(data, est))
+    total = W.sum(axis=0)
+    H = _laplacian_matrix(_derivatives(total, _counts(total), theta)[1]) / (n * W.shape[0])
 
-    G = _wp_user_gradients(data, theta)
+    G = _wp_user_gradients(data, wp, theta)
     V_diff = (G.T @ G) / n
 
     V_same = None

@@ -3,7 +3,9 @@
 The count Laplacian weights each edge by its number of comparisons; the
 curvature-weighted variant multiplies in the logistic derivative
 ``z_ij = sigma'(theta_i - theta_j)`` and equals the negative log-likelihood
-Hessian.  The trace of the pseudo-inverse of the curvature Laplacian is the
+Hessian.  Both are built from the m x m count matrix of the comparisons, and
+a Laplacian is only its matrix: connectivity is read from the off-diagonal
+entries.  The trace of the pseudo-inverse of the curvature Laplacian is the
 leading term of the l2 estimation error, which is why it gets first-class
 treatment here.
 """
@@ -11,7 +13,7 @@ treatment here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,28 +26,12 @@ __all__ = [
     "WeightedLaplacian",
     "BtlWeights",
     "SpectralReport",
-    "connected_components",
     "build_count_laplacian",
     "build_z_laplacian",
     "pseudo_inverse",
     "pseudo_inverse_trace",
     "spectral_diagnostics",
 ]
-
-
-def connected_components(m: int, edges_i, edges_j) -> list[list[int]]:
-    """Vertex partition of the graph on ``m`` nodes, by min-label propagation
-    on a dense adjacency matrix."""
-    ei = np.asarray(edges_i, np.int64)
-    ej = np.asarray(edges_j, np.int64)
-    adj = np.zeros((m, m), dtype=bool)
-    adj[ei, ej] = True
-    adj[ej, ei] = True
-    labels = _component_labels(adj)
-    groups: dict[int, list[int]] = {}
-    for v in range(m):
-        groups.setdefault(int(labels[v]), []).append(v)
-    return list(groups.values())
 
 
 def _component_labels(adj: np.ndarray) -> np.ndarray:
@@ -65,19 +51,24 @@ def _component_labels(adj: np.ndarray) -> np.ndarray:
         labels = new
 
 
+def _partition(labels: np.ndarray) -> list[list[int]]:
+    """Components of one graph from its `_component_labels`: ascending vertex
+    lists, ordered by their smallest vertex."""
+    return [np.flatnonzero(labels == root).tolist() for root in np.unique(labels)]
+
+
 @dataclass(frozen=True)
 class WeightedLaplacian:
-    """Symmetric PSD matrix ``sum_e w_e (e_i - e_j)(e_i - e_j)^T`` with metadata.
+    """Symmetric PSD matrix ``sum_e w_e (e_i - e_j)(e_i - e_j)^T``.
 
-    ``connected`` refers to the graph of strictly positive weights; when it is
-    False, ``components`` carries the partition so errors can report it.  Both
-    are computed lazily: solvers rebuild the Hessian every iteration and must
-    not pay for a connectivity check each time.
+    ``connected`` refers to the graph of strictly positive weights, the
+    negative off-diagonal entries of the matrix; when it is False,
+    ``components`` carries the partition so errors can report it.  Both are
+    computed lazily: solvers rebuild the Hessian every iteration and must not
+    pay for a connectivity check each time.
     """
 
     matrix: np.ndarray
-    edges_i: np.ndarray = field(repr=False)
-    edges_j: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
@@ -85,10 +76,6 @@ class WeightedLaplacian:
             raise ValueError("Laplacian must be square")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        for name in ("edges_i", "edges_j"):
-            arr = np.asarray(getattr(self, name), np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def m(self) -> int:
@@ -96,7 +83,7 @@ class WeightedLaplacian:
 
     @cached_property
     def components(self) -> tuple:
-        return tuple(tuple(c) for c in connected_components(self.m, self.edges_i, self.edges_j))
+        return tuple(tuple(c) for c in _partition(_component_labels(self.matrix < 0)))
 
     @cached_property
     def connected(self) -> bool:
@@ -129,20 +116,19 @@ def _rank_completion_inverse(mat: np.ndarray) -> np.ndarray:
     return np.linalg.inv(mat + J) - J
 
 
-def _from_edges(m: int, idx_i, idx_j, weights) -> WeightedLaplacian:
-    idx_i = np.asarray(idx_i, np.int64)
-    idx_j = np.asarray(idx_j, np.int64)
-    weights = np.asarray(weights, float)
-    dense = (np.bincount(idx_i * m + idx_j, weights, m * m)
-             + np.bincount(idx_j * m + idx_i, weights, m * m)).reshape(m, m)
-    positive = weights > 0
-    return WeightedLaplacian(matrix=_laplacian_matrix(dense),
-                             edges_i=idx_i[positive], edges_j=idx_j[positive])
+def _z_laplacian(counts: np.ndarray, theta) -> WeightedLaplacian:
+    """Laplacian with weights ``counts * sigma'(theta_i - theta_j)`` for a
+    symmetric m x m count matrix."""
+    theta = np.asarray(theta, float)
+    m = counts.shape[0]
+    if theta.shape != (m,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({m},)")
+    return WeightedLaplacian(_laplacian_matrix(counts * sigmoid_deriv(theta[:, None] - theta[None, :])))
 
 
 def build_count_laplacian(pc: PairedComparisons) -> WeightedLaplacian:
     """Laplacian with edge weights equal to comparison counts."""
-    return _from_edges(pc.m, pc.edge_i, pc.edge_j, pc.edge_count.astype(float))
+    return WeightedLaplacian(_laplacian_matrix(pc.counts))
 
 
 def build_z_laplacian(pc: PairedComparisons, theta: np.ndarray) -> WeightedLaplacian:
@@ -152,11 +138,7 @@ def build_z_laplacian(pc: PairedComparisons, theta: np.ndarray) -> WeightedLapla
     estimate it is the plug-in version.  Either way it coincides with the
     negative log-likelihood Hessian evaluated at ``theta``.
     """
-    theta = np.asarray(theta, float)
-    if theta.shape != (pc.m,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({pc.m},)")
-    z = sigmoid_deriv(theta[pc.edge_i] - theta[pc.edge_j])
-    return _from_edges(pc.m, pc.edge_i, pc.edge_j, pc.edge_count * z)
+    return _z_laplacian(pc.counts, theta)
 
 
 @dataclass(frozen=True)
@@ -187,18 +169,15 @@ def pseudo_inverse(lap: WeightedLaplacian) -> np.ndarray:
     return _rank_completion_inverse(lap.matrix)
 
 
-def pseudo_inverse_trace(lap: WeightedLaplacian, method: str = "auto") -> float:
+def pseudo_inverse_trace(lap: WeightedLaplacian, method: str = "eigen") -> float:
     """``Trace(L^+)``, the sum of reciprocals of the nonzero eigenvalues.
 
     ``method="eigen"`` sums ``1/lambda`` over the top ``m-1`` eigenvalues;
     ``method="identity"`` takes the trace of the rank-completion inverse.  The
-    default uses the eigendecomposition for m <= 200 and the identity above
-    that; the two agree to high precision and tests pin that agreement.
+    two agree to high precision and tests pin that agreement.
     """
     if not lap.connected:
         raise DisconnectedGraphError(lap.components)
-    if method == "auto":
-        method = "eigen" if lap.m <= 200 else "identity"
     if method == "eigen":
         lam = lap.spectrum[:-1]  # drop the structural zero
         return float(np.sum(1.0 / lam))

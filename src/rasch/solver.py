@@ -14,9 +14,10 @@ definite whenever the comparison graph is connected) and a step size per
 matrix.  The Armijo line search compares losses, which near the optimum
 differ by less than their own round-off; once the predicted decrease
 ``-g.d`` is below ``1e-13 max(1, |f|)`` the full Newton step is taken.
-`BtlObjective`, `nll`, `gradient`, `hessian` and `solve_newton` are the
-edge-list front end over the same dense functions; a preconditioned gradient
-descent is kept as an alternative minimizer.
+`BtlObjective` assembles one win matrix from aggregated pair terms, and
+`nll`, `gradient`, `hessian` and `solve_newton` evaluate and fit it with the
+same dense functions; a preconditioned gradient descent is kept as an
+alternative minimizer.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from .errors import ConvergenceError, DisconnectedGraphError, DivergenceError
 from .laplacian import (
     WeightedLaplacian,
     _component_labels,
-    _from_edges,
     _laplacian_matrix,
-    connected_components,
+    _partition,
     pseudo_inverse,
 )
-from .pairing import PairedComparisons, WeightedPairs
+from .pairing import PairedComparisons, WeightedPairs, _win_matrix
 
 __all__ = [
     "BtlObjective",
@@ -106,22 +106,22 @@ class BtlObjective:
         return W
 
     def components(self) -> list[list[int]]:
-        return connected_components(self.m, self.item_i, self.item_j)
+        return _partition(_component_labels(_counts(self.wins) > 0))
 
     @classmethod
     def from_comparisons(cls, pc: PairedComparisons) -> "BtlObjective":
-        return cls(m=pc.m, item_i=pc.edge_i, item_j=pc.edge_j,
-                   weight=pc.edge_count.astype(float), wins_i=pc.edge_wins_hi)
+        obj = cls(m=pc.m, item_i=pc.edge_i, item_j=pc.edge_j,
+                  weight=pc.edge_count.astype(float), wins_i=pc.edge_wins_hi)
+        # integer counts: the terms give back exactly the matrix pc compiled
+        obj.__dict__["wins"] = pc.wins
+        return obj
 
     @classmethod
     def from_weighted_pairs(cls, wp: WeightedPairs) -> "BtlObjective":
-        m = wp.m
-        # y = 1 iff the lower-indexed item won
-        key = np.where(wp.y == 1, wp.items_lo * m + wp.items_hi, wp.items_hi * m + wp.items_lo)
-        W = np.bincount(key, wp.weights, m * m).reshape(m, m)
+        W = _win_matrix(wp.m, wp.items_hi, wp.items_lo, wp.y, wp.weights)
         N = W + W.T
         item_i, item_j = np.nonzero(np.tril(N, -1))
-        return cls(m=m, item_i=item_i, item_j=item_j,
+        return cls(m=wp.m, item_i=item_i, item_j=item_j,
                    weight=N[item_i, item_j], wins_i=W[item_i, item_j])
 
 
@@ -178,8 +178,7 @@ def gradient(obj: BtlObjective, theta: np.ndarray) -> np.ndarray:
 def hessian(obj: BtlObjective, theta: np.ndarray) -> WeightedLaplacian:
     """Hessian as a weighted Laplacian with weights ``count * sigma'(diff)``."""
     Z = _derivatives(obj.wins, _counts(obj.wins), _check_theta(obj, theta))[1]
-    edges_i, edges_j = np.nonzero(np.tril(Z, -1))
-    return WeightedLaplacian(matrix=_laplacian_matrix(Z), edges_i=edges_i, edges_j=edges_j)
+    return WeightedLaplacian(_laplacian_matrix(Z))
 
 
 def _check_theta(obj: BtlObjective, theta) -> np.ndarray:
@@ -328,7 +327,8 @@ def solve_newton_batch(W, opts: SolverOptions | None = None) -> tuple[SolveResul
     opts = opts or SolverOptions()
     W = np.asarray(W, float)
     K, m, _ = W.shape
-    connected = (_component_labels(_counts(W) > 0) == 0).all(axis=-1)
+    labels = _component_labels(_counts(W) > 0)
+    connected = (labels == 0).all(axis=-1)
     first = K if connected.all() else int(np.argmin(connected))
     results, diverged = _newton(W[:first], np.zeros((first, m)), opts)
     failed = first if diverged is None else diverged[0]
@@ -338,8 +338,7 @@ def solve_newton_batch(W, opts: SolverOptions | None = None) -> tuple[SolveResul
     if diverged is not None:
         raise DivergenceError(diverged[1], diverged[2], split_index=diverged[0])
     if first < K:
-        edges = np.nonzero(np.tril(_counts(W[first]), -1))
-        raise DisconnectedGraphError(connected_components(m, *edges), split_index=first)
+        raise DisconnectedGraphError(_partition(labels[first]), split_index=first)
     return tuple(results)
 
 
@@ -349,7 +348,7 @@ def _default_eta(obj: BtlObjective, precond_pinv: np.ndarray) -> float:
     The per-term curvature never exceeds ``weight / 4``, so the Hessian is
     dominated by the quarter-weighted count Laplacian at every point.
     """
-    bound = _from_edges(obj.m, obj.item_i, obj.item_j, obj.weight / 4.0).matrix
+    bound = _laplacian_matrix(_counts(obj.wins) / 4.0)
     lam1 = float(np.max(np.abs(np.linalg.eigvals(precond_pinv @ bound))))
     return 1.0 / max(lam1, 1e-12)
 

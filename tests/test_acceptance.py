@@ -230,7 +230,10 @@ def refined_l2_rows():
     cfg = ExperimentConfig(name="refined-l2", trials=100, seed=5,
                            params={"n_grid": [10000], "p": 0.1, "users_per_item": 500})
     header, rows = run_experiment(cfg)
-    return {name: rows[0][header.index(name)] for name in header}
+    row = {name: rows[0][header.index(name)] for name in header}
+    # a failed fit would leave the means over fewer trials unnoticed
+    assert row["n_failed"] == 0
+    return row
 
 
 def test_criterion_6a_refined_l2_mean_deviation(refined_l2_rows):

@@ -7,6 +7,7 @@ import pytest
 from rasch import cli
 from rasch.cli import main
 from rasch.estimators import EstimatorConfig
+from rasch.experiments import ExperimentConfig, run_experiment
 from rasch.solver import SolverOptions
 
 LOG3 = np.log(3.0)
@@ -164,6 +165,13 @@ class TestExperiment:
         out2 = tmp_path / "res2.csv"
         assert main(["experiment", str(cfg), "--out", str(out2)]) == 0
         assert out.read_bytes() == out2.read_bytes()
+
+    def test_refined_l2_counts_failed_fits(self):
+        # two users per item at p = 0.1 leave every split disconnected
+        cfg = ExperimentConfig(name="refined-l2", trials=2, seed=0,
+                               params={"n_grid": [40], "users_per_item": 2})
+        header, rows = run_experiment(cfg)
+        assert rows[0][header.index("n_failed")] == 2
 
     def test_unknown_name_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

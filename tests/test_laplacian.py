@@ -6,24 +6,35 @@ import pytest
 from rasch.errors import DisconnectedGraphError
 from rasch.laplacian import (
     BtlWeights,
+    WeightedLaplacian,
     build_count_laplacian,
     build_z_laplacian,
-    connected_components,
     pseudo_inverse,
     pseudo_inverse_trace,
     spectral_diagnostics,
 )
-from rasch.laplacian import _from_edges
+from rasch.laplacian import _component_labels, _partition
 from rasch.model import condition_numbers, sample_ground_truth, sample_responses, sigmoid_deriv
-from rasch.pairing import compile_comparisons, random_split
+from rasch.pairing import PairedComparisons, compile_comparisons, random_split
 
 
 def _pc(m, edges):
-    """PairedComparisons stand-in from (i, j, count, wins_hi) tuples."""
-    from rasch.pairing import PairedComparisons
-    i, j, c, w = (np.asarray(v) for v in zip(*edges))
-    return PairedComparisons(m=m, rec_i=[], rec_j=[], rec_t=[], rec_y=[],
-                             edge_i=i, edge_j=j, edge_count=c, edge_wins_hi=w)
+    """PairedComparisons from (i, j, count, wins_hi) tuples: ``count`` records
+    on the pair, of which ``i`` won ``wins_hi`` (y = 0) and ``j`` the rest."""
+    rec_i, rec_j, rec_y = [], [], []
+    for i, j, c, w in edges:
+        rec_i += [i] * c
+        rec_j += [j] * c
+        rec_y += [0] * int(w) + [1] * (c - int(w))
+    return PairedComparisons(m=m, rec_i=rec_i, rec_j=rec_j, rec_t=[0] * len(rec_i), rec_y=rec_y)
+
+
+def _from_edges(m, idx_i, idx_j, weights):
+    """Weighted Laplacian of an edge list, assembled as a dense matrix."""
+    W = np.zeros((m, m))
+    np.add.at(W, (idx_i, idx_j), weights)
+    np.add.at(W, (idx_j, idx_i), weights)
+    return WeightedLaplacian(np.diag(W.sum(axis=1)) - W)
 
 
 def _simulated_pc(n=4000, m=12, p=0.5, seed=0):
@@ -39,7 +50,7 @@ class TestBuild:
         assert lap.connected
 
     def test_empty_graph(self):
-        lap = build_count_laplacian(_pc_empty(3))
+        lap = build_count_laplacian(_pc(3, []))
         np.testing.assert_array_equal(lap.matrix, np.zeros((3, 3)))
         assert not lap.connected
         assert len(lap.components) == 3
@@ -81,13 +92,6 @@ class TestBuild:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             build_z_laplacian(_pc(3, [(1, 0, 1, 0.0)]), np.zeros(2))
-
-
-def _pc_empty(m):
-    from rasch.pairing import PairedComparisons
-    e = np.empty(0, int)
-    return PairedComparisons(m=m, rec_i=e, rec_j=e, rec_t=e, rec_y=e,
-                             edge_i=e, edge_j=e, edge_count=e, edge_wins_hi=e.astype(float))
 
 
 class TestPseudoInverse:
@@ -228,8 +232,10 @@ class TestComponents:
             k = int(rng.integers(0, 3 * m))
             ei = rng.integers(0, m, k)
             ej = rng.integers(0, m, k)
-            got = sorted(sorted(c) for c in connected_components(m, ei, ej))
-            assert got == _components_reference(m, ei, ej)
+            adj = np.zeros((m, m), dtype=bool)
+            adj[ei, ej] = adj[ej, ei] = True
+            labels = _component_labels(adj)
+            assert _partition(labels) == _components_reference(m, ei, ej)
 
     def test_hessian_builds_skip_connectivity_work(self):
         # components are cached and only computed on demand

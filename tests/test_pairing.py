@@ -78,6 +78,23 @@ class TestRandomSplit:
         assert not (np.array_equal(a.items_hi, c.items_hi)
                     and np.array_equal(a.items_lo, c.items_lo))
 
+    def test_large_user_ids_pair_like_small_ones(self):
+        # past 2**20 users the split sorts with lexsort instead of the float
+        # key; relabelling the users order-preservingly must not move a pair
+        users = np.repeat(np.arange(6), 5)
+        items = np.tile(np.arange(5), 6)
+        resp = np.random.default_rng(0).integers(0, 2, 30)
+        spread = np.array([0, 3, 2**20, 2**20 + 7, 2**21, 2**21 + 1])
+        small = ResponseData(6, 5, users, items, resp)
+        large = ResponseData(2**21 + 2, 5, spread[users], items, resp)
+        for k in range(3):
+            a = random_split(small, seed=9, split_index=k)
+            b = random_split(large, seed=9, split_index=k)
+            np.testing.assert_array_equal(spread[a.users], b.users)
+            for name in ("items_hi", "items_lo", "edge_hi", "edge_lo"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        np.testing.assert_array_equal(split_wins(small, 9, 3), split_wins(large, 9, 3))
+
 
 class TestCompile:
     def test_record_orientation(self):

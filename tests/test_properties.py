@@ -1,8 +1,9 @@
-"""Property-based checks of the dense comparison objective and the batched
-Newton engine.  Examples are derandomized so that every run tests the same
-inputs."""
+"""Property-based checks of the dense comparison objective, the dense
+Laplacian builders and the batched Newton engine.  Examples are derandomized
+so that every run tests the same inputs."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from rasch.errors import EstimationError
 from rasch.estimators import EstimatorConfig, mrp_mle, rp_mle
-from rasch.model import sample_ground_truth, sample_responses
+from rasch.laplacian import build_count_laplacian, build_z_laplacian
+from rasch.model import ResponseData, sample_ground_truth, sample_responses, sigmoid_deriv
+from rasch.pairing import compile_comparisons, random_split, split_wins
 from rasch.solver import (
     BtlObjective,
     gradient,
@@ -126,3 +129,45 @@ def test_rp_equals_one_split_mrp(seed, m, n):
             mrp_mle(data, mrp_cfg)
         return
     assert a.theta_hat.tobytes() == mrp_mle(data, mrp_cfg).theta_hat.tobytes()
+
+
+@st.composite
+def response_data(draw):
+    """Small responses: each user answers a random subset of the items."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(SEEDS))
+    users, items = np.nonzero(rng.random((n, m)) < draw(st.floats(0.1, 1.0)))
+    return ResponseData(n, m, users, items, rng.integers(0, 2, users.size))
+
+
+def _per_edge_laplacian(m, hi, lo, weights):
+    """Laplacian of the edges ``(hi[e], lo[e])`` built one edge at a time."""
+    L = np.zeros((m, m))
+    for i, j, w in zip(hi, lo, weights):
+        L[i, j] = L[j, i] = -w
+        L[i, i] += w
+        L[j, j] += w
+    return L
+
+
+@PROPERTY
+@given(response_data(), SEEDS, st.integers(0, 3))
+def test_dense_builders_match_per_record_aggregation(data, seed, k):
+    m = data.n_items
+    theta = np.random.default_rng(seed).normal(0.0, 2.0, m)
+    pc = compile_comparisons(data, random_split(data, seed, k))
+    per_edge = Counter(zip(pc.rec_i.tolist(), pc.rec_j.tolist()))
+    hi = np.array([e[0] for e in per_edge], dtype=np.int64)
+    lo = np.array([e[1] for e in per_edge], dtype=np.int64)
+    c = np.array(list(per_edge.values()), dtype=np.int64)
+    # one vectorized call, as a builder makes: numpy's scalar exp can differ
+    # from its vector exp in the last bit
+    z = sigmoid_deriv(theta[hi] - theta[lo])
+    off = ~np.eye(m, dtype=bool)
+    for lap, w in ((build_count_laplacian(pc), c.astype(float)),
+                   (build_z_laplacian(pc, theta), c * z)):
+        want = _per_edge_laplacian(m, hi, lo, w)
+        np.testing.assert_array_equal(lap.matrix[off], want[off])
+        np.testing.assert_allclose(np.diag(lap.matrix), np.diag(want), rtol=1e-12, atol=0)
+    assert pc.wins.tobytes() == split_wins(data, seed, k + 1)[k].tobytes()
