@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .model import ResponseData
-from .pairing import enumerate_weighted_pairs, split_wins
+from .pairing import _pseudo_wins, split_wins
 from .solver import BtlObjective, SolverOptions, solve_newton, solve_newton_batch
 
 __all__ = [
@@ -151,9 +151,7 @@ def mrp_mle(data: ResponseData, cfg: EstimatorConfig) -> ItemEstimate:
 
 
 def _pseudo(data: ResponseData, cfg: EstimatorConfig, scheme: str) -> ItemEstimate:
-    wp = enumerate_weighted_pairs(data, scheme)
-    obj = BtlObjective.from_weighted_pairs(wp)
-    res = solve_newton(obj, cfg.solver)
+    res = solve_newton(BtlObjective.from_wins(_pseudo_wins(data, scheme)), cfg.solver)
     if not res.converged:
         raise ConvergenceError(res.grad_inf_norm, res.iterations)
     return ItemEstimate(theta_hat=_centred_mean(res.theta_hat[None]), method=scheme,

@@ -19,12 +19,11 @@ from . import _rng, lsat
 from .errors import EstimationError
 from .estimators import (
     EstimatorConfig,
+    estimate,
     mrp_mle,
-    pmle,
     rp_mle,
     top_k,
     top_k_recovery_rate,
-    wp_mle,
 )
 from .inference import confidence_intervals, plugin_covariance
 from .laplacian import _z_laplacian, pseudo_inverse_trace
@@ -212,15 +211,9 @@ def _trial_lsat_top1(args):
     out = {}
     hardest = {2}  # problem 3
     for method in methods:
+        cfg = EstimatorConfig(method=method, seed=est_seed, n_split=n_split)
         try:
-            if method == "rp":
-                est = rp_mle(data, EstimatorConfig(method="rp", seed=est_seed))
-            elif method == "mrp":
-                est = mrp_mle(data, EstimatorConfig(method="mrp", seed=est_seed, n_split=n_split))
-            elif method == "wp":
-                est = wp_mle(data)
-            else:
-                est = pmle(data)
+            est = estimate(data, cfg)
         except EstimationError:
             out[f"failed_{method}"] = 1.0
             continue

@@ -3,8 +3,10 @@
 The sampling variance of the split-averaged and weighted-pseudo estimators is
 approximated by the sandwich ``H^+ V H^+ / n``: ``H`` averages the per-user
 curvature at the estimate and ``V`` the outer products of per-user
-weighted-pseudo gradients.  Intervals are two-sided normal intervals on the
-diagonal, optionally Bonferroni-corrected across items.
+weighted-pseudo gradients.  Those gradients are formed as matrix products of
+the users' response indicators, block by block, without listing the
+within-user pairs.  Intervals are two-sided normal intervals on the diagonal,
+optionally Bonferroni-corrected across items.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .errors import EstimationError
 from .estimators import ItemEstimate
 from .model import GroundTruth, ResponseData, sigmoid
 from .laplacian import _laplacian_matrix, _rank_completion_inverse
-from .pairing import WeightedPairs, compile_comparisons, enumerate_weighted_pairs, random_split, split_wins
-from .solver import BtlObjective, _counts, _derivatives
+from .pairing import _indicator_blocks, _paired_positions, _pseudo_wins, split_wins
+from .solver import _counts, _derivatives
 
 __all__ = [
     "PluginCovariance",
@@ -105,24 +107,29 @@ class PluginCovariance:
             raise ValueError(f"Sigma_hat is not PSD: min eigenvalue {eig[0]}")
 
 
-def _wp_user_gradients(data: ResponseData, wp: WeightedPairs, theta: np.ndarray) -> np.ndarray:
-    """n x m matrix of per-user score vectors of the ``"wp"`` pairs ``wp`` at ``theta``."""
-    diff = theta[wp.items_hi] - theta[wp.items_lo]
-    val = wp.weights * (sigmoid(diff) - (1 - wp.y))
-    G = np.zeros((data.n_users, data.n_items))
-    np.add.at(G, (wp.users, wp.items_hi), val)
-    np.add.at(G, (wp.users, wp.items_lo), -val)
-    return G
+def _wp_score_covariance(data: ResponseData, theta: np.ndarray) -> np.ndarray:
+    """``G^T G / n`` of the per-user ``"wp"`` scores at ``theta``, block by block:
+    ``G = w * [X1 * (X0 (S - 1)^T) + X0 * (X1 S^T)]``, ``S_ij = sigma(theta_i - theta_j)``."""
+    S = sigmoid(theta[:, None] - theta[None, :])
+    V = np.zeros((data.n_items, data.n_items))
+    for _, X1, X0, w in _indicator_blocks(data, "wp"):
+        G = w[:, None] * (X1 * (X0 @ (S - 1.0).T) + X0 * (X1 @ S.T))
+        V += G.T @ G
+    return V / data.n_users
 
 
 def _split_user_gradients(data: ResponseData, theta: np.ndarray, seed: int, k: int) -> np.ndarray:
-    """Per-user score vectors of the split-``k`` comparison loss at ``theta``."""
-    pc = compile_comparisons(data, random_split(data, seed, split_index=k))
-    diff = theta[pc.rec_i] - theta[pc.rec_j]
-    val = sigmoid(diff) - (1 - pc.rec_y)
+    """Per-user score vectors of the split-``k`` comparison loss at ``theta``.
+
+    A response is in at most one pair of a split, so each entry is set once.
+    """
+    a, b = _paired_positions(data, seed, k)
+    items_a, items_b = data.item_ids[a], data.item_ids[b]
+    x_a = data.responses[a]
+    val = np.where(x_a != data.responses[b], sigmoid(theta[items_a] - theta[items_b]) - x_a, 0.0)
     G = np.zeros((data.n_users, data.n_items))
-    np.add.at(G, (pc.rec_t, pc.rec_i), val)
-    np.add.at(G, (pc.rec_t, pc.rec_j), -val)
+    G[data.user_ids[a], items_a] = val
+    G[data.user_ids[b], items_b] = -val
     return G
 
 
@@ -151,14 +158,10 @@ def plugin_covariance(data: ResponseData, est: ItemEstimate,
     n = data.n_users
     if est.method not in ("rp", "mrp", "wp"):
         raise ValueError(f"covariance is defined for rp/mrp/wp estimates, not {est.method!r}")
-    wp = enumerate_weighted_pairs(data, "wp")
-    W = (BtlObjective.from_weighted_pairs(wp).wins[None] if est.method == "wp"
-         else _split_wins(data, est))
+    W = _pseudo_wins(data, "wp")[None] if est.method == "wp" else _split_wins(data, est)
     total = W.sum(axis=0)
     H = _laplacian_matrix(_derivatives(total, _counts(total), theta)[1]) / (n * W.shape[0])
-
-    G = _wp_user_gradients(data, wp, theta)
-    V_diff = (G.T @ G) / n
+    V_diff = _wp_score_covariance(data, theta)
 
     V_same = None
     V = V_diff

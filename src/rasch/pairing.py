@@ -8,8 +8,10 @@ comparison outcomes conditionally independent.  Whatever the route, the
 comparisons of one split are summarized by one m x m win matrix: `split_wins`
 compiles the splits of a multi-split fit straight into these matrices, and
 `compile_comparisons` keeps the per-pair records of one split next to its
-win and count matrices.  The overlapping route enumerates every within-user
-item pair, used by the weighted and plain pseudo-likelihood estimators.
+win and count matrices.  The overlapping route of the pseudo-likelihood
+estimators takes every within-user item pair without listing them: its win
+matrix is ``X1^T diag(w) X0``, from the users' 0/1 response indicators
+``X1 = 1{X = 1}``, ``X0 = 1{X = 0}`` and weights ``w``, block by block.
 """
 
 from __future__ import annotations
@@ -35,16 +37,24 @@ __all__ = [
 ]
 
 
+# Users per block of dense n x m indicators.  Unblocked indicators and score
+# matrices raised the peak RSS of the benchmark's mrp-sparse workload (n=1e4,
+# m=50) to 123.0-126.7 MB, against 112.4-114.3 MB for the pair-listing code
+# they replaced; with 1024-user blocks it measured 111.1-112.5 MB (seeds 1-3,
+# 2-core x86-64, numpy 2.4).
+USER_BLOCK = 1024
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-def _win_matrix(m: int, hi, lo, y, weights=None) -> np.ndarray:
-    """m x m win matrix of comparisons ``(hi, lo, y)``, ``hi > lo``, summing
-    ``weights`` (default 1); ``y = 1`` iff ``lo`` won, counting on ``[lo, hi]``."""
+def _win_matrix(m: int, hi, lo, y) -> np.ndarray:
+    """m x m win matrix of comparisons ``(hi, lo, y)``, ``hi > lo``;
+    ``y = 1`` iff ``lo`` won, counting on ``[lo, hi]``."""
     key = np.where(y == 1, lo * m + hi, hi * m + lo)
-    return np.bincount(key, weights, m * m).reshape(m, m)
+    return np.bincount(key, minlength=m * m).reshape(m, m)
 
 
 @dataclass(frozen=True)
@@ -172,12 +182,8 @@ class WeightedPairs:
 
     def __post_init__(self):
         for name in ("users", "items_hi", "items_lo", "y"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        w = np.asarray(self.weights, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=np.int64)))
+        object.__setattr__(self, "weights", _frozen(np.asarray(self.weights, dtype=float)))
 
     @property
     def n_records(self) -> int:
@@ -325,55 +331,51 @@ def disagreement_prob(theta_i: float, theta_j: float, zeta_t: float):
     return out if np.ndim(out) else float(out)
 
 
-def enumerate_weighted_pairs(data: ResponseData, scheme: str) -> WeightedPairs:
-    """Every within-user item pair with differing responses, weighted per scheme.
+def _indicator_blocks(data: ResponseData, scheme: str):
+    """Dense 0/1 response indicators, ``USER_BLOCK`` users at a time.
 
-    ``scheme="wp"`` uses ``mt_even / (m_t (m_t - 1))``; ``scheme="pmle"`` uses
-    unit weights.  Deterministic: no randomness is involved.
+    Yields ``(first, X1, X0, w)``: row ``t`` of ``X1`` (``X0``) marks the items
+    user ``first + t`` answered with ``X = 1`` (``X = 0``), and ``w[t]`` is the
+    user's weight, ``mt_even / (m_t (m_t - 1))`` for ``"wp"`` and 1 for
+    ``"pmle"``, 0 below two responses.  Item ``i`` beat item ``j`` for user
+    ``t`` exactly where ``X1[t, i] X0[t, j] = 1``.
     """
     if scheme not in ("wp", "pmle"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'wp' or 'pmle'")
     indptr = data.user_indptr
-    counts = np.diff(indptr)
-    idx_a, idx_b = _within_user_pairs(indptr)
-    x_a = data.responses[idx_a]
-    x_b = data.responses[idx_b]
-    keep = x_a != x_b
-    idx_a, idx_b, x_a, x_b = idx_a[keep], idx_b[keep], x_a[keep], x_b[keep]
-    users = data.user_ids[idx_a]
-    items_a = data.item_ids[idx_a]
-    items_b = data.item_ids[idx_b]
-    hi = np.maximum(items_a, items_b)
-    lo = np.minimum(items_a, items_b)
-    x_hi = np.where(items_a >= items_b, x_a, x_b)
-    y = (x_hi == 0).astype(np.int64)  # lower-indexed item won iff X_hi < X_lo
-    if scheme == "wp":
-        mt = counts[users].astype(float)
-        mt_even = mt - (mt.astype(np.int64) % 2)
-        weights = mt_even / (mt * (mt - 1.0))
-    else:
-        weights = np.ones(users.size)
+    mt = np.diff(indptr).astype(float)
+    w = ((mt - mt % 2) / np.maximum(mt * (mt - 1.0), 1.0) if scheme == "wp"
+         else (mt >= 2).astype(float))
+    for first in range(0, data.n_users, USER_BLOCK):
+        last = min(first + USER_BLOCK, data.n_users)
+        edges = slice(indptr[first], indptr[last])
+        at = (data.user_ids[edges] - first, data.item_ids[edges])
+        X1, X0 = np.zeros((2, last - first, data.n_items))
+        X1[at] = data.responses[edges]
+        X0[at] = 1 - X1[at]
+        yield first, X1, X0, w[first:last]
+
+
+def _pseudo_wins(data: ResponseData, scheme: str) -> np.ndarray:
+    """Win matrix of every within-user comparison, ``sum_t w_t X1[t]^T X0[t]``."""
+    W = np.zeros((data.n_items, data.n_items))
+    for _, X1, X0, w in _indicator_blocks(data, scheme):
+        W += (X1 * w[:, None]).T @ X0
+    return W
+
+
+def enumerate_weighted_pairs(data: ResponseData, scheme: str) -> WeightedPairs:
+    """Every within-user item pair with differing responses, weighted per scheme.
+
+    ``scheme="wp"`` uses ``mt_even / (m_t (m_t - 1))``; ``scheme="pmle"`` uses
+    unit weights.  Records are listed by user, then winner, then loser.
+    Deterministic: no randomness is involved.
+    """
+    parts = [(np.empty(0, np.int64),) * 4 + (np.empty(0),)]
+    for first, X1, X0, w in _indicator_blocks(data, scheme):
+        t, win, lose = np.nonzero(np.logical_and(X1[:, :, None], X0[:, None, :]))
+        parts.append((t + first, np.maximum(win, lose), np.minimum(win, lose),
+                      (win < lose).astype(np.int64), w[t]))
+    users, hi, lo, y, weights = (np.concatenate(col) for col in zip(*parts))
     return WeightedPairs(m=data.n_items, users=users, items_hi=hi, items_lo=lo,
                          y=y, weights=weights)
-
-
-def _within_user_pairs(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Global edge-index pairs (a, b), a before b, for all within-user pairs.
-
-    Users are grouped by their response count so each group expands one
-    ``triu_indices`` template; cost is linear in the number of emitted pairs.
-    """
-    counts = np.diff(indptr)
-    starts = indptr[:-1]
-    out_a, out_b = [], []
-    for c in np.unique(counts):
-        if c < 2:
-            continue
-        tri_a, tri_b = np.triu_indices(int(c), k=1)
-        s = starts[counts == c]
-        out_a.append((s[:, None] + tri_a[None, :]).ravel())
-        out_b.append((s[:, None] + tri_b[None, :]).ravel())
-    if not out_a:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    return np.concatenate(out_a), np.concatenate(out_b)

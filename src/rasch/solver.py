@@ -14,10 +14,11 @@ definite whenever the comparison graph is connected) and a step size per
 matrix.  The Armijo line search compares losses, which near the optimum
 differ by less than their own round-off; once the predicted decrease
 ``-g.d`` is below ``1e-13 max(1, |f|)`` the full Newton step is taken.
-`BtlObjective` assembles one win matrix from aggregated pair terms, and
-`nll`, `gradient`, `hessian` and `solve_newton` evaluate and fit it with the
-same dense functions; a preconditioned gradient descent is kept as an
-alternative minimizer.
+`BtlObjective` holds one win matrix, given as aggregated pair terms or
+directly (`BtlObjective.from_wins`, as the pseudo-likelihood estimators
+build it from response indicators), and `nll`, `gradient`, `hessian` and
+`solve_newton` evaluate and fit it with the same dense functions; a
+preconditioned gradient descent is kept as an alternative minimizer.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .laplacian import (
     _partition,
     pseudo_inverse,
 )
-from .pairing import PairedComparisons, WeightedPairs, _win_matrix
+from .pairing import PairedComparisons
 
 __all__ = [
     "BtlObjective",
@@ -110,19 +111,19 @@ class BtlObjective:
 
     @classmethod
     def from_comparisons(cls, pc: PairedComparisons) -> "BtlObjective":
-        obj = cls(m=pc.m, item_i=pc.edge_i, item_j=pc.edge_j,
-                  weight=pc.edge_count.astype(float), wins_i=pc.edge_wins_hi)
-        # integer counts: the terms give back exactly the matrix pc compiled
-        obj.__dict__["wins"] = pc.wins
-        return obj
+        return cls.from_wins(pc.wins)
 
     @classmethod
-    def from_weighted_pairs(cls, wp: WeightedPairs) -> "BtlObjective":
-        W = _win_matrix(wp.m, wp.items_hi, wp.items_lo, wp.y, wp.weights)
-        N = W + W.T
+    def from_wins(cls, W) -> "BtlObjective":
+        """Objective of the m x m win matrix ``W``, kept as its `wins`."""
+        W = np.array(W, float)
+        W.setflags(write=False)
+        N = _counts(W)
         item_i, item_j = np.nonzero(np.tril(N, -1))
-        return cls(m=wp.m, item_i=item_i, item_j=item_j,
-                   weight=N[item_i, item_j], wins_i=W[item_i, item_j])
+        obj = cls(m=W.shape[0], item_i=item_i, item_j=item_j,
+                  weight=N[item_i, item_j], wins_i=W[item_i, item_j])
+        obj.__dict__["wins"] = W
+        return obj
 
 
 @dataclass(frozen=True)

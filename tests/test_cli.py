@@ -202,6 +202,13 @@ class TestLsat:
         assert lines[0] == "method,n_trials,recovery,stderr"
         assert lines[1].startswith("mrp,15,") and lines[2].startswith("pmle,15,")
 
+    def test_subsample_unknown_method_exit_2(self, capsys):
+        assert main(["lsat", "subsample", "--n-users", "100", "--m-items", "3",
+                     "--trials", "2", "--methods", "pmle,bogus"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage"
+        assert "bogus" in err["detail"]
+
     def test_subsample_range_validation(self, capsys):
         assert main(["lsat", "subsample", "--n-users", "5000", "--m-items", "4"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "usage"

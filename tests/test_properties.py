@@ -1,20 +1,35 @@
 """Property-based checks of the dense comparison objective, the dense
-Laplacian builders and the batched Newton engine.  Examples are derandomized
-so that every run tests the same inputs."""
+Laplacian builders, the batched Newton engine, the indicator-block
+pseudo-likelihood builders and CSV input.  Examples are derandomized so that
+every run tests the same inputs."""
 
+import contextlib
+import io
+import json
 import math
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rasch.cli import main
 from rasch.errors import EstimationError
-from rasch.estimators import EstimatorConfig, mrp_mle, rp_mle
+from rasch.estimators import EstimatorConfig, mrp_mle, rp_mle, wp_mle
+from rasch.inference import _split_user_gradients, plugin_covariance
 from rasch.laplacian import build_count_laplacian, build_z_laplacian
 from rasch.model import ResponseData, sample_ground_truth, sample_responses, sigmoid_deriv
-from rasch.pairing import compile_comparisons, random_split, split_wins
+from rasch.pairing import (
+    USER_BLOCK,
+    _pseudo_wins,
+    compile_comparisons,
+    enumerate_weighted_pairs,
+    random_split,
+    split_wins,
+)
 from rasch.solver import (
     BtlObjective,
     gradient,
@@ -171,3 +186,130 @@ def test_dense_builders_match_per_record_aggregation(data, seed, k):
         np.testing.assert_array_equal(lap.matrix[off], want[off])
         np.testing.assert_allclose(np.diag(lap.matrix), np.diag(want), rtol=1e-12, atol=0)
     assert pc.wins.tobytes() == split_wins(data, seed, k + 1)[k].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Pseudo-likelihood builders against a per-user loop
+# ---------------------------------------------------------------------------
+
+def _per_user_comparisons(data, scheme):
+    """Every within-user comparison ``(user, winner, loser, weight)``, found by
+    looping over each user's responses."""
+    out = []
+    for t in range(data.n_users):
+        mine = data.user_ids == t
+        items, x = data.item_ids[mine].tolist(), data.responses[mine].tolist()
+        mt = len(items)
+        w = (mt - mt % 2) / (mt * (mt - 1)) if scheme == "wp" and mt >= 2 else 1.0
+        for i, xi in zip(items, x):
+            for j, xj in zip(items, x):
+                if xi == 1 and xj == 0:  # X = 1 wins
+                    out.append((t, i, j, w))
+    return out
+
+
+def _per_user_score_covariance(data, theta):
+    """``G^T G / n`` of the per-user ``"wp"`` score vectors, summed pair by pair."""
+    G = np.zeros((data.n_users, data.n_items))
+    for t, i, j, w in _per_user_comparisons(data, "wp"):
+        p = 1.0 / (1.0 + math.exp(theta[j] - theta[i]))  # P[i beats j]
+        G[t, i] += w * (p - 1.0)
+        G[t, j] += w * (1.0 - p)
+    return G.T @ G / data.n_users
+
+
+@PROPERTY
+@given(response_data())
+def test_pseudo_wins_match_per_user_loop(data):
+    m = data.n_items
+    for scheme in ("wp", "pmle"):
+        want = np.zeros((m, m))
+        for _, i, j, w in _per_user_comparisons(data, scheme):
+            want[i, j] += w
+        got = _pseudo_wins(data, scheme)
+        if scheme == "pmle":
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@PROPERTY
+@given(response_data(), st.sampled_from(["wp", "pmle"]))
+def test_weighted_pairs_match_per_user_loop(data, scheme):
+    wp = enumerate_weighted_pairs(data, scheme)
+    got = Counter(zip(wp.users.tolist(), wp.items_hi.tolist(), wp.items_lo.tolist(),
+                      wp.y.tolist(), wp.weights.tolist()))
+    want = Counter((t, max(i, j), min(i, j), int(i < j), w)
+                   for t, i, j, w in _per_user_comparisons(data, scheme))
+    assert got == want
+    assert wp.n_records == sum(want.values())
+
+
+@PROPERTY
+@given(response_data(), SEEDS, st.integers(0, 3))
+def test_split_user_gradients_match_per_record_sums(data, seed, k):
+    theta = np.random.default_rng(seed).normal(0.0, 2.0, data.n_items)
+    pc = compile_comparisons(data, random_split(data, seed, k))
+    want = np.zeros((data.n_users, data.n_items))
+    for i, j, t, y in zip(pc.rec_i, pc.rec_j, pc.rec_t, pc.rec_y):
+        p = 1.0 / (1.0 + math.exp(theta[j] - theta[i]))  # P[i beats j]
+        won = 1.0 - y  # the larger-indexed item i won
+        want[t, i] += p - won
+        want[t, j] -= p - won
+    got = _split_user_gradients(data, theta, seed, k)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_wp_score_covariance_matches_per_user_loop_across_blocks():
+    n = USER_BLOCK + 476  # two blocks of users
+    gt = sample_ground_truth(n, 6, "standard-normal", seed=11)
+    data = sample_responses(gt, 0.6, seed=11)
+    est = wp_mle(data)
+    got = plugin_covariance(data, est).V_diff_hat
+    want = _per_user_score_covariance(data, est.theta_hat)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    wins = np.zeros((6, 6))
+    for _, i, j, w in _per_user_comparisons(data, "wp"):
+        wins[i, j] += w
+    np.testing.assert_allclose(_pseudo_wins(data, "wp"), wins, rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# CSV input
+# ---------------------------------------------------------------------------
+
+@PROPERTY
+@given(response_data())
+def test_csv_round_trip(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        data.to_csv(path)
+        back = ResponseData.from_csv(path, n_users=data.n_users, n_items=data.n_items)
+        inferred = ResponseData.from_csv(path)
+    for got in (back, inferred):
+        for name in ("user_ids", "item_ids", "responses"):
+            assert np.array_equal(getattr(got, name), getattr(data, name))
+    assert (back.n_users, back.n_items) == (data.n_users, data.n_items)
+    assert inferred.n_users == (data.user_ids.max() + 1 if data.n_edges else 0)
+
+
+MALFORMED = ("oops", "1,2", "1,2,3,4", "a,1,0", "0,0,2", "0,0,-1", "0,,1")
+
+
+@PROPERTY
+@given(response_data(), st.sampled_from(MALFORMED), st.data())
+def test_malformed_line_anywhere_exits_3_naming_it(data, bad, pick):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        data.to_csv(path)
+        lines = path.read_text().splitlines()
+        at = pick.draw(st.integers(0, len(lines)), label="insert at")
+        lines.insert(at, bad)
+        path.write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["estimate", str(path), "--method", "pmle"])
+    assert code == 3
+    report = json.loads(err.getvalue())
+    assert report["error"] == "DataFormatError"
+    assert report["detail"].startswith(f"line {at + 1}:")
