@@ -9,6 +9,7 @@ JSON on stderr, with ``split_index`` when a split of a multi-split fit failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -95,17 +96,8 @@ def _cmd_infer(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = experiments.ExperimentConfig.from_json(args.config)
     if args.workers is not None:
-        cfg = experiments.ExperimentConfig(name=cfg.name, trials=cfg.trials, seed=cfg.seed,
-                                           output=cfg.output, workers=args.workers,
-                                           params=cfg.params)
-    header, rows = experiments.run_experiment(cfg)
-    out = args.out or cfg.output
-    if out is None:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(experiments._cell(v) for v in row))
-    else:
-        experiments.write_csv(out, header, rows)
+        cfg = dataclasses.replace(cfg, workers=args.workers)
+    experiments.write_csv(args.out or cfg.output, *experiments.run_experiment(cfg))
     return 0
 
 
@@ -113,16 +105,10 @@ def _cmd_lsat(args) -> int:
     if args.lsat_cmd == "export":
         lsat.export_csv(args.out)
         return 0
-    methods = tuple(args.methods.split(","))
-    header, rows = experiments.lsat_top1_recovery(
+    table = experiments.lsat_top1_recovery(
         args.n_users, args.m_items, trials=args.trials, n_split=args.n_split,
-        seed=args.seed, methods=methods, workers=args.workers)
-    if args.out is None:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(experiments._cell(v) for v in row))
-    else:
-        experiments.write_csv(args.out, header, rows)
+        seed=args.seed, methods=tuple(args.methods.split(",")), workers=args.workers)
+    experiments.write_csv(args.out, *table)
     return 0
 
 

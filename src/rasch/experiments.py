@@ -1,17 +1,25 @@
 """Seeded simulation studies at desk scale.
 
-Each named experiment draws fresh ground truth and responses per trial,
-estimates, and aggregates per-trial statistics into a tidy table (mean and
-standard error per column).  Trials are independently seeded from the
-experiment seed, so results are identical whether run sequentially or on a
-worker pool, and any single trial can be replayed in isolation.
+Each named experiment is one entry of a table: a trial function, the
+parameter it sweeps (``params["<col>_grid"]``, or none), a row shaper and its
+default parameters.  One harness runs them all: for each grid point it fills
+the value into the parameters, draws fresh ground truth and responses per
+trial, estimates, and aggregates per-trial statistics into a tidy table (mean
+and standard error per column).  A trial whose fit raises `EstimationError`
+is counted in ``n_failed`` and left out of the means; every other error
+stops the run.  Trials are independently seeded from the experiment seed, so
+results are identical whether run sequentially or on a worker pool, and any
+single trial can be replayed in isolation.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,29 +45,6 @@ __all__ = [
     "planted_theta",
     "lsat_top1_recovery",
 ]
-
-EXPERIMENT_NAMES = (
-    "linf-vs-n",
-    "linf-vs-p",
-    "multirun",
-    "kappa-sweep",
-    "topk",
-    "refined-l2",
-    "coverage",
-)
-
-_DEFAULT_PARAMS: dict[str, dict] = {
-    "linf-vs-n": {"m": 50, "p": 0.1, "n_grid": [2500, 10000]},
-    "linf-vs-p": {"m": 50, "n": 10000, "p_grid": [1 / 9, 0.25, 0.5, 1.0]},
-    "multirun": {"m": 50, "p": 0.2, "n": 10000, "n_split_grid": [1, 2, 5, 10, 20, 50]},
-    "kappa-sweep": {"m": 50, "p": 0.1, "n": 10000, "n_split": 20,
-                    "log_kappa_grid": [0.0, 2.5, 5.0, 7.5, 10.0]},
-    "topk": {"m": 50, "K": 5, "p": 0.1, "n": 10000, "n_split": 20,
-             "delta_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]},
-    "refined-l2": {"p": 0.1, "users_per_item": 500, "n_grid": [10000]},
-    "coverage": {"m": 20, "p": 0.5, "n": 10000, "n_split": 50,
-                 "levels": [0.8, 0.9, 0.95]},
-}
 
 
 @dataclass(frozen=True)
@@ -111,25 +96,21 @@ def planted_theta(m: int, K: int, delta: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Per-trial workers (module level so process pools can pickle them)
+# Per-trial workers: ``trial(params, seed) -> {column: value}``, module level
+# so process pools can pickle them
 # ---------------------------------------------------------------------------
 
-def _trial_linf(args):
-    n, m, p, seed = args
-    gt = sample_ground_truth(n, m, "standard-normal", seed=seed)
-    data = sample_responses(gt, p, seed=seed)
-    try:
-        est = rp_mle(data, EstimatorConfig(method="rp", seed=seed))
-    except EstimationError:
-        # nonexistent MLE (all-wins item) has no error to average; count it
-        return {"failed": 1.0}
+def _trial_linf(P, seed):
+    gt = sample_ground_truth(P["n"], P["m"], "standard-normal", seed=seed)
+    data = sample_responses(gt, P["p"], seed=seed)
+    est = rp_mle(data, EstimatorConfig(method="rp", seed=seed))
     return {"linf": float(np.abs(est.theta_hat - gt.theta_star).max())}
 
 
-def _trial_multirun(args):
-    n, m, p, grid, seed = args
-    gt = GroundTruth(np.zeros(m), np.zeros(n))
-    data = sample_responses(gt, p, seed=seed, mode="uniform-mp")
+def _trial_multirun(P, seed):
+    grid = [int(k) for k in P["n_split_grid"]]
+    gt = GroundTruth(np.zeros(P["m"]), np.zeros(P["n"]))
+    data = sample_responses(gt, P["p"], seed=seed, mode="uniform-mp")
     cfg = EstimatorConfig(method="mrp", seed=seed, n_split=max(grid))
     est = mrp_mle(data, cfg)
     running = np.cumsum(est.per_split_estimates, axis=0)
@@ -141,45 +122,35 @@ def _trial_multirun(args):
     return out
 
 
-def _trial_kappa(args):
-    n, m, p, log_kappa, n_split, seed = args
-    spec = f"uniform:{log_kappa}"
-    gt = sample_ground_truth(n, m, spec, seed=seed)
-    data = sample_responses(gt, p, seed=seed)
-    out = {}
-    try:
-        est_rp = rp_mle(data, EstimatorConfig(method="rp", seed=seed))
-        est_mrp = mrp_mle(data, EstimatorConfig(method="mrp", seed=seed, n_split=n_split))
-    except EstimationError:
-        return {"failed": 1.0}
-    out["linf_rp"] = float(np.abs(est_rp.theta_hat - gt.theta_star).max())
-    out["linf_mrp"] = float(np.abs(est_mrp.theta_hat - gt.theta_star).max())
-    return out
-
-
-def _trial_topk(args):
-    n, m, K, p, delta, n_split, seed = args
-    rng = _rng.substream(seed, _rng.GROUND_TRUTH)
-    zeta = rng.standard_normal(n)
-    gt = GroundTruth(planted_theta(m, K, delta), zeta - zeta.mean())
-    data = sample_responses(gt, p, seed=seed)
-    true_top = set(range(K))
+def _trial_kappa(P, seed):
+    gt = sample_ground_truth(P["n"], P["m"], f"uniform:{P['log_kappa']}", seed=seed)
+    data = sample_responses(gt, P["p"], seed=seed)
     est_rp = rp_mle(data, EstimatorConfig(method="rp", seed=seed))
-    est_mrp = mrp_mle(data, EstimatorConfig(method="mrp", seed=seed, n_split=n_split))
+    est_mrp = mrp_mle(data, EstimatorConfig(method="mrp", seed=seed, n_split=P["n_split"]))
+    return {
+        "linf_rp": float(np.abs(est_rp.theta_hat - gt.theta_star).max()),
+        "linf_mrp": float(np.abs(est_mrp.theta_hat - gt.theta_star).max()),
+    }
+
+
+def _trial_topk(P, seed):
+    rng = _rng.substream(seed, _rng.GROUND_TRUTH)
+    zeta = rng.standard_normal(P["n"])
+    gt = GroundTruth(planted_theta(P["m"], P["K"], P["delta"]), zeta - zeta.mean())
+    data = sample_responses(gt, P["p"], seed=seed)
+    true_top = set(range(P["K"]))
+    est_rp = rp_mle(data, EstimatorConfig(method="rp", seed=seed))
+    est_mrp = mrp_mle(data, EstimatorConfig(method="mrp", seed=seed, n_split=P["n_split"]))
     return {
         "recovery_rp": top_k_recovery_rate(est_rp, true_top),
         "recovery_mrp": top_k_recovery_rate(est_mrp, true_top),
     }
 
 
-def _trial_refined_l2(args):
-    n, m, p, seed = args
-    gt = sample_ground_truth(n, m, "standard-normal", seed=seed)
-    data = sample_responses(gt, p, seed=seed)
-    try:
-        est = rp_mle(data, EstimatorConfig(method="rp", seed=seed))
-    except EstimationError:
-        return {"failed": 1.0}
+def _trial_refined_l2(P, seed):
+    gt = sample_ground_truth(P["n"], P["m"], "standard-normal", seed=seed)
+    data = sample_responses(gt, P["p"], seed=seed)
+    est = rp_mle(data, EstimatorConfig(method="rp", seed=seed))
     W = est.split_wins[0]
     l2 = float(np.linalg.norm(est.theta_hat - gt.theta_star))
     out = {}
@@ -189,14 +160,13 @@ def _trial_refined_l2(args):
     return out
 
 
-def _trial_coverage(args):
-    n, m, p, n_split, levels, seed = args
-    gt = sample_ground_truth(n, m, "standard-normal", seed=seed)
-    data = sample_responses(gt, p, seed=seed)
-    est = mrp_mle(data, EstimatorConfig(method="mrp", seed=seed, n_split=n_split))
+def _trial_coverage(P, seed):
+    gt = sample_ground_truth(P["n"], P["m"], "standard-normal", seed=seed)
+    data = sample_responses(gt, P["p"], seed=seed)
+    est = mrp_mle(data, EstimatorConfig(method="mrp", seed=seed, n_split=P["n_split"]))
     cov = plugin_covariance(data, est)
     out = {}
-    for level in levels:
+    for level in map(float, P["levels"]):
         rep = confidence_intervals(est, cov, alpha=1.0 - level)
         inside = (rep.ci_lower <= gt.theta_star) & (gt.theta_star <= rep.ci_upper)
         out[f"covered@{level}"] = float(inside.mean())
@@ -204,41 +174,98 @@ def _trial_coverage(args):
     return out
 
 
-def _trial_lsat_top1(args):
-    n_users, m_items, n_split, methods, seed, trial = args
-    data = lsat.subsample(n_users, m_items, seed, trial=trial)
-    est_seed = _rng.subseed(seed, _rng.TRIAL, 0, trial)
-    out = {}
-    hardest = {2}  # problem 3
-    for method in methods:
-        cfg = EstimatorConfig(method=method, seed=est_seed, n_split=n_split)
-        try:
-            est = estimate(data, cfg)
-        except EstimationError:
-            out[f"failed_{method}"] = 1.0
-            continue
-        out[f"recovery_{method}"] = float(top_k(est, 1) == hardest)
-    return out
+def _trial_lsat_top1(P, trial):
+    """Top-1 hit of ``P["method"]`` on sub-corpus ``trial`` of ``P["seed"]``."""
+    data = lsat.subsample(P["n_users"], P["m_items"], P["seed"], trial=trial)
+    est_seed = _rng.subseed(P["seed"], _rng.TRIAL, 0, trial)
+    est = estimate(data, EstimatorConfig(method=P["method"], seed=est_seed, n_split=P["n_split"]))
+    return {"recovery": float(top_k(est, 1) == {2})}  # problem 3 is the hardest
+
+
+# ---------------------------------------------------------------------------
+# The experiment table; row shapers are ``rows(point, params, agg) -> [row]``
+# ---------------------------------------------------------------------------
+
+def _point_row(point, P, agg):
+    return [point | agg]
+
+
+def _picked(agg, **columns):
+    """Trial counts plus aggregate entries renamed; blank where no trial was fitted."""
+    return {"n_trials": agg["n_trials"], "n_failed": agg["n_failed"]} | {
+        col: agg.get(key, "") for col, key in columns.items()}
+
+
+def _multirun_rows(point, P, agg):
+    return [{"n_split": k} | _picked(agg, sq_l2_mean=f"sq_l2@{k}_mean",
+                                     sq_l2_stderr=f"sq_l2@{k}_stderr")
+            for k in map(int, P["n_split_grid"])]
+
+
+def _coverage_rows(point, P, agg):
+    n_evals = (agg["n_trials"] - agg["n_failed"]) * int(P["m"])
+    return [{"level": level, "n_evals": n_evals}
+            | _picked(agg, coverage=f"covered@{level}_mean",
+                      coverage_stderr=f"covered@{level}_stderr",
+                      halfwidth_mean=f"halfwidth@{level}_mean")
+            for level in map(float, P["levels"])]
+
+class _Study(NamedTuple):
+    trial: Callable
+    grid: str | None  # column swept through params[f"{grid}_grid"]
+    rows: Callable
+    defaults: dict
+
+
+_STUDIES: dict[str, _Study] = {
+    "linf-vs-n": _Study(_trial_linf, "n", _point_row,
+                        {"m": 50, "p": 0.1, "n_grid": [2500, 10000]}),
+    "linf-vs-p": _Study(_trial_linf, "p", _point_row,
+                        {"m": 50, "n": 10000, "p_grid": [1 / 9, 0.25, 0.5, 1.0]}),
+    "multirun": _Study(_trial_multirun, None, _multirun_rows,
+                       {"m": 50, "p": 0.2, "n": 10000, "n_split_grid": [1, 2, 5, 10, 20, 50]}),
+    "kappa-sweep": _Study(_trial_kappa, "log_kappa", _point_row,
+                          {"m": 50, "p": 0.1, "n": 10000, "n_split": 20,
+                           "log_kappa_grid": [0.0, 2.5, 5.0, 7.5, 10.0]}),
+    "topk": _Study(_trial_topk, "delta", _point_row,
+                   {"m": 50, "K": 5, "p": 0.1, "n": 10000, "n_split": 20,
+                    "delta_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]}),
+    "refined-l2": _Study(_trial_refined_l2, "n", _point_row,
+                         {"p": 0.1, "users_per_item": 500, "n_grid": [10000]}),
+    "coverage": _Study(_trial_coverage, None, _coverage_rows,
+                       {"m": 20, "p": 0.5, "n": 10000, "n_split": 50,
+                        "levels": [0.8, 0.9, 0.95]}),
+}
+
+EXPERIMENT_NAMES = tuple(_STUDIES)
+_DEFAULT_PARAMS = {name: study.defaults for name, study in _STUDIES.items()}
 
 
 # ---------------------------------------------------------------------------
 # Harness
 # ---------------------------------------------------------------------------
 
-def _map_trials(fn, arglist, workers: int):
+def _guarded(trial, P, seed) -> dict:
+    """Run one trial; a fit that cannot be made is counted, not raised."""
+    try:
+        return trial(P, seed)
+    except EstimationError:
+        return {"failed": 1.0}
+
+
+def _map_trials(trial, P: dict, seeds, workers: int) -> list[dict]:
+    fn = partial(_guarded, trial, P)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, arglist))
-    return [fn(a) for a in arglist]
+            return list(pool.map(fn, seeds))
+    return [fn(s) for s in seeds]
 
 
 def _aggregate(results: list[dict]) -> dict:
     """Mean and stderr for each key present in the trial dicts."""
-    keys = sorted({k for r in results for k in r})
+    keys = sorted({k for r in results for k in r} - {"failed"})
     out = {"n_trials": len(results), "n_failed": sum("failed" in r for r in results)}
     for key in keys:
-        if key == "failed":
-            continue
         vals = np.asarray([r[key] for r in results if key in r], float)
         out[f"{key}_mean"] = float(vals.mean())
         out[f"{key}_stderr"] = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
@@ -251,58 +278,19 @@ def _trial_seeds(cfg: ExperimentConfig, grid_index: int) -> list[int]:
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     """Run all grid points; returns (header, rows) ready for `write_csv`."""
+    study = _STUDIES[cfg.name]
     P = cfg.params
+    values = [None] if study.grid is None else P[f"{study.grid}_grid"]
     rows_of_dicts: list[dict] = []
-    if cfg.name == "linf-vs-n":
-        for gi, n in enumerate(P["n_grid"]):
-            args = [(int(n), P["m"], P["p"], s) for s in _trial_seeds(cfg, gi)]
-            rows_of_dicts.append({"n": int(n)} | _aggregate(_map_trials(_trial_linf, args, cfg.workers)))
-    elif cfg.name == "linf-vs-p":
-        for gi, p in enumerate(P["p_grid"]):
-            args = [(P["n"], P["m"], float(p), s) for s in _trial_seeds(cfg, gi)]
-            rows_of_dicts.append({"p": float(p)} | _aggregate(_map_trials(_trial_linf, args, cfg.workers)))
-    elif cfg.name == "multirun":
-        grid = [int(k) for k in P["n_split_grid"]]
-        args = [(P["n"], P["m"], P["p"], grid, s) for s in _trial_seeds(cfg, 0)]
-        agg = _aggregate(_map_trials(_trial_multirun, args, cfg.workers))
-        for k in grid:
-            rows_of_dicts.append({
-                "n_split": k,
-                "n_trials": agg["n_trials"],
-                "sq_l2_mean": agg[f"sq_l2@{k}_mean"],
-                "sq_l2_stderr": agg[f"sq_l2@{k}_stderr"],
-            })
-    elif cfg.name == "kappa-sweep":
-        for gi, lk in enumerate(P["log_kappa_grid"]):
-            args = [(P["n"], P["m"], P["p"], float(lk), P["n_split"], s)
-                    for s in _trial_seeds(cfg, gi)]
-            agg = _aggregate(_map_trials(_trial_kappa, args, cfg.workers))
-            rows_of_dicts.append({"log_kappa": float(lk)} | agg)
-    elif cfg.name == "topk":
-        for gi, delta in enumerate(P["delta_grid"]):
-            args = [(P["n"], P["m"], P["K"], P["p"], float(delta), P["n_split"], s)
-                    for s in _trial_seeds(cfg, gi)]
-            rows_of_dicts.append({"delta": float(delta)}
-                                 | _aggregate(_map_trials(_trial_topk, args, cfg.workers)))
-    elif cfg.name == "refined-l2":
-        for gi, n in enumerate(P["n_grid"]):
-            m = int(n) // int(P["users_per_item"])
-            args = [(int(n), m, P["p"], s) for s in _trial_seeds(cfg, gi)]
-            rows_of_dicts.append({"n": int(n), "m": m}
-                                 | _aggregate(_map_trials(_trial_refined_l2, args, cfg.workers)))
-    elif cfg.name == "coverage":
-        levels = [float(v) for v in P["levels"]]
-        args = [(P["n"], P["m"], P["p"], P["n_split"], levels, s) for s in _trial_seeds(cfg, 0)]
-        agg = _aggregate(_map_trials(_trial_coverage, args, cfg.workers))
-        for level in levels:
-            rows_of_dicts.append({
-                "level": level,
-                "n_trials": agg["n_trials"],
-                "n_evals": agg["n_trials"] * int(P["m"]),
-                "coverage": agg[f"covered@{level}_mean"],
-                "coverage_stderr": agg[f"covered@{level}_stderr"],
-                "halfwidth_mean": agg[f"halfwidth@{level}_mean"],
-            })
+    for gi, value in enumerate(values):
+        point = {}
+        if study.grid is not None:
+            point[study.grid] = int(value) if study.grid == "n" else float(value)
+        if "users_per_item" in P:  # refined-l2 sizes the item set by n
+            point["m"] = point["n"] // int(P["users_per_item"])
+        params = P | point
+        agg = _aggregate(_map_trials(study.trial, params, _trial_seeds(cfg, gi), cfg.workers))
+        rows_of_dicts += study.rows(point, params, agg)
     header = sorted({k for r in rows_of_dicts for k in r})
     first_cols = [c for c in ("n", "p", "m", "n_split", "delta", "log_kappa", "level") if c in header]
     header = first_cols + [c for c in header if c not in first_cols]
@@ -316,16 +304,18 @@ def lsat_top1_recovery(n_users: int, m_items: int, trials: int = 100, n_split: i
     """Top-1 recovery of the hardest problem on random LSAT sub-corpora.
 
     Every method sees the identical subsample in each trial, so rates are
-    directly comparable.
+    directly comparable.  ``recovery`` and ``stderr`` are over the fitted
+    trials; ``n_failed`` counts the trials whose fit raised (blank rates when
+    every fit failed).
     """
-    args = [(n_users, m_items, n_split, tuple(methods), seed, t) for t in range(trials)]
-    agg = _aggregate(_map_trials(_trial_lsat_top1, args, workers))
-    header = ["method", "n_trials", "recovery", "stderr"]
+    header = ["method", "n_trials", "recovery", "stderr", "n_failed"]
     rows = []
     for method in methods:
-        rows.append([method, trials,
-                     agg.get(f"recovery_{method}_mean", ""),
-                     agg.get(f"recovery_{method}_stderr", "")])
+        P = {"n_users": n_users, "m_items": m_items, "n_split": n_split,
+             "method": method, "seed": seed}
+        agg = _aggregate(_map_trials(_trial_lsat_top1, P, range(trials), workers))
+        rows.append([method, trials, agg.get("recovery_mean", ""),
+                     agg.get("recovery_stderr", ""), agg["n_failed"]])
     return header, rows
 
 
@@ -336,7 +326,10 @@ def _cell(v) -> str:
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+    """Write the table to ``path``, or to stdout when ``path`` is None."""
+    text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)

@@ -199,7 +199,7 @@ class TestLsat:
                    "--trials", "15", "--seed", "3", "--out", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "method,n_trials,recovery,stderr"
+        assert lines[0] == "method,n_trials,recovery,stderr,n_failed"
         assert lines[1].startswith("mrp,15,") and lines[2].startswith("pmle,15,")
 
     def test_subsample_unknown_method_exit_2(self, capsys):
