@@ -41,15 +41,13 @@ METHODS = ("rp", "mrp", "wp", "pmle")
 class EstimatorConfig:
     """Method selection plus the knobs shared by all estimators.
 
-    ``n_split`` only matters for ``mrp``; ``keep_split_estimates`` controls
-    whether the per-split vectors are retained on the result.
+    ``n_split`` only matters for ``mrp``.
     """
 
     method: str = "mrp"
     seed: int = 0
     n_split: int = 1
     solver: SolverOptions = field(default_factory=SolverOptions)
-    keep_split_estimates: bool = True
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -129,8 +127,7 @@ def _fit_splits(data: ResponseData, cfg: EstimatorConfig, method: str, n_split: 
     estimates = np.stack([r.theta_hat for r in results])
     return ItemEstimate(
         theta_hat=_centred_mean(estimates), method=method, seed=cfg.seed, n_split=n_split,
-        per_split_estimates=estimates if cfg.keep_split_estimates else None,
-        split_wins=W, solve_results=results,
+        per_split_estimates=estimates, split_wins=W, solve_results=results,
     )
 
 

@@ -2,10 +2,12 @@
 
 The sampling variance of the split-averaged and weighted-pseudo estimators is
 approximated by the sandwich ``H^+ V H^+ / n``: ``H`` averages the per-user
-curvature at the estimate and ``V`` the outer products of per-user
-weighted-pseudo gradients.  Those gradients are formed as matrix products of
-the users' response indicators, block by block, without listing the
-within-user pairs.  Intervals are two-sided normal intervals on the diagonal,
+curvature at the estimate.  For ``wp``, ``V`` averages the outer products of
+per-user weighted-pseudo gradients (``V_diff``); for ``rp``/``mrp`` with K
+splits, ``V = H/K + (K-1)/K * V_diff``, because the score covariance within
+one split equals its curvature.  The per-user gradients are formed as matrix
+products of the users' response indicators, block by block, without listing
+the within-user pairs.  Intervals are two-sided normal intervals on the diagonal,
 optionally Bonferroni-corrected across items.
 """
 
@@ -77,11 +79,12 @@ def normal_quantile(p: float) -> float:
 
 @dataclass(frozen=True)
 class PluginCovariance:
-    """Sandwich pieces: curvature ``H_hat``, score covariance ``V_diff_hat``,
-    and the resulting ``Sigma_hat = H^+ V H^+ / n``.
+    """Sandwich pieces: curvature ``H_hat``, cross-split score covariance
+    ``V_diff_hat``, and the resulting ``Sigma_hat = H^+ V H^+ / n``.
 
-    ``V_same_hat`` is filled only when the exact finite-split mixture was
-    requested; ``Sigma_hat`` then uses ``V_same/ns + (ns-1)/ns * V_diff``.
+    For split estimates ``V = V_same/ns + (ns-1)/ns * V_diff``, with ``V_same``
+    the within-split score covariance: ``H_hat`` by default, ``V_same_hat``
+    (filled only then) when the exact finite-split mixture was requested.
     """
 
     H_hat: np.ndarray
@@ -149,10 +152,15 @@ def plugin_covariance(data: ResponseData, est: ItemEstimate,
     the estimate was fitted on (the splits of ``rp``/``mrp``, the one weighted
     pseudo-likelihood objective of ``wp``): the Laplacian of
     ``(sum_k N_k) * sigma'(theta_i - theta_j)`` over ``n * K``, with ``N_k``
-    the comparison counts of matrix ``k``.  ``V_diff_hat`` always comes from
-    per-user weighted-pseudo gradients, the large-``n_split`` approximation.
-    Set ``exact_split_mixture`` to blend in the per-split score covariance for
-    the finite-split formula (split methods only).
+    the comparison counts of matrix ``k``.  ``V_diff_hat`` comes from per-user
+    weighted-pseudo gradients: the score covariance across splits, and all of
+    ``V`` for ``wp``.  For ``rp``/``mrp``, ``V = V_same/K + (K-1)/K * V_diff``,
+    with the within-split score covariance ``V_same`` taken as ``H_hat``:
+    within one split a user's pairs are disjoint and conditionally
+    independent, so the information identity of the comparison likelihood
+    makes their score covariance equal the curvature.  Set
+    ``exact_split_mixture`` to use the empirical per-split score covariance
+    ``V_same_hat`` instead (split methods only).
     """
     theta = est.theta_hat
     n = data.n_users
@@ -168,13 +176,14 @@ def plugin_covariance(data: ResponseData, est: ItemEstimate,
     if exact_split_mixture:
         if est.method not in ("rp", "mrp") or est.seed is None:
             raise ValueError("exact split mixture needs a split-based estimate with a seed")
-        ns = est.n_split
         V_same = np.zeros((data.n_items, data.n_items))
-        for k in range(ns):
+        for k in range(est.n_split):
             Gk = _split_user_gradients(data, theta, est.seed, k)
             V_same += Gk.T @ Gk
-        V_same /= n * ns
-        V = V_same / ns + (ns - 1) / ns * V_diff
+        V_same /= n * est.n_split
+    if est.method != "wp":
+        ns = W.shape[0]
+        V = (H if V_same is None else V_same) / ns + (ns - 1) / ns * V_diff
 
     Hpinv = _rank_completion_inverse(H)
     Sigma = Hpinv @ V @ Hpinv / n

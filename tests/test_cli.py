@@ -173,6 +173,25 @@ class TestExperiment:
         header, rows = run_experiment(cfg)
         assert rows[0][header.index("n_failed")] == 2
 
+    @pytest.mark.parametrize("name, params", [
+        ("topk", {"n": 40, "m": 10, "K": 2, "p": 0.1, "n_split": 2, "delta_grid": [0.5]}),
+        ("multirun", {"n": 30, "m": 10, "p": 0.2, "n_split_grid": [1, 2]}),
+        ("coverage", {"n": 40, "m": 10, "p": 0.2, "n_split": 2, "levels": [0.9]}),
+    ])
+    def test_failed_fits_are_counted_not_raised(self, name, params):
+        # every trial is disconnected or diverges at these sizes
+        header, rows = run_experiment(ExperimentConfig(name=name, trials=3, seed=0,
+                                                       params=params))
+        assert [row[header.index("n_failed")] for row in rows] == [3] * len(rows)
+
+    def test_worker_pool_gives_the_same_rows(self):
+        params = {"n_grid": [300, 600], "m": 6, "p": 0.5}
+        serial = run_experiment(ExperimentConfig(name="linf-vs-n", trials=4, seed=1,
+                                                 params=params))
+        pooled = run_experiment(ExperimentConfig(name="linf-vs-n", trials=4, seed=1,
+                                                 workers=2, params=params))
+        assert pooled == serial
+
     def test_unknown_name_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"name": "warp-drive"}))
@@ -201,6 +220,26 @@ class TestLsat:
         lines = out.read_text().splitlines()
         assert lines[0] == "method,n_trials,recovery,stderr,n_failed"
         assert lines[1].startswith("mrp,15,") and lines[2].startswith("pmle,15,")
+
+    def test_subsample_counts_failed_fits_per_method(self, capsys):
+        assert main(["lsat", "subsample", "--n-users", "20", "--m-items", "5",
+                     "--trials", "30", "--methods", "rp,mrp,wp,pmle", "--seed", "4",
+                     "--n-split", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "method,n_trials,recovery,stderr,n_failed",
+            "rp,30,0.75,0.25,26",
+            "mrp,30,,,30",
+            "wp,30,0.8571428571428571,0.07824607964359515,9",
+            "pmle,30,0.8571428571428571,0.07824607964359515,9",
+        ]
+
+    def test_subsample_worker_pool_gives_the_same_table(self, capsys):
+        args = ["lsat", "subsample", "--n-users", "60", "--m-items", "4", "--trials", "6",
+                "--methods", "rp,mrp,wp", "--n-split", "3", "--seed", "2"]
+        assert main(args) == 0
+        serial = capsys.readouterr().out
+        assert main(args + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
 
     def test_subsample_unknown_method_exit_2(self, capsys):
         assert main(["lsat", "subsample", "--n-users", "100", "--m-items", "3",

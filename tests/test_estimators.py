@@ -109,12 +109,6 @@ class TestMrpMle:
         assert len(est.solve_results) == 50
         assert all(r.converged and r.iterations <= 4 for r in est.solve_results)
 
-    def test_split_retention_flag(self):
-        _, data = _pair_data(100, seed=5)
-        est = mrp_mle(data, EstimatorConfig(method="mrp", seed=5, n_split=2,
-                                            keep_split_estimates=False))
-        assert est.per_split_estimates is None
-
 
 class TestPseudoEstimators:
     def test_wp_equals_pmle_when_all_users_have_two_responses(self):

@@ -146,6 +146,18 @@ class TestSpecialCase:
         assert acc[0, 0] == pytest.approx(want[0, 0], rel=0.15)
         assert acc[0, 1] == pytest.approx(want[0, 1], rel=0.15)
 
+    def test_single_split_sandwich_matches_closed_form(self):
+        # rp: the within-split score covariance is the curvature, so n * Sigma_hat
+        # is the inverse curvature, the n_split = 1 closed form, on every draw
+        n, m, p = 10_000, 20, 0.5
+        gt = GroundTruth(np.zeros(m), np.zeros(n))
+        want = special_case_covariance(m, p, beta_for_point_mass(0.0), n_split=1)
+        for s in range(5):
+            data = sample_responses(gt, p, seed=s, mode="uniform-mp")
+            est = rp_mle(data, EstimatorConfig(method="rp", seed=s))
+            got = n * plugin_covariance(data, est).Sigma_hat
+            assert np.linalg.norm(got - want) <= 0.05 * np.linalg.norm(want)
+
     def test_mrp_mixture_sandwich_matches_finite_split_formula(self):
         n, m, p, ns = 10_000, 20, 0.2, 10
         gt = GroundTruth(np.zeros(m), np.zeros(n))
@@ -208,6 +220,18 @@ class TestConfidenceIntervals:
             widths[n] = np.mean(w)
         assert widths[4000] / widths[16_000] == pytest.approx(2.0, rel=0.10)
 
+
+    @pytest.mark.parametrize("n_split", [1, 5])
+    def test_default_intervals_cover_at_every_n_split(self, n_split):
+        # 60 draws x 20 items = 1,200 nominal 95% intervals per split count
+        n, m, p = 10_000, 20, 0.5
+        trials = []
+        for s in range(1000, 1060):
+            gt = sample_ground_truth(n, m, "standard-normal", seed=s)
+            data = sample_responses(gt, p, seed=s)
+            est = mrp_mle(data, EstimatorConfig(method="mrp", seed=s, n_split=n_split))
+            trials.append((confidence_intervals(est, plugin_covariance(data, est), alpha=0.05), gt))
+        assert 0.93 <= empirical_coverage(trials) <= 0.97
 
 def _fake_estimate(theta):
     from rasch.estimators import ItemEstimate

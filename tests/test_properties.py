@@ -234,6 +234,24 @@ def test_pseudo_wins_match_per_user_loop(data):
 
 
 @PROPERTY
+@given(response_data(), st.data())
+def test_pseudo_wins_are_item_relabel_equivariant(data, pick):
+    # Not checked per seed for mrp: _paired_positions draws its sort keys in
+    # each user's item order, so a relabel changes the pairing itself;
+    # test_rp_permutation_equivariance_in_distribution covers mrp in law.
+    m = data.n_items
+    perm = np.asarray(pick.draw(st.permutations(range(m))), dtype=np.int64)
+    relabelled = ResponseData(data.n_users, m, data.user_ids, perm[data.item_ids],
+                              data.responses)
+    for scheme in ("wp", "pmle"):
+        want = _pseudo_wins(data, scheme)
+        got = _pseudo_wins(relabelled, scheme)[perm][:, perm]
+        if scheme == "pmle":
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+@PROPERTY
 @given(response_data(), st.sampled_from(["wp", "pmle"]))
 def test_weighted_pairs_match_per_user_loop(data, scheme):
     wp = enumerate_weighted_pairs(data, scheme)
