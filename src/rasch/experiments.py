@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -78,6 +77,9 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             obj = json.load(fh)
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(
             name=obj["name"],
             trials=int(obj.get("trials", 100)),
@@ -256,6 +258,9 @@ def _guarded(trial, P, seed) -> dict:
 def _map_trials(trial, P: dict, seeds, workers: int) -> list[dict]:
     fn = partial(_guarded, trial, P)
     if workers > 1:
+        # imported here: `import rasch.cli` would pay for it on every command
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, seeds))
     return [fn(s) for s in seeds]
@@ -308,6 +313,8 @@ def lsat_top1_recovery(n_users: int, m_items: int, trials: int = 100, n_split: i
     trials; ``n_failed`` counts the trials whose fit raised (blank rates when
     every fit failed).
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     header = ["method", "n_trials", "recovery", "stderr", "n_failed"]
     rows = []
     for method in methods:

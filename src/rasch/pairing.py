@@ -4,14 +4,19 @@ Two routes are implemented.  The random disjoint route shuffles each user's
 responded items, pairs them consecutively (dropping one item when the count is
 odd), and keeps a comparison record only when the two responses differ.  Each
 response is used at most once per split, which is what makes the resulting
-comparison outcomes conditionally independent.  Whatever the route, the
-comparisons of one split are summarized by one m x m win matrix: `split_wins`
-compiles the splits of a multi-split fit straight into these matrices, and
-`compile_comparisons` keeps the per-pair records of one split next to its
-win and count matrices.  The overlapping route of the pseudo-likelihood
-estimators takes every within-user item pair without listing them: its win
-matrix is ``X1^T diag(w) X0``, from the users' 0/1 response indicators
-``X1 = 1{X = 1}``, ``X0 = 1{X = 0}`` and weights ``w``, block by block.
+comparison outcomes conditionally independent.  A split orders the edges with
+one value sort of int64 keys: each is the bit pattern of the edge's float sort
+key with a payload in its low bits (the response's item and value, or its
+index within its user).  `_sorted_payload` falls back to the stable argsort
+of the float keys when two keys tie in their remaining bits.  Whatever the
+route, the comparisons of one split are summarized by one m x m win matrix:
+`split_wins` compiles the splits of a multi-split fit straight into these
+matrices, and `compile_comparisons` keeps the per-pair records of one split
+next to its win and count matrices.  The overlapping route of the
+pseudo-likelihood estimators takes every within-user item pair without
+listing them: its win matrix is ``X1^T diag(w) X0``, from the users' 0/1
+response indicators ``X1 = 1{X = 1}``, ``X0 = 1{X = 0}`` and weights ``w``,
+block by block.
 """
 
 from __future__ import annotations
@@ -194,6 +199,51 @@ class WeightedPairs:
 # Operations
 # ---------------------------------------------------------------------------
 
+def _sorted_payload(key: np.ndarray, payload: np.ndarray, bits: int) -> np.ndarray:
+    """``payload[np.argsort(key, kind="stable")]`` for keys ``>= 0`` and
+    payloads in ``[0, 2**bits)``, found by one value sort.
+
+    A non-negative float64 sorts as its int64 bit pattern.  The patterns, with
+    their low ``bits`` bits replaced by the payload, are sorted as values; when
+    no two of them share the bits above those, the sort orders the payloads
+    exactly as the stable argsort of the keys does.  An exact tie, or two keys
+    less than ``2**bits`` ulps apart, falls back to that argsort.
+    """
+    mask = (1 << bits) - 1
+    packed = key.view(np.int64) & ~mask
+    packed |= payload
+    packed.sort()
+    high = packed >> bits
+    if (high[1:] == high[:-1]).any():
+        return payload[np.argsort(key, kind="stable")]
+    packed &= mask
+    return packed
+
+
+def _pairing_order(data: ResponseData, seed: int, split_index: int,
+                   payload: np.ndarray, bits: int) -> np.ndarray:
+    """Per-edge ``payload`` (below ``2**bits``) in the order of split ``split_index``.
+
+    The edges stay grouped by user, in a uniformly random order within each
+    user's block; the pairs of the split are the consecutive entries at
+    ``data._pair_slots`` and the one after each.
+    """
+    rng = _rng.substream(seed, _rng.SPLIT, split_index)
+    keys = rng.random(data.n_edges)
+    # The float key 2 * user + key keeps >= 31 bits of key resolution only
+    # while the user-id part stays below 2^20; lexsort serves larger ids.
+    # Both stay because lexsort is far slower.  On 5e4 edges (n=1e4, m=50,
+    # p=0.1) lexsort takes 13.8 ms, a stable argsort of the float key 1.4 ms
+    # and the packed value sort of `_sorted_payload` 0.8 ms; on 1e5 edges the
+    # value sort takes 1.0 ms against 3.3 ms for the argsort (2-core x86-64
+    # with AVX-512, numpy 2.4).  It fell back to the argsort in 1 of 500
+    # splits at n=1e4, m=50.
+    if data.n_users <= 2**20:
+        keys += data.user_ids * 2.0
+        return _sorted_payload(keys, payload, bits)
+    return payload[np.lexsort((keys, data.user_ids))]
+
+
 def _paired_positions(data: ResponseData, seed: int, split_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Edge positions ``(a, b)`` of the pairs of split ``split_index``.
 
@@ -201,19 +251,13 @@ def _paired_positions(data: ResponseData, seed: int, split_index: int) -> tuple[
     ``a[k]`` and ``b[k]`` index the two responses of pair ``k`` in the data's
     canonical edge order.
     """
-    rng = _rng.substream(seed, _rng.SPLIT, split_index)
-    keys = rng.random(data.n_edges)
-    # stable grouping by user, random order within each user's block.  The
-    # combined float key keeps >= 31 bits of key resolution only while the
-    # user-id part stays below 2^20; lexsort serves larger ids.  Both stay
-    # because lexsort is far slower: 10.7-11.7 ms against 1.2 ms for the
-    # float key on 5e4 edges (2-core x86-64, numpy 2.4).
-    if data.n_users <= 2**20:
-        order = np.argsort(data.user_ids * 2.0 + keys, kind="stable")
-    else:
-        order = np.lexsort((keys, data.user_ids))
+    start = data.user_indptr[data.user_ids]
+    local = np.arange(data.n_edges) - start
+    bits = int(data.user_degrees().max(initial=1) - 1).bit_length()
+    shuffled = _pairing_order(data, seed, split_index, local, bits)
     slots = data._pair_slots
-    return order[slots], order[slots + 1]
+    base = start[slots]
+    return base + shuffled[slots], base + shuffled[slots + 1]
 
 
 def random_split(data: ResponseData, seed: int, split_index: int = 0) -> SplitAssignment:
@@ -247,14 +291,19 @@ def split_wins(data: ResponseData, seed: int, n_split: int) -> np.ndarray:
     """
     m = data.n_items
     mm = m * m
-    # A pair's key is the sum of its two responses' codes: item * m for X = 1
-    # (the winner), item + 2m^2 for X = 0.  Pairs that differ land on
-    # 2m^2 + winner * m + loser; agreeing pairs fall below or above that range.
-    code = np.where(data.responses == 1, data.item_ids * m, data.item_ids + 2 * mm)
+    # A response travels through the sort as its payload item + m * X, and
+    # code[payload] is its code: item * m for X = 1 (the winner), item + 2m^2
+    # for X = 0.  A pair's key is the sum of its two codes.  Pairs that differ
+    # land on 2m^2 + winner * m + loser; agreeing pairs fall below or above
+    # that range.
+    payload = data.item_ids + m * data.responses
+    bits = (2 * m - 1).bit_length()
+    code = np.concatenate((np.arange(m) + 2 * mm, np.arange(m) * m))
+    slots = data._pair_slots
     out = np.empty((n_split, m, m))
     for k in range(n_split):
-        idx_a, idx_b = _paired_positions(data, seed, k)
-        bins = np.bincount(code[idx_a] + code[idx_b], minlength=3 * mm)
+        shuffled = _pairing_order(data, seed, k, payload, bits)
+        bins = np.bincount(code[shuffled[slots]] + code[shuffled[slots + 1]], minlength=3 * mm)
         out[k] = bins[2 * mm:3 * mm].reshape(m, m)
     return out
 

@@ -1,9 +1,14 @@
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rasch
 from rasch import cli
 from rasch.cli import main
 from rasch.estimators import EstimatorConfig
@@ -198,6 +203,15 @@ class TestExperiment:
         assert main(["experiment", str(cfg)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"name": "linf-vs-n", "trails": 2,
+                                   "params": {"n_grid": [400], "m": 8, "p": 0.5}}))
+        assert main(["experiment", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage"
+        assert "trails" in err["detail"]
+
 
 class TestLsat:
     def test_export_totals(self, tmp_path):
@@ -252,6 +266,13 @@ class TestLsat:
         assert main(["lsat", "subsample", "--n-users", "5000", "--m-items", "4"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
+    def test_subsample_zero_trials_exit_2(self, capsys):
+        assert main(["lsat", "subsample", "--n-users", "50", "--m-items", "3",
+                     "--trials", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "usage"
+
     def test_subsample_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["lsat", "subsample", "--n-users", "100", "--m-items", "3",
@@ -259,3 +280,12 @@ class TestLsat:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool is imported only when a command asks for workers
+    env = dict(os.environ, PYTHONPATH=str(Path(rasch.__file__).parents[1]))
+    code = "import sys, rasch.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -4,6 +4,7 @@ import pytest
 from rasch.model import GroundTruth, ResponseData, sample_responses
 from rasch.pairing import (
     SplitAssignment,
+    _sorted_payload,
     btl_win_prob,
     compile_comparisons,
     disagreement_prob,
@@ -94,6 +95,46 @@ class TestRandomSplit:
             for name in ("items_hi", "items_lo", "edge_hi", "edge_lo"):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         np.testing.assert_array_equal(split_wins(small, 9, 3), split_wins(large, 9, 3))
+
+
+def _ulps_above(x, n):
+    """The float ``n`` ulps above the non-negative float ``x``."""
+    return (np.asarray(x, float).view(np.int64) + n).view(float)
+
+
+class TestSortedPayload:
+    """The packed value sort against the stable argsort it stands in for."""
+
+    @staticmethod
+    def check(key, payload, bits):
+        key = np.asarray(key, float)
+        payload = np.asarray(payload, np.int64)
+        want = payload[np.argsort(key, kind="stable")]
+        np.testing.assert_array_equal(_sorted_payload(key, payload, bits), want)
+
+    def test_distinct_keys_of_several_users(self):
+        rng = np.random.default_rng(0)
+        users = np.repeat(np.arange(200), rng.integers(0, 9, 200))
+        self.check(users * 2.0 + rng.random(users.size), rng.integers(0, 8, users.size), 3)
+
+    def test_exact_ties_keep_edge_order(self):
+        self.check([4.5, 4.5, 2.25, 4.5, 2.25], [6, 1, 7, 3, 0], 3)
+
+    def test_near_ties_below_the_payload_bits(self):
+        x = 6.5  # low mantissa bits all zero, so x .. x + 7 ulps share their high bits
+        self.check([_ulps_above(x, 5), _ulps_above(x, 1), x, _ulps_above(x, 7)], [0, 5, 7, 2], 3)
+        # 8 ulps apart is a different bucket: sorted by key, not by payload
+        self.check([_ulps_above(x, 8), x], [0, 7], 3)
+
+    def test_tiny_keys_of_user_zero(self):
+        tiny = [0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1e-300, 0.0, 0.5]
+        self.check(tiny, [3, 2, 1, 0, 3, 2, 1], 2)
+        self.check(tiny[::-1], [3, 2, 1, 0, 3, 2, 1], 2)
+
+    def test_empty_single_and_payload_free(self):
+        self.check([], [], 3)
+        self.check([0.75], [5], 3)
+        self.check([2.5, 0.5, 0.5], [0, 0, 0], 0)
 
 
 class TestCompile:

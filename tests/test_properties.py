@@ -1,7 +1,7 @@
 """Property-based checks of the dense comparison objective, the dense
-Laplacian builders, the batched Newton engine, the indicator-block
-pseudo-likelihood builders and CSV input.  Examples are derandomized so that
-every run tests the same inputs."""
+Laplacian builders, the batched Newton engine, random pairing, the
+indicator-block pseudo-likelihood builders and CSV input.  Examples are
+derandomized so that every run tests the same inputs."""
 
 import contextlib
 import io
@@ -10,12 +10,14 @@ import math
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rasch import _rng, pairing
 from rasch.cli import main
 from rasch.errors import EstimationError
 from rasch.estimators import EstimatorConfig, mrp_mle, rp_mle, wp_mle
@@ -186,6 +188,98 @@ def test_dense_builders_match_per_record_aggregation(data, seed, k):
         np.testing.assert_array_equal(lap.matrix[off], want[off])
         np.testing.assert_allclose(np.diag(lap.matrix), np.diag(want), rtol=1e-12, atol=0)
     assert pc.wins.tobytes() == split_wins(data, seed, k + 1)[k].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Random pairing against a stable-argsort oracle
+# ---------------------------------------------------------------------------
+
+SPLIT_FIELDS = ("users", "items_hi", "items_lo", "edge_hi", "edge_lo")
+
+
+def _argsort_split(data, keys):
+    """One split built pair by pair: each user's edges ordered by the stable
+    argsort of ``2 * user + key`` and taken consecutively in pairs.  Returns
+    the `SplitAssignment` fields and the split's win matrix."""
+    order = np.argsort(data.user_ids * 2.0 + keys, kind="stable")
+    user, item, x = data.user_ids, data.item_ids, data.responses
+    rows, W = [], np.zeros((data.n_items, data.n_items))
+    for t in range(data.n_users):
+        block = order[data.user_indptr[t]:data.user_indptr[t + 1]]
+        for a, b in zip(block[0:-1:2], block[1::2]):
+            hi, lo = (a, b) if item[a] > item[b] else (b, a)
+            rows.append((user[a], item[hi], item[lo], hi, lo))
+            if x[a] != x[b]:
+                win, lose = (a, b) if x[a] == 1 else (b, a)
+                W[item[win], item[lose]] += 1
+    return dict(zip(SPLIT_FIELDS, np.array(rows, dtype=np.int64).reshape(-1, 5).T)), W
+
+
+def _assert_split_matches(split, W_k, data, keys):
+    fields, want_W = _argsort_split(data, keys)
+    for name in SPLIT_FIELDS:
+        np.testing.assert_array_equal(getattr(split, name), fields[name])
+    assert W_k.tobytes() == want_W.tobytes()
+
+
+@PROPERTY
+@given(response_data(), SEEDS, st.integers(1, 4))
+def test_splits_match_a_stable_argsort_oracle(data, seed, K):
+    W = split_wins(data, seed, K)
+    for k in range(K):
+        keys = _rng.substream(seed, _rng.SPLIT, k).random(data.n_edges)
+        _assert_split_matches(random_split(data, seed, k), W[k], data, keys)
+
+
+class _FixedKeys:
+    """Stands in for `rasch._rng` inside `rasch.pairing`: every split draws ``keys``."""
+
+    SPLIT = _rng.SPLIT
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def substream(self, *key):
+        return self
+
+    def random(self, size):
+        assert size == self.keys.size
+        return self.keys.copy()
+
+
+def _assert_split_matches_on_keys(data, keys):
+    with mock.patch.object(pairing, "_rng", _FixedKeys(keys)):
+        split, W = random_split(data, 0), split_wins(data, 0, 1)
+    _assert_split_matches(split, W[0], data, keys)
+
+
+@st.composite
+def close_keys(draw):
+    """Responses and per-edge keys whose float keys ``2 * user + key`` sit a
+    few ulps above a common base per user: exact ties and near-ties, down to
+    subnormal keys for user 0 when the base is ``2 * user``."""
+    data = draw(response_data())
+    base = data.user_ids * 2.0 + draw(st.sampled_from([0.0, 0.5]))
+    steps = draw(st.lists(st.integers(0, 40), min_size=data.n_edges, max_size=data.n_edges))
+    full = (base.view(np.int64) + np.array(steps, dtype=np.int64)).view(float)
+    return data, full - data.user_ids * 2.0  # exact: full and 2 * user are within a factor 2
+
+
+@PROPERTY
+@given(close_keys())
+def test_splits_match_the_oracle_on_tied_and_near_tied_keys(case):
+    _assert_split_matches_on_keys(*case)
+
+
+def test_tied_keys_with_empty_and_single_response_users():
+    # user 0: one response with a subnormal key; user 1: none; user 2: four
+    # exactly tied keys; user 3: float keys 0, 1 and 2 ulps above 2 * 3 + 0.25
+    users = [0, 2, 2, 2, 2, 3, 3, 3, 4, 4]
+    items = [1, 0, 1, 2, 3, 0, 2, 3, 1, 3]
+    data = ResponseData(5, 4, users, items, [1, 0, 1, 1, 0, 1, 0, 1, 0, 1])
+    near = (np.full(3, 6.25).view(np.int64) + [2, 0, 1]).view(float) - 6.0
+    keys = np.concatenate(([5e-324, 0.5, 0.5, 0.5, 0.5], near, [0.75, 0.125]))
+    _assert_split_matches_on_keys(data, keys)
 
 
 # ---------------------------------------------------------------------------
