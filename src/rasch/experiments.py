@@ -82,12 +82,22 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(
             name=obj["name"],
-            trials=int(obj.get("trials", 100)),
-            seed=int(obj.get("seed", 0)),
+            trials=_integer(obj, "trials", 100),
+            seed=_integer(obj, "seed", 0),
             output=obj.get("output"),
-            workers=int(obj.get("workers", 1)),
+            workers=_integer(obj, "workers", 1),
             params=obj.get("params", {}),
         )
+
+
+def _integer(obj: dict, key: str, default: int) -> int:
+    """``obj[key]`` as an int; a JSON number with a fractional part, a string
+    or a boolean is rejected rather than truncated or coerced."""
+    value = obj.get(key, default)
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def planted_theta(m: int, K: int, delta: float) -> np.ndarray:
@@ -315,6 +325,8 @@ def lsat_top1_recovery(n_users: int, m_items: int, trials: int = 100, n_split: i
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     header = ["method", "n_trials", "recovery", "stderr", "n_failed"]
     rows = []
     for method in methods:

@@ -103,6 +103,6 @@ def subsample(n_users: int, m_items: int, seed: int, trial: int = 0) -> Response
     chosen = np.argsort(rng.random((n_users, N_ITEMS)), axis=1)[:, :m_items]
     chosen = np.sort(chosen, axis=1)
     users = np.repeat(np.arange(n_users, dtype=np.int64), m_items)
-    items = chosen.ravel().astype(np.int64)
+    items = chosen.ravel()
     correct = mat[people[:, None], chosen].ravel()
     return ResponseData(n_users, N_ITEMS, users, items, 1 - correct)

@@ -38,11 +38,9 @@ __all__ = [
 def sigmoid(x):
     """Logistic function ``1 / (1 + exp(-x))``, branch-stable for |x| large."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # -|x|, except that np.minimum returns a NaN input as it is, sign and all
+    t = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, t) / (1.0 + t)
     return out if out.ndim else float(out)
 
 
@@ -123,9 +121,15 @@ class ConditionNumbers:
 class ResponseData:
     """Sparse binary user-item responses.
 
-    Edges are stored as parallel arrays sorted by ``(user_id, item_id)`` with
-    no duplicate pairs.  ``responses`` holds ``X_ti`` in {0, 1} with the
-    negative-response convention of the model.
+    Edges are stored as parallel read-only int64 arrays sorted by
+    ``(user_id, item_id)`` with no duplicate pairs.  ``responses`` holds
+    ``X_ti`` in {0, 1} with the negative-response convention of the model.
+
+    Edges may be given in any order.  The arrays are copied, so the caller's
+    arrays stay writable and later changes to them do not reach the data.
+    Input already sorted without duplicates, as every sampler, the LSAT
+    loaders and `to_csv` produce it, is recognized in one linear pass; other
+    input is sorted once.
     """
 
     n_users: int
@@ -135,9 +139,9 @@ class ResponseData:
     responses: np.ndarray
 
     def __post_init__(self):
-        users = np.asarray(self.user_ids, dtype=np.int64)
-        items = np.asarray(self.item_ids, dtype=np.int64)
-        resp = np.asarray(self.responses, dtype=np.int64)
+        users = np.array(self.user_ids, dtype=np.int64)
+        items = np.array(self.item_ids, dtype=np.int64)
+        resp = np.array(self.responses, dtype=np.int64)
         if not (users.shape == items.shape == resp.shape) or users.ndim != 1:
             raise ValueError("edge arrays must be 1-d and of equal length")
         if users.size:
@@ -145,13 +149,19 @@ class ResponseData:
                 raise ValueError("user_id out of range")
             if items.min() < 0 or items.max() >= self.n_items:
                 raise ValueError("item_id out of range")
-            if not np.isin(resp, (0, 1)).all():
+            if resp.min() < 0 or resp.max() > 1:
                 raise ValueError("responses must be 0 or 1")
-            order = np.lexsort((items, users))
-            users, items, resp = users[order], items[order], resp[order]
+            # compared as shifted views: an np.diff temporary made the
+            # check on sorted input several times slower
             key = users * self.n_items + items
-            if np.any(np.diff(key) == 0):
-                raise ValueError("duplicate (user, item) pair")
+            if not np.all(key[1:] > key[:-1]):
+                # keys are unique after the check below, so this is the
+                # (user, item) lexicographic order
+                order = np.argsort(key, kind="stable")
+                key = key[order]
+                if np.any(key[1:] == key[:-1]):
+                    raise ValueError("duplicate (user, item) pair")
+                users, items, resp = users[order], items[order], resp[order]
         for name, arr in (("user_ids", users), ("item_ids", items), ("responses", resp)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -320,8 +330,7 @@ def sample_responses(gt: GroundTruth, p: float, seed: int = 0, mode: str = "bern
         raise ValueError(f"p must be in [0, 1], got {p}")
     edge_rng = _rng.substream(seed, _rng.EDGES)
     if mode == "bernoulli":
-        mask = edge_rng.random((n, m)) < p
-        users, items = np.nonzero(mask)
+        users, items = np.divmod(np.flatnonzero(edge_rng.random((n, m)) < p), m)
     elif mode == "uniform-mp":
         mp = m * p
         mp_int = int(round(mp))
@@ -331,13 +340,13 @@ def sample_responses(gt: GroundTruth, p: float, seed: int = 0, mode: str = "bern
         chosen = np.argsort(edge_rng.random((n, m)), axis=1)[:, :mp_int]
         chosen = np.sort(chosen, axis=1)
         users = np.repeat(np.arange(n, dtype=np.int64), mp_int)
-        items = chosen.ravel().astype(np.int64)
+        items = chosen.ravel()
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     resp_rng = _rng.substream(seed, _rng.RESPONSES)
     probs = sigmoid(gt.theta_star[items] - gt.zeta_star[users])
     responses = (resp_rng.random(users.size) < probs).astype(np.int64)
-    return ResponseData(n, m, users.astype(np.int64), items.astype(np.int64), responses)
+    return ResponseData(n, m, users, items, responses)
 
 
 def condition_numbers(gt: GroundTruth) -> ConditionNumbers:

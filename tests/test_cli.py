@@ -212,6 +212,27 @@ class TestExperiment:
         assert err["error"] == "usage"
         assert "trails" in err["detail"]
 
+    @pytest.mark.parametrize("key, value", [("trials", 2.7), ("workers", "2"),
+                                            ("seed", True)])
+    def test_non_integer_config_value_exit_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"name": "linf-vs-n", key: value,
+                                   "params": {"n_grid": [400], "m": 8, "p": 0.5}}))
+        assert main(["experiment", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "usage"
+        assert key in err["detail"]
+
+    def test_integral_float_config_values_are_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"name": "linf-vs-n", "trials": 2.0, "seed": 3.0,
+                                   "workers": 1.0}))
+        loaded = ExperimentConfig.from_json(cfg)
+        assert (loaded.trials, loaded.seed, loaded.workers) == (2, 3, 1)
+        assert all(type(v) is int for v in (loaded.trials, loaded.seed, loaded.workers))
+
 
 class TestLsat:
     def test_export_totals(self, tmp_path):
@@ -269,6 +290,13 @@ class TestLsat:
     def test_subsample_zero_trials_exit_2(self, capsys):
         assert main(["lsat", "subsample", "--n-users", "50", "--m-items", "3",
                      "--trials", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "usage"
+
+    def test_subsample_zero_workers_exit_2(self, capsys):
+        assert main(["lsat", "subsample", "--n-users", "50", "--m-items", "3",
+                     "--trials", "2", "--workers", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "usage"

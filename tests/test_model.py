@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rasch import _rng
 from rasch.errors import DataFormatError
 from rasch.model import (
     GroundTruth,
@@ -16,7 +17,38 @@ from rasch.model import (
 )
 
 
+def _two_branch_sigmoid(x):
+    """Reference logistic: ``1 / (1 + e^-x)`` for x >= 0, ``e^x / (1 + e^x)`` below."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+SPECIAL_X = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
+                      5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+                      36.7, -36.7, 709.8, -709.8, 745.2, -745.2])
+
+
 class TestLogistic:
+    def test_bit_identical_to_the_two_branch_formula(self):
+        rng = np.random.default_rng(0)
+        for x in (SPECIAL_X, np.linspace(-50.0, 50.0, 2001),
+                  rng.standard_normal((37, 29)) * 20.0):
+            got = sigmoid(x)
+            assert got.shape == x.shape and got.dtype == np.float64
+            assert got.tobytes() == _two_branch_sigmoid(x).tobytes()
+
+    def test_zero_d_input_returns_float(self):
+        for v in SPECIAL_X:
+            got = sigmoid(np.float64(v))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == _two_branch_sigmoid(np.array([v])).tobytes()
+        assert type(sigmoid(2)) is float
+
     def test_complement_identity_on_grid(self):
         x = np.linspace(-40.0, 40.0, 4001)
         np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-15, rtol=0)
@@ -108,6 +140,19 @@ class TestSampleResponses:
         c = sample_responses(gt, 0.3, seed=12)
         assert not np.array_equal(a.responses, c.responses)
 
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+    def test_bernoulli_matches_a_nonzero_oracle(self, p):
+        gt = sample_ground_truth(300, 17, "standard-normal", seed=6)
+        data = sample_responses(gt, p, seed=8)
+        mask = _rng.substream(8, _rng.EDGES).random((300, 17)) < p
+        users, items = np.nonzero(mask)
+        probs = _two_branch_sigmoid(gt.theta_star[items] - gt.zeta_star[users])
+        resp = (_rng.substream(8, _rng.RESPONSES).random(users.size) < probs).astype(np.int64)
+        for got, want in ((data.user_ids, users), (data.item_ids, items),
+                          (data.responses, resp)):
+            assert got.dtype == np.int64
+            assert got.tobytes() == want.astype(np.int64).tobytes()
+
     def test_uniform_mp_exact_degrees(self):
         gt = sample_ground_truth(500, 10, "standard-normal", seed=2)
         data = sample_responses(gt, 0.4, seed=2, mode="uniform-mp")
@@ -159,9 +204,47 @@ class TestResponseData:
         with pytest.raises(ValueError, match="duplicate"):
             ResponseData(2, 2, [0, 0], [1, 1], [0, 1])
 
+    @pytest.mark.parametrize("users, items", [
+        ([0, 0, 1, 1], [0, 1, 1, 1]),  # sorted
+        ([1, 0, 1, 0], [1, 0, 1, 1]),  # unsorted
+    ])
+    def test_rejects_duplicates_in_any_order(self, users, items):
+        with pytest.raises(ValueError, match=r"^duplicate \(user, item\) pair$"):
+            ResponseData(2, 2, users, items, [0, 1, 1, 0])
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             ResponseData(2, 2, [0, 2], [0, 1], [0, 1])
+
+    @pytest.mark.parametrize("users, items, resp, message", [
+        ([0, 2], [0, 1], [0, 1], "user_id out of range"),
+        ([-1, 0], [0, 1], [0, 1], "user_id out of range"),
+        ([0, 1], [0, 2], [0, 1], "item_id out of range"),
+        ([1, 0], [-1, 1], [0, 1], "item_id out of range"),
+        ([0, 1], [0, 1], [0, 2], "responses must be 0 or 1"),
+        ([1, 0], [0, 1], [-1, 0], "responses must be 0 or 1"),
+        ([0, 1], [0], [0, 1], "edge arrays must be 1-d and of equal length"),
+        ([[0, 1]], [[0, 1]], [[0, 1]], "edge arrays must be 1-d and of equal length"),
+    ])
+    def test_error_messages(self, users, items, resp, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ResponseData(2, 2, users, items, resp)
+
+    @pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1], []])
+    def test_stores_read_only_copies(self, order):
+        users = np.array([0, 1, 1], dtype=np.int64)[order]
+        items = np.array([1, 0, 1], dtype=np.int64)[order]
+        resp = np.array([1, 0, 1], dtype=np.int64)[order]
+        data = ResponseData(2, 2, users, items, resp)
+        before = [a.copy() for a in (data.user_ids, data.item_ids, data.responses)]
+        for arr in (users, items, resp):
+            assert arr.flags.writeable
+            arr[...] = 0
+        for stored, kept in zip((data.user_ids, data.item_ids, data.responses), before):
+            assert not stored.flags.writeable
+            assert np.array_equal(stored, kept)
+            with pytest.raises(ValueError):
+                stored[...] = 0
 
     def test_csv_round_trip(self, tmp_path):
         gt = sample_ground_truth(20, 6, "standard-normal", seed=4)

@@ -1,7 +1,7 @@
 """Property-based checks of the dense comparison objective, the dense
 Laplacian builders, the batched Newton engine, random pairing, the
-indicator-block pseudo-likelihood builders and CSV input.  Examples are
-derandomized so that every run tests the same inputs."""
+indicator-block pseudo-likelihood builders, edge ingest and CSV input.
+Examples are derandomized so that every run tests the same inputs."""
 
 import contextlib
 import io
@@ -384,6 +384,37 @@ def test_wp_score_covariance_matches_per_user_loop_across_blocks():
     for _, i, j, w in _per_user_comparisons(data, "wp"):
         wins[i, j] += w
     np.testing.assert_allclose(_pseudo_wins(data, "wp"), wins, rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Edge ingest against a lexsort oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def shuffled_edges(draw):
+    """Unique (user, item) edges with responses, in a random order."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(SEEDS))
+    users, items = np.nonzero(rng.random((n, m)) < draw(st.floats(0.0, 1.0)))
+    perm = rng.permutation(users.size)
+    return n, m, users[perm], items[perm], rng.integers(0, 2, users.size)
+
+
+@PROPERTY
+@given(shuffled_edges(), st.sampled_from([np.int64, np.int32, np.uint8]))
+def test_edges_in_any_order_give_the_lexsorted_data(case, dtype):
+    n, m, users, items, resp = case
+    order = np.lexsort((items, users))
+    edges = (users, items, resp)
+    expected = [a[order].astype(np.int64) for a in edges]
+    shuffled = ResponseData(n, m, *(a.astype(dtype) for a in edges))
+    in_order = ResponseData(n, m, *(a[order].astype(dtype) for a in edges))
+    for data in (shuffled, in_order):
+        for name, want in zip(("user_ids", "item_ids", "responses"), expected):
+            got = getattr(data, name)
+            assert got.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
