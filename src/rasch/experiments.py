@@ -77,6 +77,10 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
+        if "name" not in obj:
+            raise ValueError("config has no 'name' key")
         unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

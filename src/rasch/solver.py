@@ -11,8 +11,14 @@ of ``N * sigma'(theta_i - theta_j)``.
 one multi-split estimate, by damped Newton on all of them at once: one
 batched linear solve ``(H + 11^T/m) d = -g`` per iteration (positive
 definite whenever the comparison graph is connected) and a step size per
-matrix.  The Armijo line search compares losses, which near the optimum
-differ by less than their own round-off; once the predicted decrease
+matrix.  Every solve starts from the classical Rasch/Bradley-Terry value,
+the centred log-odds ``log((sum_j W_ij + 1/2) / (sum_j W_ji + 1/2))`` of each
+item's wins over its losses, one pass over the win matrix.  The Armijo line
+search evaluates the loss at the centred trial point and keeps its
+differences and their exponential, from which the accepted iterate's
+gradient and Hessian weights are built: one exponential of the m x m
+differences per iteration.  The line search compares losses, which near the
+optimum differ by less than their own round-off; once the predicted decrease
 ``-g.d`` is below ``1e-13 max(1, |f|)`` the full Newton step is taken.
 `BtlObjective` holds one win matrix, given as aggregated pair terms or
 directly (`BtlObjective.from_wins`, as the pseudo-likelihood estimators
@@ -219,9 +225,20 @@ def _pairwise(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return D, np.exp(-np.abs(D))
 
 
+def _log_odds(W: np.ndarray) -> np.ndarray:
+    """Centred ``log((wins + 1/2) / (losses + 1/2))`` of each item, for each
+    win matrix of a stack: the Newton starting point."""
+    theta = np.log((W.sum(axis=-1) + 0.5) / (W.sum(axis=-2) + 0.5))
+    return theta - theta.mean(axis=-1, keepdims=True)
+
+
 def _loss(W: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """``sum_ij W_ij log(1 + e^(-D_ij))`` for each win matrix of a stack."""
-    D, t = _pairwise(theta)
+    return _loss_at(W, *_pairwise(theta))
+
+
+def _loss_at(W: np.ndarray, D: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """`_loss` from the differences ``D`` and ``t = exp(-|D|)`` of `_pairwise`."""
     terms = W * (np.log1p(t) + np.maximum(-D, 0.0))
     return terms.reshape(*terms.shape[:-2], terms.shape[-1] ** 2).sum(axis=-1)
 
@@ -229,22 +246,31 @@ def _loss(W: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def _derivatives(W: np.ndarray, N: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient, the row sums of ``N * sigma(D) - W``, and the Hessian weights
     ``N * sigma'(D)``, both from one exponential of the differences."""
-    D, t = _pairwise(theta)
+    return _derivatives_at(W, N, *_pairwise(theta))
+
+
+def _derivatives_at(W: np.ndarray, N: np.ndarray, D: np.ndarray,
+                    t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_derivatives` from the differences ``D`` and ``t = exp(-|D|)``."""
     r = 1.0 / (1.0 + t)
     sig = np.where(D >= 0.0, r, t * r)
     return (N * sig - W).sum(axis=-1), N * (t * r * r)
 
 
 def _newton(W: np.ndarray, theta: np.ndarray, opts: SolverOptions):
-    """Damped Newton from ``theta`` (K, m) on every win matrix of ``W`` (K, m, m).
+    """Damped Newton from the centred ``theta`` (K, m) on every win matrix of
+    ``W`` (K, m, m).
 
     A split leaves the batch once its gradient sup-norm is at most ``tol``, or
-    after ``max_iter`` iterations.  Returns ``(results, diverged)``:
-    ``results[k]`` is the `SolveResult` of split ``k``, and ``diverged`` is
-    ``(k, spread, iterations)`` for the lowest-indexed split whose spread
-    crossed ``divergence_bound``, or None.  Splits above a diverged one are
-    dropped unsolved and their results may stay None.  Every operation acts
-    on each split alone, so a split's result does not depend on the batch.
+    after ``max_iter`` iterations.  The loss of a trial point is evaluated at
+    the centred point, and the differences and exponential it was computed
+    from give the derivatives once the point is accepted.  Returns
+    ``(results, diverged)``: ``results[k]`` is the `SolveResult` of split
+    ``k``, and ``diverged`` is ``(k, spread, iterations)`` for the
+    lowest-indexed split whose spread crossed ``divergence_bound``, or None.
+    Splits above a diverged one are dropped unsolved and their results may
+    stay None.  Every operation acts on each split alone, so a split's result
+    does not depend on the batch.
     """
     K, m, _ = W.shape
     N = _counts(W)
@@ -252,8 +278,10 @@ def _newton(W: np.ndarray, theta: np.ndarray, opts: SolverOptions):
     rows = np.arange(K)  # split index of each row still in the batch
     results: list[SolveResult | None] = [None] * K
     diverged = None
-    f0 = _loss(W, theta)
-    g, Z = _derivatives(W, N, theta)
+    D, t = _pairwise(theta)
+    f0 = _loss_at(W, D, t)
+    g, Z = _derivatives_at(W, N, D, t)
+    del D, t
     iterations = 0
     while rows.size:
         gnorm = np.abs(g).max(axis=-1)
@@ -269,19 +297,23 @@ def _newton(W: np.ndarray, theta: np.ndarray, opts: SolverOptions):
         step = np.linalg.solve(_laplacian_matrix(Z) + J, -g[..., None])[..., 0]
         step -= step.mean(axis=-1, keepdims=True)
         slope = (g * step).sum(axis=-1)
-        t = np.ones(rows.size)
+        size = np.ones(rows.size)
         trial = theta + step
-        f = _loss(W, trial)
+        trial -= trial.mean(axis=-1, keepdims=True)
+        D, t = _pairwise(trial)
+        f = _loss_at(W, D, t)
         # where the predicted decrease is below the round-off of f0 the loss
         # comparison is noise, so the full Newton step is taken
         pending = (-slope > ROUNDOFF * np.maximum(1.0, np.abs(f0))) & (f > f0 + ARMIJO * slope)
         while pending.any():
             p = np.flatnonzero(pending)
-            t[p] *= 0.5
-            trial[p] = theta[p] + t[p, None] * step[p]
-            f[p] = _loss(W[p], trial[p])
-            pending[p] = (t[p] > MIN_STEP) & (f[p] > f0[p] + ARMIJO * t[p] * slope[p])
-        theta = trial - trial.mean(axis=-1, keepdims=True)
+            size[p] *= 0.5
+            trial[p] = theta[p] + size[p, None] * step[p]
+            trial[p] -= trial[p].mean(axis=-1, keepdims=True)
+            D[p], t[p] = _pairwise(trial[p])
+            f[p] = _loss_at(W[p], D[p], t[p])
+            pending[p] = (size[p] > MIN_STEP) & (f[p] > f0[p] + ARMIJO * size[p] * slope[p])
+        theta = trial
         f0 = f
         iterations += 1
         spread = theta.max(axis=-1) - theta.min(axis=-1)
@@ -290,8 +322,9 @@ def _newton(W: np.ndarray, theta: np.ndarray, opts: SolverOptions):
             r = over[0]
             diverged = (int(rows[r]), float(spread[r]), iterations)
             keep = rows < rows[r]
-            rows, W, N, theta, f0 = (a[keep] for a in (rows, W, N, theta, f0))
-        g, Z = _derivatives(W, N, theta)
+            rows, W, N, theta, f0, D, t = (a[keep] for a in (rows, W, N, theta, f0, D, t))
+        g, Z = _derivatives_at(W, N, D, t)
+        del D, t
     return results, diverged
 
 
@@ -299,24 +332,31 @@ def solve_newton(obj: BtlObjective, opts: SolverOptions | None = None,
                  start: np.ndarray | None = None) -> SolveResult:
     """Damped Newton on the zero-sum subspace.
 
-    Steps solve ``(H + 11^T/m) d = -g`` and are projected back to the
-    zero-sum subspace, with an Armijo backtracking line search on the loss
-    that takes the full step once the predicted decrease is below the loss's
-    round-off.  Stops when the gradient sup-norm drops below ``opts.tol``;
+    Starts from ``start`` (centred) or, by default, from the centred log-odds
+    ``log((sum_j W_ij + 1/2) / (sum_j W_ji + 1/2))`` of each item's wins over
+    its losses.  Steps solve ``(H + 11^T/m) d = -g`` and are projected back
+    to the zero-sum subspace, with an Armijo backtracking line search on the
+    loss that takes the full step once the predicted decrease is below the
+    loss's round-off; the loss evaluation at the accepted point also yields
+    its derivatives, so each iteration takes one exponential of the pairwise
+    differences.  Stops when the gradient sup-norm drops below ``opts.tol``;
     after ``max_iter`` iterations it returns ``converged=False``.  Raises
     `DivergenceError` once the fitted spread exceeds ``divergence_bound``,
     the practical signature of a nonexistent MLE.
     """
     opts = opts or SolverOptions()
     _check_connected(obj)
-    results, diverged = _newton(obj.wins[None], _init(obj, start)[None], opts)
+    W = obj.wins[None]
+    theta = _log_odds(W) if start is None else _init(obj, start)[None]
+    results, diverged = _newton(W, theta, opts)
     if diverged is not None:
         raise DivergenceError(diverged[1], diverged[2])
     return results[0]
 
 
 def solve_newton_batch(W, opts: SolverOptions | None = None) -> tuple[SolveResult, ...]:
-    """Fit every win matrix of the stack ``W`` (K, m, m) from zero, all at once.
+    """Fit every win matrix of the stack ``W`` (K, m, m) at once, each from
+    its own log-odds start.
 
     Split ``k`` gets the same `SolveResult`, bit for bit, as when solved
     alone.  Raises the error that solving the splits one after another in
@@ -331,7 +371,7 @@ def solve_newton_batch(W, opts: SolverOptions | None = None) -> tuple[SolveResul
     labels = _component_labels(_counts(W) > 0)
     connected = (labels == 0).all(axis=-1)
     first = K if connected.all() else int(np.argmin(connected))
-    results, diverged = _newton(W[:first], np.zeros((first, m)), opts)
+    results, diverged = _newton(W[:first], _log_odds(W[:first]), opts)
     failed = first if diverged is None else diverged[0]
     for k in range(failed):
         if not results[k].converged:

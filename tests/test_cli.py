@@ -203,6 +203,22 @@ class TestExperiment:
         assert main(["experiment", str(cfg)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
+    def test_config_without_name_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 2}))
+        assert main(["experiment", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage"
+        assert "name" in err["detail"]
+
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]")
+        assert main(["experiment", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage"
+        assert "object" in err["detail"]
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"name": "linf-vs-n", "trails": 2,

@@ -109,6 +109,16 @@ class TestMrpMle:
         assert len(est.solve_results) == 50
         assert all(r.converged and r.iterations <= 4 for r in est.solve_results)
 
+    def test_log_odds_start_saves_newton_iterations(self):
+        # the paper's sparse setting; from a zero start the 50 splits take
+        # about 300 iterations in all, from the log-odds start under 200
+        gt = sample_ground_truth(10_000, 50, "standard-normal", seed=0)
+        data = sample_responses(gt, 0.1, seed=0)
+        est = mrp_mle(data, EstimatorConfig(method="mrp", seed=0, n_split=50))
+        assert len(est.solve_results) == 50
+        assert all(r.converged for r in est.solve_results)
+        assert sum(r.iterations for r in est.solve_results) <= 220
+
 
 class TestPseudoEstimators:
     def test_wp_equals_pmle_when_all_users_have_two_responses(self):

@@ -121,6 +121,24 @@ def test_estimate_ignores_a_common_shift_of_the_start(case, shift):
 
 
 @PROPERTY
+@given(SEEDS, st.integers(1, 4), st.integers(2, 8), st.floats(0.0, 6.0))
+def test_log_odds_and_zero_starts_reach_the_same_estimate(seed, K, m, spread):
+    # Bradley-Terry counts around strengths of the given spread, plus a
+    # two-way ring so that every split's MLE exists
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(-spread / 2, spread / 2, m)
+    W = rng.poisson(8.0 / (1.0 + np.exp(s[None, :] - s[:, None])), (K, m, m)).astype(float)
+    W[:, np.arange(m), np.arange(m)] = 0.0
+    ring = np.arange(m)
+    W[:, ring, (ring + 1) % m] += 1.0
+    W[:, (ring + 1) % m, ring] += 1.0
+    for k, res in enumerate(solve_newton_batch(W)):
+        zero = solve_newton(BtlObjective.from_wins(W[k]), start=np.zeros(m))
+        assert res.converged and zero.converged
+        np.testing.assert_allclose(res.theta_hat, zero.theta_hat, rtol=0, atol=1e-9)
+
+
+@PROPERTY
 @given(SEEDS, st.integers(2, 6), st.integers(2, 7), st.data())
 def test_split_result_does_not_depend_on_its_batch(seed, K, m, data):
     W = _win_stack(seed, K, m)

@@ -180,6 +180,26 @@ class TestNewton:
         with pytest.raises(DivergenceError):
             solve_newton(obj)
 
+    def test_default_start_is_centred_log_odds(self):
+        # wins 5, 4, 6 and losses 5, 6, 4 over a three-item cycle
+        obj = BtlObjective(m=3, item_i=[1, 2, 2], item_j=[0, 0, 1],
+                           weight=[5.0, 5.0, 5.0], wins_i=[3.0, 2.0, 4.0])
+        start = np.log(np.array([5.5, 4.5, 6.5]) / np.array([5.5, 6.5, 4.5]))
+        res = solve_newton(obj, SolverOptions(max_iter=0))
+        np.testing.assert_allclose(res.theta_hat, start - start.mean(), rtol=0, atol=1e-15)
+        assert res.iterations == 0 and not res.converged
+
+    def test_all_wins_item_diverges_from_log_odds_start(self):
+        # item 2 wins all 80 of its comparisons, so the start already puts it
+        # about 6 above the others; the iterates must still cross the bound
+        W = TestNewtonBatch.ALL_WINS
+        with pytest.raises(DivergenceError) as err:
+            solve_newton(BtlObjective.from_wins(W))
+        assert err.value.spread > SolverOptions().divergence_bound
+        with pytest.raises(DivergenceError) as err:
+            solve_newton_batch(W[None])
+        assert err.value.split_index == 0
+
 
 class TestPgd:
     def test_agrees_with_newton(self):
