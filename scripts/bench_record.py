@@ -6,9 +6,12 @@ checkout and a changed checkout, side by side.
 Both directories are complete checkouts.  For every workload in the change's
 ``BENCHMARK.json`` it runs ``perfbench/run.py --trace 0`` in ``PAIRS`` pairs
 with the fixed seeds 1..``PAIRS``, alternating which side runs first, and
-keeps the final JSON line of each run.  It then counts the lines of
-``src/rasch/*.py`` and runs the tier-1 suite once on each side.  Runs are
-sequential, so the two sides never share the processor.
+keeps the final JSON line of each run.  Per workload it records the median
+of every metric and, for each end-to-end metric, how many of the pairs each
+side won in the direction of that metric's ``better`` (ties count for
+neither).  It then counts the lines of ``src/rasch/*.py`` and runs the tier-1
+suite once on each side.  Runs are sequential, so the two sides never share
+the processor.
 """
 
 from __future__ import annotations
@@ -59,6 +62,20 @@ def medians(runs: list[dict]) -> dict:
     return {name: statistics.median(r["metrics"][name]["value"] for r in runs) for name in names}
 
 
+def pair_wins(runs: dict, better: dict) -> dict:
+    """Pairs won by each side, per metric of ``better`` (name -> "lower"/"higher")."""
+    out = {}
+    for name, direction in better.items():
+        sign = 1 if direction == "lower" else -1
+        won = dict.fromkeys(SIDES, 0)
+        for parent, change in zip(runs["parent"], runs["change"]):
+            diff = sign * (change["metrics"][name]["value"] - parent["metrics"][name]["value"])
+            if diff:
+                won["change" if diff < 0 else "parent"] += 1
+        out[name] = won
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -68,6 +85,7 @@ def main(argv=None) -> int:
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     workloads = {}
     for w in (item["name"] for item in spec["workloads"]):
         runs = {side: [] for side in SIDES}
@@ -77,7 +95,8 @@ def main(argv=None) -> int:
                 runs[side].append({"seed": seed, "first": side == order[0]}
                                   | run_workload(dirs[side], w, seed, seconds))
                 print(w, seed, side, "done", file=sys.stderr, flush=True)
-        workloads[w] = runs | {"median": {side: medians(runs[side]) for side in SIDES}}
+        workloads[w] = runs | {"median": {side: medians(runs[side]) for side in SIDES},
+                               "pair_wins": pair_wins(runs, better)}
     record = {
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "pairs": PAIRS,

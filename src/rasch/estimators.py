@@ -60,11 +60,11 @@ class EstimatorConfig:
 class ItemEstimate:
     """Zero-mean estimate with fit metadata.
 
-    ``per_split_estimates`` (splits x m) and ``split_wins`` (splits x m x m
-    win matrices) are present for the split-based methods; the win matrices
-    let the inference module reuse the exact per-split curvature without
-    regenerating the pairings.  ``solve_results`` holds one `SolveResult` per
-    split (one in all for ``wp``/``pmle``).
+    ``per_split_estimates`` (splits x m) is present for ``rp``/``mrp``.
+    ``split_wins`` holds the win matrices the estimate was fitted on, one per
+    split, and for ``wp``/``pmle`` their one matrix as a ``(1, m, m)`` stack:
+    the inference module reuses their exact curvature instead of rebuilding it.
+    ``solve_results`` holds one `SolveResult` per split (one for ``wp``/``pmle``).
     """
 
     theta_hat: np.ndarray
@@ -148,11 +148,13 @@ def mrp_mle(data: ResponseData, cfg: EstimatorConfig) -> ItemEstimate:
 
 
 def _pseudo(data: ResponseData, cfg: EstimatorConfig, scheme: str) -> ItemEstimate:
-    res = solve_newton(BtlObjective.from_wins(_pseudo_wins(data, scheme)), cfg.solver)
+    W = _pseudo_wins(data, scheme)
+    W.setflags(write=False)
+    res = solve_newton(BtlObjective.from_wins(W), cfg.solver)
     if not res.converged:
         raise ConvergenceError(res.grad_inf_norm, res.iterations)
     return ItemEstimate(theta_hat=_centred_mean(res.theta_hat[None]), method=scheme,
-                        seed=cfg.seed, n_split=None, solve_results=(res,))
+                        seed=cfg.seed, n_split=None, split_wins=W[None], solve_results=(res,))
 
 
 def wp_mle(data: ResponseData, cfg: EstimatorConfig | None = None) -> ItemEstimate:

@@ -66,10 +66,17 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError(f"output must be a string or null, got {self.output!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be a JSON object, got {self.params!r}")
         merged = dict(_DEFAULT_PARAMS[self.name])
         unknown = set(self.params) - set(merged)
         if unknown:
             raise ValueError(f"unknown parameters for {self.name}: {sorted(unknown)}")
+        for key, value in self.params.items():
+            if key.endswith("_grid") and not isinstance(value, list):
+                raise ValueError(f"{key} must be a list, got {value!r}")
         merged.update(self.params)
         object.__setattr__(self, "params", merged)
 

@@ -139,6 +139,8 @@ def _split_user_gradients(data: ResponseData, theta: np.ndarray, seed: int, k: i
 def _split_wins(data: ResponseData, est: ItemEstimate) -> np.ndarray:
     if est.split_wins is not None:
         return est.split_wins
+    if est.method == "wp":
+        return _pseudo_wins(data, "wp")[None]
     if est.seed is None or est.n_split is None:
         raise ValueError("estimate lacks split structure and a seed to regenerate it")
     return split_wins(data, est.seed, est.n_split)
@@ -166,7 +168,7 @@ def plugin_covariance(data: ResponseData, est: ItemEstimate,
     n = data.n_users
     if est.method not in ("rp", "mrp", "wp"):
         raise ValueError(f"covariance is defined for rp/mrp/wp estimates, not {est.method!r}")
-    W = _pseudo_wins(data, "wp")[None] if est.method == "wp" else _split_wins(data, est)
+    W = _split_wins(data, est)
     total = W.sum(axis=0)
     H = _laplacian_matrix(_derivatives(total, _counts(total), theta)[1]) / (n * W.shape[0])
     V_diff = _wp_score_covariance(data, theta)

@@ -249,6 +249,33 @@ class TestExperiment:
         assert (loaded.trials, loaded.seed, loaded.workers) == (2, 3, 1)
         assert all(type(v) is int for v in (loaded.trials, loaded.seed, loaded.workers))
 
+    def _assert_usage_exit(self, tmp_path, capsys, config, word):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["experiment", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "usage"
+        assert word in err["detail"]
+
+    def test_params_not_an_object_exit_2(self, tmp_path, capsys):
+        self._assert_usage_exit(tmp_path, capsys, {"name": "linf-vs-n", "params": None},
+                                "params")
+
+    def test_grid_not_a_list_exit_2(self, tmp_path, capsys):
+        self._assert_usage_exit(tmp_path, capsys,
+                                {"name": "linf-vs-n", "params": {"n_grid": 5}}, "n_grid")
+
+    def test_output_not_a_string_exit_2(self, tmp_path, capsys, monkeypatch):
+        # an integer output would be opened as a file descriptor; never write
+        written = []
+        monkeypatch.setattr(cli.experiments, "write_csv", lambda *args: written.append(args))
+        self._assert_usage_exit(tmp_path, capsys,
+                                {"name": "linf-vs-n", "output": 7, "trials": 1,
+                                 "params": {"n_grid": [40], "m": 4, "p": 0.5}}, "output")
+        assert written == []
+
 
 class TestLsat:
     def test_export_totals(self, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rasch.errors import EstimationError
-from rasch.estimators import EstimatorConfig, mrp_mle, rp_mle, wp_mle
+from rasch.estimators import EstimatorConfig, ItemEstimate, mrp_mle, pmle, rp_mle, wp_mle
 from rasch.inference import (
     InferenceReport,
     beta_for_point_mass,
@@ -13,6 +13,7 @@ from rasch.inference import (
     special_case_covariance,
 )
 from rasch.model import GroundTruth, sample_ground_truth, sample_responses
+from rasch.pairing import USER_BLOCK, _pseudo_wins
 
 
 class TestNormalQuantile:
@@ -71,6 +72,20 @@ class TestPluginCovariance:
         b = plugin_covariance(data, stripped)
         np.testing.assert_allclose(a.H_hat, b.H_hat, atol=1e-15)
         np.testing.assert_allclose(a.Sigma_hat, b.Sigma_hat, atol=1e-15)
+
+    def test_wp_covariance_reuses_the_fitted_win_matrix(self):
+        n = USER_BLOCK + 476  # two blocks of users
+        gt = sample_ground_truth(n, 6, "standard-normal", seed=11)
+        data = sample_responses(gt, 0.6, seed=11)
+        est = wp_mle(data)
+        assert est.split_wins.shape == (1, 6, 6)
+        assert est.split_wins[0].tobytes() == _pseudo_wins(data, "wp").tobytes()
+        assert pmle(data).split_wins[0].tobytes() == _pseudo_wins(data, "pmle").tobytes()
+        # an estimate with no stored matrix, as loaded from JSON, rebuilds it
+        bare = ItemEstimate(theta_hat=est.theta_hat, method="wp", seed=None, n_split=None)
+        kept, rebuilt = plugin_covariance(data, est), plugin_covariance(data, bare)
+        for name in ("H_hat", "V_diff_hat", "Sigma_hat"):
+            assert getattr(kept, name).tobytes() == getattr(rebuilt, name).tobytes()
 
     def test_pmle_estimates_rejected(self):
         _, data = _symmetric_two_item(seed=4)

@@ -21,7 +21,7 @@ from rasch import _rng, pairing
 from rasch.cli import main
 from rasch.errors import EstimationError
 from rasch.estimators import EstimatorConfig, mrp_mle, rp_mle, wp_mle
-from rasch.inference import _split_user_gradients, plugin_covariance
+from rasch.inference import _split_user_gradients, _wp_score_covariance, plugin_covariance
 from rasch.laplacian import build_count_laplacian, build_z_laplacian
 from rasch.model import ResponseData, sample_ground_truth, sample_responses, sigmoid_deriv
 from rasch.pairing import (
@@ -388,6 +388,26 @@ def test_split_user_gradients_match_per_record_sums(data, seed, k):
         want[t, j] -= p - won
     got = _split_user_gradients(data, theta, seed, k)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(response_data(), st.integers(1, 3), SEEDS)
+def test_indicator_builders_match_per_user_loops_over_many_blocks(data, block, seed):
+    # Blocks of 1-3 users: most inputs span several, some with no responses.
+    theta = np.random.default_rng(seed).normal(0.0, 2.0, data.n_items)
+    with mock.patch.object(pairing, "USER_BLOCK", block):
+        got = {scheme: _pseudo_wins(data, scheme) for scheme in ("wp", "pmle")}
+        V = _wp_score_covariance(data, theta)
+    for scheme, W in got.items():
+        want = np.zeros_like(W)
+        for _, i, j, w in _per_user_comparisons(data, scheme):
+            want[i, j] += w
+        if scheme == "pmle":
+            assert W.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(W, want, rtol=1e-12, atol=0)
+    want = _per_user_score_covariance(data, theta)
+    np.testing.assert_allclose(V, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
 def test_wp_score_covariance_matches_per_user_loop_across_blocks():
