@@ -10,8 +10,8 @@ keeps the final JSON line of each run.  Per workload it records the median
 of every metric and, for each end-to-end metric, how many of the pairs each
 side won in the direction of that metric's ``better`` (ties count for
 neither).  It then counts the lines of ``src/rasch/*.py`` and runs the tier-1
-suite once on each side.  Runs are sequential, so the two sides never share
-the processor.
+suite and the benchmark's own tests (``perfbench/tests``) once on each side.
+Runs are sequential, so the two sides never share the processor.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ def run_workload(checkout: Path, workload: str, seed: int, seconds: int) -> dict
     return json.loads(lines[-1])
 
 
-def tier1(checkout: Path) -> dict:
+def pytest_counts(checkout: Path, *paths: str) -> dict:
+    """Wall time and passed/failed counts of one pytest run in ``checkout``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-           "-p", "no:cacheprovider"]
+           "-p", "no:cacheprovider", *paths]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - t0
@@ -102,7 +103,8 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "workloads": workloads,
         "src_lines": {side: src_lines(d) for side, d in dirs.items()},
-        "tier1": {side: tier1(d) for side, d in dirs.items()},
+        "tier1": {side: pytest_counts(d) for side, d in dirs.items()},
+        "perfbench_tests": {side: pytest_counts(d, "perfbench/tests") for side, d in dirs.items()},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

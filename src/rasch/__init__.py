@@ -66,7 +66,6 @@ from .pairing import (
 )
 from .solver import (
     BtlObjective,
-    PgdOptions,
     SolveResult,
     SolverOptions,
     gradient,
@@ -74,7 +73,6 @@ from .solver import (
     nll,
     solve_newton,
     solve_newton_batch,
-    solve_pgd,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 
 Every command is deterministic given its ``--seed``.  Exit codes: 0 on
 success, 2 on usage errors, 3 on data errors (malformed input, disconnected
-comparison graph, diverging MLE, unconverged solve); failures emit one line of
+comparison graph, nonexistent MLE, unconverged solve); failures emit one line of
 JSON on stderr, with ``split_index`` when a split of a multi-split fit failed.
 """
 

@@ -36,21 +36,22 @@ class DisconnectedGraphError(EstimationError):
 
 
 class DivergenceError(EstimationError):
-    """Solver iterates left the trust region: the MLE does not exist.
+    """The comparison graph is connected but the MLE does not exist.
 
-    Typical cause is an item that won or lost every one of its comparisons,
-    which sends the fitted parameter spread (max minus min) to infinity.
+    The MLE exists exactly when the directed graph with an edge ``i -> j``
+    wherever item ``i`` beat item ``j`` is strongly connected.  Otherwise
+    some set of items won every comparison with the rest, and the fitted
+    parameters would drift apart without end.  ``items`` holds one such set;
+    ``split_index`` is set when the failure happened inside a multi-split run.
     """
 
-    def __init__(self, spread: float, iterations: int, split_index: int | None = None):
-        self.spread = spread
-        self.iterations = iterations
+    def __init__(self, items, split_index: int | None = None):
+        self.items = sorted(items)
         self.split_index = split_index
         where = "" if split_index is None else f" (split {split_index})"
         super().__init__(
-            f"solver diverged{where}: parameter spread {spread:.3g} "
-            f"after {iterations} iterations; an item likely has an all-wins "
-            f"or all-losses record"
+            f"MLE does not exist{where}: items {self.items} won every "
+            f"comparison with the other items"
         )
 
 

@@ -6,8 +6,9 @@ into an m x m win matrix, fits all splits as one batch and averages the
 estimates; ``rp`` is the same code with a single split, so it equals ``mrp``
 with ``n_split=1`` bit for bit.  ``wp`` and ``pmle`` skip the splitting and
 use every within-user pair, with and without the per-user reweighting.
-A split that cannot be fitted (disconnected comparison graph, diverging or
-unconverged solve) raises instead of entering the average.
+A split that cannot be fitted (disconnected comparison graph, a win graph
+that is not strongly connected so that no MLE exists, or an unconverged
+solve) raises instead of entering the average.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def mrp_mle(data: ResponseData, cfg: EstimatorConfig) -> ItemEstimate:
     """Average of ``n_split`` independent random-pairing estimates.
 
     All splits are fitted as one batch.  Any failure (disconnected comparison
-    graph, diverging or unconverged solve) aborts the whole estimate with the
+    graph, no MLE, unconverged solve) aborts the whole estimate with the
     error of the lowest-indexed failing split, its index attached: silently
     skipping or keeping such a split would bias the average.
     """

@@ -75,8 +75,13 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown parameters for {self.name}: {sorted(unknown)}")
         for key, value in self.params.items():
-            if key.endswith("_grid") and not isinstance(value, list):
-                raise ValueError(f"{key} must be a list, got {value!r}")
+            if isinstance(merged[key], list):
+                kind = "a list of numbers"
+                ok = isinstance(value, list) and all(map(_is_number, value))
+            else:
+                kind, ok = "a number", _is_number(value)
+            if not ok:
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
         merged.update(self.params)
         object.__setattr__(self, "params", merged)
 
@@ -99,6 +104,10 @@ class ExperimentConfig:
             workers=_integer(obj, "workers", 1),
             params=obj.get("params", {}),
         )
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _integer(obj: dict, key: str, default: int) -> int:

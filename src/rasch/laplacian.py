@@ -51,6 +51,29 @@ def _component_labels(adj: np.ndarray) -> np.ndarray:
         labels = new
 
 
+def _unentered_set(adj: np.ndarray) -> np.ndarray:
+    """A nonempty proper vertex set that no edge enters from outside, for each
+    directed graph of a stack, or the empty set when the graph is strongly
+    connected.
+
+    ``adj[..., i, j]`` is an edge ``i -> j``.  The vertices that reach vertex
+    0 form such a set unless they are all of them; then the vertices that
+    vertex 0 does not reach do.  Each reachability pass takes as many rounds
+    as the longest shortest path to or from vertex 0.
+    """
+    def reach(edges):
+        seen = np.zeros(edges.shape[:-1], bool)
+        seen[..., 0] = True
+        while True:
+            new = seen | (seen[..., :, None] & edges).any(axis=-2)
+            if np.array_equal(new, seen):
+                return seen
+            seen = new
+
+    to_0 = reach(np.swapaxes(adj, -1, -2))
+    return np.where(to_0.all(axis=-1, keepdims=True), ~reach(adj), to_0)
+
+
 def _partition(labels: np.ndarray) -> list[list[int]]:
     """Components of one graph from its `_component_labels`: ascending vertex
     lists, ordered by their smallest vertex."""

@@ -7,6 +7,11 @@ the (possibly weighted) number of comparisons item ``i`` won against item
 so it is invariant to a common shift and its Hessian is the graph Laplacian
 of ``N * sigma'(theta_i - theta_j)``.
 
+The MLE of a win matrix exists, unique up to the shift, exactly when its
+directed win graph (``i -> j`` wherever ``W[i, j] > 0``) is strongly
+connected (Zermelo 1929; Hunter 2004, Assumption 1); both solvers check this
+before any Newton step.
+
 `solve_newton_batch` fits a stack of K win matrices, such as the splits of
 one multi-split estimate, by damped Newton on all of them at once: one
 batched linear solve ``(H + 11^T/m) d = -g`` per iteration (positive
@@ -23,8 +28,7 @@ optimum differ by less than their own round-off; once the predicted decrease
 `BtlObjective` holds one win matrix, given as aggregated pair terms or
 directly (`BtlObjective.from_wins`, as the pseudo-likelihood estimators
 build it from response indicators), and `nll`, `gradient`, `hessian` and
-`solve_newton` evaluate and fit it with the same dense functions; a
-preconditioned gradient descent is kept as an alternative minimizer.
+`solve_newton` evaluate and fit it with the same dense functions.
 """
 
 from __future__ import annotations
@@ -40,21 +44,19 @@ from .laplacian import (
     _component_labels,
     _laplacian_matrix,
     _partition,
-    pseudo_inverse,
+    _unentered_set,
 )
 from .pairing import PairedComparisons
 
 __all__ = [
     "BtlObjective",
     "SolverOptions",
-    "PgdOptions",
     "SolveResult",
     "nll",
     "gradient",
     "hessian",
     "solve_newton",
     "solve_newton_batch",
-    "solve_pgd",
 ]
 
 # A float64 loss summed over m^2 terms carries a relative round-off far above
@@ -134,28 +136,10 @@ class BtlObjective:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Newton stopping rules.
-
-    ``divergence_bound`` caps the fitted parameter spread (max minus min) and
-    flags a nonexistent MLE (all-wins or all-losses item).  Such an item
-    drifts until float64 saturates the logistic, which happens once its gap
-    to every opponent reaches ``log(weight/tol) >= 23``, so the iterates must
-    cross the default bound of 20 on the way; legitimate fits stay well below
-    it (true spreads in this package's experiments are at most log-kappa =
-    10).  Raise the bound when fitting wider parameter ranges.
-    """
+    """Newton stopping rules: the gradient sup-norm ``tol`` and ``max_iter``."""
 
     tol: float = 1e-10
     max_iter: int = 100
-    divergence_bound: float = 20.0
-
-
-@dataclass(frozen=True)
-class PgdOptions:
-    eta: float | None = None  # None: 1 / lambda_1 of the preconditioned curvature bound
-    tol: float = 1e-10
-    max_iter: int = 20000
-    divergence_bound: float = 20.0
 
 
 @dataclass(frozen=True)
@@ -164,7 +148,6 @@ class SolveResult:
     grad_inf_norm: float
     iterations: int
     converged: bool
-    diverged: bool = False
 
     def __post_init__(self):
         theta = np.asarray(self.theta_hat, float)
@@ -195,16 +178,25 @@ def _check_theta(obj: BtlObjective, theta) -> np.ndarray:
     return theta
 
 
-def _check_connected(obj: BtlObjective) -> None:
-    comps = obj.components()
-    if len(comps) != 1:
-        raise DisconnectedGraphError(comps)
+def _first_without_mle(W: np.ndarray):
+    """``(k, error, detail)`` for the lowest-indexed win matrix ``k`` of the
+    stack ``W`` without an MLE: `DisconnectedGraphError` and its components,
+    or `DivergenceError` and a set of items that won every comparison with
+    the rest.  ``(K, None, None)`` when every MLE exists."""
+    beat = W > 0
+    won = _unentered_set(beat)
+    failing = np.flatnonzero(won.any(axis=-1))
+    if not failing.size:
+        return W.shape[0], None, None
+    k = int(failing[0])
+    labels = _component_labels(beat[k] | beat[k].T)
+    if labels.any():
+        return k, DisconnectedGraphError, _partition(labels)
+    return k, DivergenceError, np.flatnonzero(won[k]).tolist()
 
 
 def _init(obj: BtlObjective, start) -> np.ndarray:
-    if start is None:
-        return np.zeros(obj.m)
-    theta = np.asarray(start, float).copy()
+    theta = np.asarray(start, float)
     if theta.shape != (obj.m,):
         raise ValueError(f"start has shape {theta.shape}, expected ({obj.m},)")
     return theta - theta.mean()
@@ -264,20 +256,15 @@ def _newton(W: np.ndarray, theta: np.ndarray, opts: SolverOptions):
     A split leaves the batch once its gradient sup-norm is at most ``tol``, or
     after ``max_iter`` iterations.  The loss of a trial point is evaluated at
     the centred point, and the differences and exponential it was computed
-    from give the derivatives once the point is accepted.  Returns
-    ``(results, diverged)``: ``results[k]`` is the `SolveResult` of split
-    ``k``, and ``diverged`` is ``(k, spread, iterations)`` for the
-    lowest-indexed split whose spread crossed ``divergence_bound``, or None.
-    Splits above a diverged one are dropped unsolved and their results may
-    stay None.  Every operation acts on each split alone, so a split's result
-    does not depend on the batch.
+    from give the derivatives once the point is accepted.  Returns the
+    `SolveResult` of every split, in order.  Every operation acts on each
+    split alone, so a split's result does not depend on the batch.
     """
     K, m, _ = W.shape
     N = _counts(W)
     J = np.full((m, m), 1.0 / m)
     rows = np.arange(K)  # split index of each row still in the batch
     results: list[SolveResult | None] = [None] * K
-    diverged = None
     D, t = _pairwise(theta)
     f0 = _loss_at(W, D, t)
     g, Z = _derivatives_at(W, N, D, t)
@@ -316,23 +303,18 @@ def _newton(W: np.ndarray, theta: np.ndarray, opts: SolverOptions):
         theta = trial
         f0 = f
         iterations += 1
-        spread = theta.max(axis=-1) - theta.min(axis=-1)
-        over = np.flatnonzero(spread > opts.divergence_bound)
-        if over.size:
-            r = over[0]
-            diverged = (int(rows[r]), float(spread[r]), iterations)
-            keep = rows < rows[r]
-            rows, W, N, theta, f0, D, t = (a[keep] for a in (rows, W, N, theta, f0, D, t))
         g, Z = _derivatives_at(W, N, D, t)
         del D, t
-    return results, diverged
+    return results
 
 
 def solve_newton(obj: BtlObjective, opts: SolverOptions | None = None,
                  start: np.ndarray | None = None) -> SolveResult:
     """Damped Newton on the zero-sum subspace.
 
-    Starts from ``start`` (centred) or, by default, from the centred log-odds
+    Raises `DisconnectedGraphError` or `DivergenceError` before any step when
+    the win graph is not strongly connected, so that no MLE exists.  Starts
+    from ``start`` (centred) or, by default, from the centred log-odds
     ``log((sum_j W_ij + 1/2) / (sum_j W_ji + 1/2))`` of each item's wins over
     its losses.  Steps solve ``(H + 11^T/m) d = -g`` and are projected back
     to the zero-sum subspace, with an Armijo backtracking line search on the
@@ -340,18 +322,15 @@ def solve_newton(obj: BtlObjective, opts: SolverOptions | None = None,
     loss's round-off; the loss evaluation at the accepted point also yields
     its derivatives, so each iteration takes one exponential of the pairwise
     differences.  Stops when the gradient sup-norm drops below ``opts.tol``;
-    after ``max_iter`` iterations it returns ``converged=False``.  Raises
-    `DivergenceError` once the fitted spread exceeds ``divergence_bound``,
-    the practical signature of a nonexistent MLE.
+    after ``max_iter`` iterations it returns ``converged=False``.
     """
     opts = opts or SolverOptions()
-    _check_connected(obj)
     W = obj.wins[None]
+    _, error, detail = _first_without_mle(W)
+    if error is not None:
+        raise error(detail)
     theta = _log_odds(W) if start is None else _init(obj, start)[None]
-    results, diverged = _newton(W, theta, opts)
-    if diverged is not None:
-        raise DivergenceError(diverged[1], diverged[2])
-    return results[0]
+    return _newton(W, theta, opts)[0]
 
 
 def solve_newton_batch(W, opts: SolverOptions | None = None) -> tuple[SolveResult, ...]:
@@ -359,73 +338,21 @@ def solve_newton_batch(W, opts: SolverOptions | None = None) -> tuple[SolveResul
     its own log-odds start.
 
     Split ``k`` gets the same `SolveResult`, bit for bit, as when solved
-    alone.  Raises the error that solving the splits one after another in
-    index order would raise first: that of the lowest-indexed split whose
-    comparison graph is disconnected (`DisconnectedGraphError`), whose
-    iterates diverge (`DivergenceError`) or which ends unconverged
+    alone.  Only the splits below the lowest-indexed one without an MLE
+    (win graph not strongly connected) enter Newton.  Raises the error that
+    solving the splits one after another in index order would raise first:
+    that of the lowest-indexed split whose comparison graph is disconnected
+    (`DisconnectedGraphError`), whose win graph is connected but not strongly
+    connected (`DivergenceError`) or which ends unconverged
     (`ConvergenceError`), with ``split_index`` set.
     """
     opts = opts or SolverOptions()
     W = np.asarray(W, float)
-    K, m, _ = W.shape
-    labels = _component_labels(_counts(W) > 0)
-    connected = (labels == 0).all(axis=-1)
-    first = K if connected.all() else int(np.argmin(connected))
-    results, diverged = _newton(W[:first], _log_odds(W[:first]), opts)
-    failed = first if diverged is None else diverged[0]
-    for k in range(failed):
-        if not results[k].converged:
-            raise ConvergenceError(results[k].grad_inf_norm, results[k].iterations, split_index=k)
-    if diverged is not None:
-        raise DivergenceError(diverged[1], diverged[2], split_index=diverged[0])
-    if first < K:
-        raise DisconnectedGraphError(_partition(labels[first]), split_index=first)
+    first, error, detail = _first_without_mle(W)
+    results = _newton(W[:first], _log_odds(W[:first]), opts)
+    for k, res in enumerate(results):
+        if not res.converged:
+            raise ConvergenceError(res.grad_inf_norm, res.iterations, split_index=k)
+    if error is not None:
+        raise error(detail, split_index=first)
     return tuple(results)
-
-
-def _default_eta(obj: BtlObjective, precond_pinv: np.ndarray) -> float:
-    """Globally safe step: 1 / lambda_1 of the preconditioned curvature bound.
-
-    The per-term curvature never exceeds ``weight / 4``, so the Hessian is
-    dominated by the quarter-weighted count Laplacian at every point.
-    """
-    bound = _laplacian_matrix(_counts(obj.wins) / 4.0)
-    lam1 = float(np.max(np.abs(np.linalg.eigvals(precond_pinv @ bound))))
-    return 1.0 / max(lam1, 1e-12)
-
-
-def solve_pgd(obj: BtlObjective, precond: WeightedLaplacian,
-              opts: PgdOptions | None = None,
-              start: np.ndarray | None = None) -> SolveResult:
-    """Preconditioned gradient descent ``theta <- theta - eta * P^+ grad``.
-
-    ``precond`` is a Laplacian on the same items (typically the curvature
-    Laplacian at the truth or at an estimate).  Starting point defaults to
-    zero; pass ``start`` to begin elsewhere, e.g. at the ground truth when
-    replaying the fixed-point analysis.  Non-convergence within ``max_iter``
-    is reported via ``converged=False`` together with the final gradient
-    norm, not raised.
-    """
-    opts = opts or PgdOptions()
-    _check_connected(obj)
-    if precond.m != obj.m:
-        raise ValueError("preconditioner dimension mismatch")
-    P = pseudo_inverse(precond)
-    eta = _default_eta(obj, P) if opts.eta is None else float(opts.eta)
-    theta = _init(obj, start)
-    g = gradient(obj, theta)
-    gnorm = float(np.abs(g).max())
-    iterations = 0
-    while gnorm > opts.tol and iterations < opts.max_iter:
-        if eta == 0.0:
-            break
-        theta = theta - eta * (P @ g)
-        theta -= theta.mean()
-        iterations += 1
-        spread = float(theta.max() - theta.min())
-        if spread > opts.divergence_bound:
-            raise DivergenceError(spread, iterations)
-        g = gradient(obj, theta)
-        gnorm = float(np.abs(g).max())
-    return SolveResult(theta_hat=theta, grad_inf_norm=gnorm,
-                       iterations=iterations, converged=gnorm <= opts.tol)

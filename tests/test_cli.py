@@ -184,7 +184,7 @@ class TestExperiment:
         ("coverage", {"n": 40, "m": 10, "p": 0.2, "n_split": 2, "levels": [0.9]}),
     ])
     def test_failed_fits_are_counted_not_raised(self, name, params):
-        # every trial is disconnected or diverges at these sizes
+        # every trial has a disconnected comparison graph or no MLE at these sizes
         header, rows = run_experiment(ExperimentConfig(name=name, trials=3, seed=0,
                                                        params=params))
         assert [row[header.index("n_failed")] for row in rows] == [3] * len(rows)
@@ -266,6 +266,15 @@ class TestExperiment:
     def test_grid_not_a_list_exit_2(self, tmp_path, capsys):
         self._assert_usage_exit(tmp_path, capsys,
                                 {"name": "linf-vs-n", "params": {"n_grid": 5}}, "n_grid")
+
+    @pytest.mark.parametrize("name, params, key", [
+        ("coverage", {"levels": 0.9}, "levels"),
+        ("linf-vs-n", {"m": "4"}, "m"),
+        ("linf-vs-n", {"n_grid": [400, "800"]}, "n_grid"),
+        ("linf-vs-p", {"n": True}, "n"),
+    ])
+    def test_param_not_of_its_default_type_exit_2(self, tmp_path, capsys, name, params, key):
+        self._assert_usage_exit(tmp_path, capsys, {"name": name, "params": params}, key)
 
     def test_output_not_a_string_exit_2(self, tmp_path, capsys, monkeypatch):
         # an integer output would be opened as a file descriptor; never write

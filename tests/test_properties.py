@@ -1,7 +1,8 @@
 """Property-based checks of the dense comparison objective, the dense
-Laplacian builders, the batched Newton engine, random pairing, the
-indicator-block pseudo-likelihood builders, edge ingest and CSV input.
-Examples are derandomized so that every run tests the same inputs."""
+Laplacian builders, the batched Newton engine and its check that the MLE
+exists, random pairing, the indicator-block pseudo-likelihood builders, edge
+ingest and CSV input.  Examples are derandomized so that every run tests the
+same inputs."""
 
 import contextlib
 import io
@@ -17,12 +18,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rasch import _rng, pairing
+from rasch import _rng, pairing, solver
 from rasch.cli import main
 from rasch.errors import EstimationError
 from rasch.estimators import EstimatorConfig, mrp_mle, rp_mle, wp_mle
 from rasch.inference import _split_user_gradients, _wp_score_covariance, plugin_covariance
-from rasch.laplacian import build_count_laplacian, build_z_laplacian
+from rasch.laplacian import _unentered_set, build_count_laplacian, build_z_laplacian
 from rasch.model import ResponseData, sample_ground_truth, sample_responses, sigmoid_deriv
 from rasch.pairing import (
     USER_BLOCK,
@@ -149,6 +150,35 @@ def test_split_result_does_not_depend_on_its_batch(seed, K, m, data):
     assert batched.theta_hat.tobytes() == alone.theta_hat.tobytes()
     assert batched.iterations == alone.iterations
     assert batched.grad_inf_norm == alone.grad_inf_norm
+
+
+def _beaten_both_ways_across_every_cut(W):
+    """Brute force over every nonempty proper item set S: some item in S beat
+    one outside S, and some item outside S beat one in S."""
+    m = W.shape[0]
+    for bits in range(1, 2**m - 1):
+        S = (bits >> np.arange(m)) & 1 == 1
+        if not (W[S][:, ~S] > 0).any() or not (W[~S][:, S] > 0).any():
+            return False
+    return True
+
+
+@PROPERTY
+@given(SEEDS, st.integers(1, 4), st.integers(1, 8), st.floats(0.0, 1.0))
+def test_strong_connectivity_check_matches_a_cut_oracle(seed, K, m, density):
+    # weighted, non-integer wins over twelve orders of magnitude
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(0.0, 1.0, (K, m, m)) * 10.0 ** rng.uniform(-6.0, 6.0, (K, m, m))
+    W *= rng.random((K, m, m)) < density
+    W[:, np.arange(m), np.arange(m)] = 0.0
+    unentered = _unentered_set(W > 0)
+    for k in range(K):
+        S = unentered[k]
+        assert S.any() != _beaten_both_ways_across_every_cut(W[k])
+        # the reported set is a cut that nobody outside it won across
+        assert not S.all() and not (W[k][~S][:, S] > 0).any()
+    failing = np.flatnonzero(unentered.any(axis=-1))
+    assert solver._first_without_mle(W)[0] == (failing[0] if failing.size else K)
 
 
 @PROPERTY

@@ -1,20 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from rasch import solver
 from rasch.errors import ConvergenceError, DisconnectedGraphError, DivergenceError
 from rasch.laplacian import build_z_laplacian
 from rasch.model import GroundTruth, sample_responses
 from rasch.pairing import compile_comparisons, random_split
 from rasch.solver import (
     BtlObjective,
-    PgdOptions,
     SolverOptions,
     gradient,
     hessian,
     nll,
     solve_newton,
     solve_newton_batch,
-    solve_pgd,
 )
 
 LOG3 = np.log(3.0)
@@ -134,7 +135,7 @@ class TestNewton:
     def test_two_item_closed_form(self):
         res = solve_newton(_two_item())
         np.testing.assert_allclose(res.theta_hat, [-0.5 * LOG3, 0.5 * LOG3], atol=1e-8)
-        assert res.converged and not res.diverged
+        assert res.converged
         assert abs(res.theta_hat.mean()) <= 1e-12
 
     def test_symmetric_complete_graph_gives_zero(self):
@@ -190,61 +191,36 @@ class TestNewton:
         assert res.iterations == 0 and not res.converged
 
     def test_all_wins_item_diverges_from_log_odds_start(self):
-        # item 2 wins all 80 of its comparisons, so the start already puts it
-        # about 6 above the others; the iterates must still cross the bound
+        # item 2 wins all 80 of its comparisons, so no MLE exists however
+        # close the log-odds start puts it
         W = TestNewtonBatch.ALL_WINS
         with pytest.raises(DivergenceError) as err:
             solve_newton(BtlObjective.from_wins(W))
-        assert err.value.spread > SolverOptions().divergence_bound
+        assert err.value.items == [2] and err.value.split_index is None
         with pytest.raises(DivergenceError) as err:
             solve_newton_batch(W[None])
         assert err.value.split_index == 0
 
 
-class TestPgd:
-    def test_agrees_with_newton(self):
-        rng = np.random.default_rng(7)
-        for _ in range(8):
-            m = int(rng.integers(3, 21))
-            obj = _random_objective(rng, m, density=0.8)
-            if len(obj.components()) != 1:
-                continue
-            newton = solve_newton(obj)
-            precond = hessian(obj, np.zeros(m))
-            pgd = solve_pgd(obj, precond)
-            assert pgd.converged
-            assert np.abs(pgd.theta_hat - newton.theta_hat).max() <= 1e-8
+    # item 0 won every comparison, by tiny weights that keep the iterates
+    # close together
+    TINY_ALL_WINS = [[0, .001, .001], [0, 0, .3], [0, .2, 0]]
 
-    def test_zero_step_returns_unconverged(self):
-        obj = _two_item()
-        res = solve_pgd(obj, hessian(obj, np.zeros(2)), PgdOptions(eta=0.0))
-        np.testing.assert_array_equal(res.theta_hat, np.zeros(2))
-        assert not res.converged
+    def test_all_wins_item_by_tiny_weights_has_no_mle(self):
+        with pytest.raises(DivergenceError) as err:
+            solve_newton(BtlObjective.from_wins(self.TINY_ALL_WINS))
+        assert err.value.items == [0]
+        with pytest.raises(DivergenceError) as err:
+            solve_newton_batch(np.array(self.TINY_ALL_WINS)[None])
+        assert err.value.items == [0] and err.value.split_index == 0
 
-    def test_descent_is_monotone_for_small_steps(self):
-        rng = np.random.default_rng(8)
-        obj = _random_objective(rng, 6)
-        precond = hessian(obj, np.zeros(6))
-        from rasch.laplacian import pseudo_inverse
-        P = pseudo_inverse(precond)
-        eta = 0.2
-        theta = np.zeros(6)
-        prev = nll(obj, theta)
-        for _ in range(60):
-            theta = theta - eta * (P @ gradient(obj, theta))
-            theta -= theta.mean()
-            cur = nll(obj, theta)
-            assert cur <= prev + 1e-12
-            prev = cur
-
-    def test_start_at_reference_point(self):
-        # the fixed-point replay mode starts from a caller-supplied vector
-        rng = np.random.default_rng(9)
-        obj = _random_objective(rng, 5)
-        newton = solve_newton(obj)
-        res = solve_pgd(obj, hessian(obj, newton.theta_hat), start=newton.theta_hat)
-        assert res.converged and res.iterations <= 5
-        np.testing.assert_allclose(res.theta_hat, newton.theta_hat, atol=1e-8)
+    def test_strongly_connected_input_with_wide_spread_fits(self):
+        # item 0 beat item 1 3e9 times to 1: the MLE puts them log(3e9) = 21.8 apart
+        W = np.array([[0, 3e9, 0], [1, 0, 1], [0, 1, 0]])
+        res = solve_newton(BtlObjective.from_wins(W))
+        assert res.converged
+        assert res.theta_hat[0] - res.theta_hat[1] == pytest.approx(np.log(3e9), rel=1e-9)
+        assert solve_newton_batch(W[None])[0].theta_hat.tobytes() == res.theta_hat.tobytes()
 
 
 def _wins(m, entries):
@@ -280,3 +256,12 @@ class TestNewtonBatch:
         with pytest.raises(ConvergenceError) as err:
             solve_newton_batch(stack[[0, 0, 2]], SolverOptions(max_iter=2))
         assert err.value.split_index == 0
+
+    def test_splits_above_one_without_mle_never_enter_newton(self):
+        stack = np.stack([self.FINE, self.ALL_WINS, self.FINE])
+        with mock.patch.object(solver, "_newton", wraps=solver._newton) as spy:
+            with pytest.raises(DivergenceError) as err:
+                solve_newton_batch(stack)
+        assert err.value.split_index == 1 and err.value.items == [2]
+        assert spy.call_count == 1
+        assert spy.call_args.args[0].tobytes() == stack[:1].tobytes()
