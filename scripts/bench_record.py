@@ -9,9 +9,11 @@ with the fixed seeds 1..``PAIRS``, alternating which side runs first, and
 keeps the final JSON line of each run.  Per workload it records the median
 of every metric and, for each end-to-end metric, how many of the pairs each
 side won in the direction of that metric's ``better`` (ties count for
-neither).  It then counts the lines of ``src/rasch/*.py`` and runs the tier-1
-suite and the benchmark's own tests (``perfbench/tests``) once on each side.
-Runs are sequential, so the two sides never share the processor.
+neither).  It then counts the lines of ``src/rasch/*.py``, runs the tier-1
+suite and the benchmark's own tests (``perfbench/tests``) once on each side,
+and records the hash that the change's ``scripts/fingerprint.py`` prints
+against each side's ``src/``: equal hashes mean the same numbers.  Runs are
+sequential, so the two sides never share the processor.
 """
 
 from __future__ import annotations
@@ -52,6 +54,14 @@ def pytest_counts(checkout: Path, *paths: str) -> dict:
     counts = {key: int(num) for num, key in re.findall(r"(\d+) (passed|failed|error)", summary)}
     return {"wall_s": round(wall, 1), "passed": counts.get("passed", 0),
             "failed": counts.get("failed", 0) + counts.get("error", 0), "summary": summary}
+
+
+def fingerprint(script: Path, checkout: Path) -> str:
+    """What ``script`` prints when ``rasch`` is imported from ``checkout/src``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, str(script)], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
 
 
 def src_lines(checkout: Path) -> int:
@@ -105,6 +115,8 @@ def main(argv=None) -> int:
         "src_lines": {side: src_lines(d) for side, d in dirs.items()},
         "tier1": {side: pytest_counts(d) for side, d in dirs.items()},
         "perfbench_tests": {side: pytest_counts(d, "perfbench/tests") for side, d in dirs.items()},
+        "fingerprint": {side: fingerprint(dirs["change"] / "scripts" / "fingerprint.py", d)
+                        for side, d in dirs.items()},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -1,0 +1,94 @@
+"""Print one SHA-256 over the numbers the library produces on fixed inputs.
+
+    PYTHONPATH=src python3 scripts/fingerprint.py
+
+Two checkouts whose hashes agree give the same estimates, covariances, CLI
+output and compiled splits bit for bit.  The hash covers, at seeds 0-2 and
+(n, m, p) = (1e4, 20, 0.5), (1e4, 50, 0.1), (300, 6, 0.6):
+
+- theta_hat of ``rp``, ``mrp`` (n_split=20), ``wp`` and ``pmle``;
+- ``H_hat``, ``V_diff_hat`` and ``Sigma_hat`` of the ``wp`` and ``mrp``
+  plug-in covariances;
+- the ``rec_*``, ``wins`` and ``counts`` arrays of
+  ``compile_comparisons(data, random_split(data, seed, k))`` for k = 0-2;
+
+and the stdout of ``rasch infer lsat --method mrp --n-split 100 --seed 3``
+and of ``rasch infer <lsat.csv> --method wp``.  A fit that raises
+contributes its error class and message instead of numbers.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import rasch
+from rasch.cli import main as cli_main
+from rasch.estimators import EstimatorConfig
+
+SEEDS = (0, 1, 2)
+POINTS = ((10_000, 20, 0.5), (10_000, 50, 0.1), (300, 6, 0.6))
+COV_FIELDS = ("H_hat", "V_diff_hat", "Sigma_hat")
+PC_FIELDS = ("rec_i", "rec_j", "rec_t", "rec_y", "wins", "counts")
+
+
+def _fit(data, method: str, seed: int) -> list[tuple[str, np.ndarray]]:
+    """theta_hat of one method, then the covariance pieces for ``mrp``/``wp``."""
+    cfg = EstimatorConfig(method=method, seed=seed, n_split=20 if method == "mrp" else 1)
+    est = rasch.estimate(data, cfg)
+    out = [("theta_hat", est.theta_hat)]
+    if method in ("mrp", "wp"):
+        cov = rasch.plugin_covariance(data, est)
+        out += [(name, getattr(cov, name)) for name in COV_FIELDS]
+    return out
+
+
+def _cli_stdout(argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    return f"exit {code}\n{out.getvalue()}".encode()
+
+
+def fingerprint() -> str:
+    h = hashlib.sha256()
+
+    def feed(label: str, payload: bytes) -> None:
+        h.update(f"{label}:{len(payload)}:".encode())
+        h.update(payload)
+
+    for n, m, p in POINTS:
+        for seed in SEEDS:
+            gt = rasch.sample_ground_truth(n, m, "standard-normal", seed=seed)
+            data = rasch.sample_responses(gt, p, seed=seed)
+            where = f"n={n} m={m} p={p} seed={seed}"
+            for method in ("rp", "mrp", "wp", "pmle"):
+                try:
+                    arrays = _fit(data, method, seed)
+                except rasch.EstimationError as exc:
+                    feed(f"{where} {method} error", f"{type(exc).__name__}: {exc}".encode())
+                    continue
+                for name, arr in arrays:
+                    feed(f"{where} {method} {name}", np.ascontiguousarray(arr, float).tobytes())
+            for k in range(3):
+                pc = rasch.compile_comparisons(data, rasch.random_split(data, seed, k))
+                for name in PC_FIELDS:
+                    feed(f"{where} split {k} {name}", getattr(pc, name).tobytes())
+    feed("infer lsat mrp", _cli_stdout(["infer", "lsat", "--method", "mrp",
+                                        "--n-split", "100", "--seed", "3"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = str(Path(tmp) / "lsat.csv")
+        cli_main(["lsat", "export", "--out", csv])
+        feed("infer lsat.csv wp", _cli_stdout(["infer", csv, "--method", "wp"]))
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    print(fingerprint())
+    sys.exit(0)

@@ -56,11 +56,9 @@ from .model import (
 from .pairing import (
     PairedComparisons,
     SplitAssignment,
-    WeightedPairs,
     btl_win_prob,
     compile_comparisons,
     disagreement_prob,
-    enumerate_weighted_pairs,
     random_split,
     split_wins,
 )

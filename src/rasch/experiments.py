@@ -75,14 +75,16 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown parameters for {self.name}: {sorted(unknown)}")
         for key, value in self.params.items():
-            if isinstance(merged[key], list):
-                kind = "a list of numbers"
-                ok = isinstance(value, list) and all(map(_is_number, value))
-            else:
-                kind, ok = "a number", _is_number(value)
-            if not ok:
-                raise ValueError(f"{key} must be {kind}, got {value!r}")
-        merged.update(self.params)
+            listed = isinstance(merged[key], list)
+            if listed != isinstance(value, list):
+                raise ValueError(f"{key} must be {'a list' if listed else 'a number'}, got {value!r}")
+            # an integer default (or a list of them) takes integral numbers only
+            whole = all(type(v) is int for v in (merged[key] if listed else [merged[key]]))
+            values = [_integer(key, v) if whole else _number(key, v)
+                      for v in (value if listed else [value])]
+            merged[key] = values if listed else values[0]
+        if any(k < 1 for k in merged.get("n_split_grid", ())):
+            raise ValueError("n_split_grid entries must be >= 1")
         object.__setattr__(self, "params", merged)
 
     @classmethod
@@ -98,22 +100,23 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(
             name=obj["name"],
-            trials=_integer(obj, "trials", 100),
-            seed=_integer(obj, "seed", 0),
+            trials=_integer("trials", obj.get("trials", 100)),
+            seed=_integer("seed", obj.get("seed", 0)),
             output=obj.get("output"),
-            workers=_integer(obj, "workers", 1),
+            workers=_integer("workers", obj.get("workers", 1)),
             params=obj.get("params", {}),
         )
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _number(key: str, value) -> int | float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return value
 
 
-def _integer(obj: dict, key: str, default: int) -> int:
-    """``obj[key]`` as an int; a JSON number with a fractional part, a string
-    or a boolean is rejected rather than truncated or coerced."""
-    value = obj.get(key, default)
+def _integer(key: str, value) -> int:
+    """``value`` of ``key`` as an int; a JSON number with a fractional part, a
+    string or a boolean is rejected rather than truncated or coerced."""
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not integral:
         raise ValueError(f"{key} must be an integer, got {value!r}")
@@ -140,7 +143,7 @@ def _trial_linf(P, seed):
 
 
 def _trial_multirun(P, seed):
-    grid = [int(k) for k in P["n_split_grid"]]
+    grid = P["n_split_grid"]
     gt = GroundTruth(np.zeros(P["m"]), np.zeros(P["n"]))
     data = sample_responses(gt, P["p"], seed=seed, mode="uniform-mp")
     cfg = EstimatorConfig(method="mrp", seed=seed, n_split=max(grid))
@@ -231,7 +234,7 @@ def _picked(agg, **columns):
 def _multirun_rows(point, P, agg):
     return [{"n_split": k} | _picked(agg, sq_l2_mean=f"sq_l2@{k}_mean",
                                      sq_l2_stderr=f"sq_l2@{k}_stderr")
-            for k in map(int, P["n_split_grid"])]
+            for k in P["n_split_grid"]]
 
 
 def _coverage_rows(point, P, agg):

@@ -214,7 +214,8 @@ class ResponseData:
 
         A ``correct`` third column is also accepted and inverted into the
         model's negative-response convention (``X = 1 - correct``).
-        Dimensions default to ``max id + 1``.
+        Dimensions default to ``max id + 1``.  A file with no response rows
+        is rejected.
         """
         users, items, resp = [], [], []
         with open(path) as fh:
@@ -239,10 +240,12 @@ class ResponseData:
                 users.append(t)
                 items.append(i)
                 resp.append(1 - x if invert else x)
+        if not users:
+            raise DataFormatError("no response rows after the header")
         if n_users is None:
-            n_users = max(users, default=-1) + 1
+            n_users = max(users) + 1
         if n_items is None:
-            n_items = max(items, default=-1) + 1
+            n_items = max(items) + 1
         try:
             return cls(n_users, n_items,
                        np.asarray(users, np.int64), np.asarray(items, np.int64),

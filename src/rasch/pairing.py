@@ -11,8 +11,10 @@ index within its user).  `_sorted_payload` falls back to the stable argsort
 of the float keys when two keys tie in their remaining bits.  Whatever the
 route, the comparisons of one split are summarized by one m x m win matrix:
 `split_wins` compiles the splits of a multi-split fit straight into these
-matrices, and `compile_comparisons` keeps the per-pair records of one split
-next to its win and count matrices.  The overlapping route of the
+matrices, which is all the estimators read.  `random_split` and
+`compile_comparisons` expose one split record by record, next to its win and
+count matrices, for checks and for `laplacian.build_z_laplacian` (the
+paper's l2 error predictor).  The overlapping route of the
 pseudo-likelihood estimators takes every within-user item pair without
 listing them: its win matrix is ``X1^T diag(w) X0``, from the users' 0/1
 response indicators ``X1 = 1{X = 1}``, ``X0 = 1{X = 0}`` and weights ``w``,
@@ -32,13 +34,11 @@ from .model import ResponseData, sigmoid
 __all__ = [
     "SplitAssignment",
     "PairedComparisons",
-    "WeightedPairs",
     "random_split",
     "compile_comparisons",
     "split_wins",
     "btl_win_prob",
     "disagreement_prob",
-    "enumerate_weighted_pairs",
 ]
 
 
@@ -66,29 +66,24 @@ def _win_matrix(m: int, hi, lo, y) -> np.ndarray:
 class SplitAssignment:
     """One disjoint random pairing: rows are (user, item_hi, item_lo), item_hi > item_lo.
 
-    ``edge_hi``/``edge_lo`` optionally carry the positions of the paired
-    responses in the source data's canonical edge order; `compile_comparisons`
-    uses them to skip the binary-search lookup.  Hand-built assignments may
-    leave them unset.
+    A split drawn by `random_split` also keeps, privately, the `ResponseData`
+    it was drawn from (``_source``) and the positions of the paired responses
+    in that data's edge order (``_edge_hi``, ``_edge_lo``).  Both are frozen,
+    so `compile_comparisons` reads the responses at those positions when it
+    is handed that same data object; it looks up every other split edge by
+    edge.
     """
 
     users: np.ndarray
     items_hi: np.ndarray
     items_lo: np.ndarray
-    edge_hi: np.ndarray | None = None
-    edge_lo: np.ndarray | None = None
+    _source: ResponseData | None = field(default=None, init=False, repr=False, compare=False)
+    _edge_hi: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _edge_lo: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("users", "items_hi", "items_lo"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        for name in ("edge_hi", "edge_lo"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=np.int64)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=np.int64)))
         if not np.all(self.items_hi > self.items_lo):
             raise ValueError("pairs must satisfy item_hi > item_lo")
 
@@ -104,10 +99,9 @@ class PairedComparisons:
     A record ``(i, j, t, y)`` with ``i > j`` means user ``t`` had the pair
     selected and responded differently; ``y = 1`` iff ``X_ti < X_tj`` (item j
     "won", i.e. was the harder one).  ``wins[a, b]`` counts the records item
-    ``a`` won against item ``b``, and ``counts = wins + wins^T``.  The edge
-    views read them: edge ``e = (edge_i[e], edge_j[e])``, ``edge_i > edge_j``
-    in row-major order, has ``edge_count[e]`` records, ``edge_wins_hi[e]`` of
-    them won by ``edge_i[e]``.
+    ``a`` won against item ``b``, and ``counts = wins + wins^T``.  The edges
+    ``(edge_i[e], edge_j[e])``, ``edge_i > edge_j`` in row-major order, are
+    the item pairs with at least one record.
     """
 
     m: int
@@ -138,61 +132,8 @@ class PairedComparisons:
         return self._edges[1]
 
     @property
-    def edge_count(self) -> np.ndarray:
-        return _frozen(self.counts[self._edges].astype(np.int64))
-
-    @property
-    def edge_wins_hi(self) -> np.ndarray:
-        return _frozen(self.wins[self._edges])
-
-    @property
     def n_records(self) -> int:
         return self.rec_i.size
-
-    @property
-    def n_edges(self) -> int:
-        return self.edge_i.size
-
-    def count(self, i: int, j: int) -> int:
-        """Number of comparison records on the unordered pair {i, j}."""
-        return int(self.counts[i, j])
-
-    def mean_outcome(self, i: int, j: int) -> float:
-        """Average of ``Y_ij`` over records on {i, j}: fraction won by ``j``."""
-        hi, lo = max(i, j), min(i, j)
-        n = self.counts[hi, lo]
-        if n == 0:
-            raise KeyError(f"no comparisons on pair ({i}, {j})")
-        frac_hi = self.wins[hi, lo] / n
-        return float(frac_hi if j > i else 1.0 - frac_hi)
-
-
-@dataclass(frozen=True)
-class WeightedPairs:
-    """All overlapping within-user comparisons with per-record weights.
-
-    Rows keep only pairs with differing responses (equal responses contribute
-    nothing to the pseudo-likelihood or its derivatives).  ``y = 1`` iff the
-    smaller-indexed item won.  Weights are ``mt_even / (m_t (m_t - 1))`` for
-    the weighted scheme (``mt_even`` = largest even number <= m_t) and 1 for
-    the plain one.
-    """
-
-    m: int
-    users: np.ndarray
-    items_hi: np.ndarray
-    items_lo: np.ndarray
-    y: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        for name in ("users", "items_hi", "items_lo", "y"):
-            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=np.int64)))
-        object.__setattr__(self, "weights", _frozen(np.asarray(self.weights, dtype=float)))
-
-    @property
-    def n_records(self) -> int:
-        return self.users.size
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +214,15 @@ def random_split(data: ResponseData, seed: int, split_index: int = 0) -> SplitAs
     items_a = data.item_ids[idx_a]
     items_b = data.item_ids[idx_b]
     a_is_hi = items_a >= items_b
-    return SplitAssignment(
+    split = SplitAssignment(
         users=data.user_ids[idx_a],
         items_hi=np.where(a_is_hi, items_a, items_b),
         items_lo=np.where(a_is_hi, items_b, items_a),
-        edge_hi=np.where(a_is_hi, idx_a, idx_b),
-        edge_lo=np.where(a_is_hi, idx_b, idx_a),
     )
+    object.__setattr__(split, "_source", data)
+    object.__setattr__(split, "_edge_hi", _frozen(np.where(a_is_hi, idx_a, idx_b)))
+    object.__setattr__(split, "_edge_lo", _frozen(np.where(a_is_hi, idx_b, idx_a)))
+    return split
 
 
 def split_wins(data: ResponseData, seed: int, n_split: int) -> np.ndarray:
@@ -313,7 +256,8 @@ def _lookup_edges(data: ResponseData, users: np.ndarray, items: np.ndarray) -> n
     key = data.edge_key
     want = users * data.n_items + items
     pos = np.searchsorted(key, want)
-    bad = (pos >= key.size) | (key[np.minimum(pos, key.size - 1)] != want)
+    bad = pos >= key.size
+    bad[~bad] = key[pos[~bad]] != want[~bad]
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
         raise ValueError(
@@ -322,30 +266,18 @@ def _lookup_edges(data: ResponseData, users: np.ndarray, items: np.ndarray) -> n
     return pos
 
 
-def _split_edge_indices(data: ResponseData, split: SplitAssignment) -> tuple[np.ndarray, np.ndarray]:
-    if split.edge_hi is not None and split.edge_lo is not None:
-        n = data.n_edges
-        idx_hi, idx_lo = split.edge_hi, split.edge_lo
-        ok = (
-            idx_hi.size == split.users.size
-            and idx_lo.size == split.users.size
-            and (idx_hi < n).all() and (idx_hi >= 0).all()
-            and (idx_lo < n).all() and (idx_lo >= 0).all()
-            and np.array_equal(data.user_ids[idx_hi], split.users)
-            and np.array_equal(data.user_ids[idx_lo], split.users)
-            and np.array_equal(data.item_ids[idx_hi], split.items_hi)
-            and np.array_equal(data.item_ids[idx_lo], split.items_lo)
-        )
-        if not ok:
-            raise ValueError("split edge indices do not match the given data")
-        return idx_hi, idx_lo
-    return (_lookup_edges(data, split.users, split.items_hi),
-            _lookup_edges(data, split.users, split.items_lo))
-
-
 def compile_comparisons(data: ResponseData, split: SplitAssignment) -> PairedComparisons:
-    """Turn a split into comparison records, dropping pairs with equal responses."""
-    idx_hi, idx_lo = _split_edge_indices(data, split)
+    """Turn a split into comparison records, dropping pairs with equal responses.
+
+    A split that `random_split` drew from this very ``data`` object reads the
+    responses at the positions it recorded; any other split is looked up edge
+    by edge, and one naming an edge absent from ``data`` raises `ValueError`.
+    """
+    if split._source is data:
+        idx_hi, idx_lo = split._edge_hi, split._edge_lo
+    else:
+        idx_hi, idx_lo = (_lookup_edges(data, split.users, items)
+                          for items in (split.items_hi, split.items_lo))
     x_hi = data.responses[idx_hi]
     x_lo = data.responses[idx_lo]
     keep = x_hi != x_lo
@@ -416,19 +348,3 @@ def _pseudo_wins(data: ResponseData, scheme: str) -> np.ndarray:
         W += (X1 * w[:, None]).T @ X0
     return W
 
-
-def enumerate_weighted_pairs(data: ResponseData, scheme: str) -> WeightedPairs:
-    """Every within-user item pair with differing responses, weighted per scheme.
-
-    ``scheme="wp"`` uses ``mt_even / (m_t (m_t - 1))``; ``scheme="pmle"`` uses
-    unit weights.  Records are listed by user, then winner, then loser.
-    Deterministic: no randomness is involved.
-    """
-    parts = [(np.empty(0, np.int64),) * 4 + (np.empty(0),)]
-    for first, X1, X0, w in _indicator_blocks(data, scheme):
-        t, win, lose = np.nonzero(np.logical_and(X1[:, :, None], X0[:, None, :]))
-        parts.append((t + first, np.maximum(win, lose), np.minimum(win, lose),
-                      (win < lose).astype(np.int64), w[t]))
-    users, hi, lo, y, weights = (np.concatenate(col) for col in zip(*parts))
-    return WeightedPairs(m=data.n_items, users=users, items_hi=hi, items_lo=lo,
-                         y=y, weights=weights)

@@ -46,7 +46,6 @@ from .laplacian import (
     _partition,
     _unentered_set,
 )
-from .pairing import PairedComparisons
 
 __all__ = [
     "BtlObjective",
@@ -113,13 +112,6 @@ class BtlObjective:
         W = W.reshape(m, m)
         W.setflags(write=False)
         return W
-
-    def components(self) -> list[list[int]]:
-        return _partition(_component_labels(_counts(self.wins) > 0))
-
-    @classmethod
-    def from_comparisons(cls, pc: PairedComparisons) -> "BtlObjective":
-        return cls.from_wins(pc.wins)
 
     @classmethod
     def from_wins(cls, W) -> "BtlObjective":

@@ -102,6 +102,20 @@ class TestEstimate:
         assert err["error"] == "DataFormatError"
         assert "line 3" in err["detail"]
 
+    @pytest.mark.parametrize("command, method", [
+        ("estimate", "rp"), ("estimate", "mrp"), ("estimate", "wp"), ("estimate", "pmle"),
+        ("infer", "mrp"), ("infer", "wp"),
+    ])
+    def test_header_only_csv_exit_3(self, tmp_path, capsys, command, method):
+        empty = tmp_path / "e.csv"
+        empty.write_text("user_id,item_id,response\n")
+        assert main([command, str(empty), "--method", method]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "DataFormatError"
+        assert "no response rows" in err["detail"]
+
     def test_disconnected_data_exit_3_with_components(self, tmp_path, capsys):
         iso = tmp_path / "iso.csv"
         rows = ["user_id,item_id,response"]
@@ -244,10 +258,15 @@ class TestExperiment:
     def test_integral_float_config_values_are_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"name": "linf-vs-n", "trials": 2.0, "seed": 3.0,
-                                   "workers": 1.0}))
+                                   "workers": 1.0,
+                                   "params": {"m": 4.0, "n_grid": [300.0, 400], "p": 1}}))
         loaded = ExperimentConfig.from_json(cfg)
         assert (loaded.trials, loaded.seed, loaded.workers) == (2, 3, 1)
         assert all(type(v) is int for v in (loaded.trials, loaded.seed, loaded.workers))
+        # an integer parameter is stored as int too; a float one keeps its value
+        assert loaded.params["m"] == 4 and loaded.params["n_grid"] == [300, 400]
+        assert all(type(v) is int for v in [loaded.params["m"], *loaded.params["n_grid"]])
+        assert loaded.params["p"] == 1
 
     def _assert_usage_exit(self, tmp_path, capsys, config, word):
         cfg = tmp_path / "cfg.json"
@@ -272,6 +291,11 @@ class TestExperiment:
         ("linf-vs-n", {"m": "4"}, "m"),
         ("linf-vs-n", {"n_grid": [400, "800"]}, "n_grid"),
         ("linf-vs-p", {"n": True}, "n"),
+        # an integer default takes integral numbers only
+        ("linf-vs-n", {"n_grid": [40], "m": 4.5, "p": 0.5}, "m"),
+        ("linf-vs-n", {"n_grid": [300.9]}, "n_grid"),
+        ("multirun", {"n_split_grid": [0, 2, 2.7]}, "n_split_grid"),
+        ("multirun", {"n_split_grid": [0, 2]}, "n_split_grid"),
     ])
     def test_param_not_of_its_default_type_exit_2(self, tmp_path, capsys, name, params, key):
         self._assert_usage_exit(tmp_path, capsys, {"name": name, "params": params}, key)

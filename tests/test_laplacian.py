@@ -78,7 +78,7 @@ class TestBuild:
     def test_z_weights_bounded_by_quarter(self):
         gt, pc = _simulated_pc(seed=3)
         Lz = build_z_laplacian(pc, gt.theta_star)
-        off = -Lz.matrix[pc.edge_i, pc.edge_j] / pc.edge_count
+        off = -Lz.matrix[pc.edge_i, pc.edge_j] / pc.counts[pc.edge_i, pc.edge_j]
         assert np.all(off <= 0.25 + 1e-15)
 
     def test_z_range_with_condition_number(self):

@@ -4,11 +4,11 @@ import pytest
 from rasch.model import GroundTruth, ResponseData, sample_responses
 from rasch.pairing import (
     SplitAssignment,
+    _pseudo_wins,
     _sorted_payload,
     btl_win_prob,
     compile_comparisons,
     disagreement_prob,
-    enumerate_weighted_pairs,
     random_split,
     split_wins,
 )
@@ -92,7 +92,7 @@ class TestRandomSplit:
             a = random_split(small, seed=9, split_index=k)
             b = random_split(large, seed=9, split_index=k)
             np.testing.assert_array_equal(spread[a.users], b.users)
-            for name in ("items_hi", "items_lo", "edge_hi", "edge_lo"):
+            for name in ("items_hi", "items_lo", "_edge_hi", "_edge_lo"):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         np.testing.assert_array_equal(split_wins(small, 9, 3), split_wins(large, 9, 3))
 
@@ -145,14 +145,14 @@ class TestCompile:
         assert pc.n_records == 1
         assert pc.rec_i[0] == 1 and pc.rec_j[0] == 0
         assert pc.rec_y[0] == 0  # Y_ij = 1{X_ti < X_tj} with i=1, j=0
-        assert pc.edge_wins_hi[0] == 1.0
-        assert pc.mean_outcome(0, 1) == 1.0  # Y_01 = 1{X_t0 < X_t1} = 1
-        assert pc.mean_outcome(1, 0) == 0.0
+        assert pc.wins[1, 0] == 1.0 and pc.wins[0, 1] == 0.0  # item 1 won
+        assert pc.counts[0, 1] == pc.counts[1, 0] == 1.0
 
     def test_tie_dropped(self):
         data = _one_user_data([1, 1])
         pc = compile_comparisons(data, random_split(data, seed=0))
-        assert pc.n_records == 0 and pc.n_edges == 0
+        assert pc.n_records == 0 and pc.edge_i.size == 0
+        assert not pc.wins.any() and not pc.counts.any()
 
     def test_record_fraction_half_at_zero_parameters(self):
         gt = GroundTruth(np.zeros(6), np.zeros(40_000))
@@ -165,20 +165,26 @@ class TestCompile:
     def test_complement_convention(self):
         data = _iid_users_data(200, [0, 1])
         pc = compile_comparisons(data, random_split(data, seed=1))
-        assert pc.mean_outcome(1, 0) + pc.mean_outcome(0, 1) == 1.0
+        # every record on {0, 1} is won by exactly one of the two items
+        assert pc.wins[1, 0] + pc.wins[0, 1] == pc.counts[1, 0] == pc.n_records == 200
 
     def test_foreign_split_rejected(self):
         data = _one_user_data([0, 1, 1, 0])
         split = SplitAssignment(users=[0], items_hi=[9], items_lo=[0])
         with pytest.raises(ValueError, match="absent"):
             compile_comparisons(ResponseData(1, 10, [0, 0], [0, 1], [0, 1]), split)
+        with pytest.raises(ValueError, match="absent"):  # data with no edges at all
+            compile_comparisons(ResponseData(1, 10, [], [], []), split)
 
-    def test_mismatched_edge_indices_rejected(self):
-        data = _one_user_data([0, 1])
-        split = SplitAssignment(users=[0], items_hi=[1], items_lo=[0],
-                                edge_hi=[0], edge_lo=[1])  # swapped on purpose
-        with pytest.raises(ValueError, match="edge indices"):
-            compile_comparisons(data, split)
+    def test_positions_drawn_from_other_data_are_not_trusted(self):
+        # user 0 answered items 1, 2 in `drawn` but 0, 1, 2 in `other`, so the
+        # positions recorded against `drawn` name items 0, 1 in `other`
+        drawn = ResponseData(1, 3, [0, 0], [1, 2], [1, 0])
+        other = ResponseData(1, 3, [0, 0, 0], [0, 1, 2], [1, 0, 1])
+        split = random_split(drawn, seed=0)
+        assert compile_comparisons(drawn, split).wins[1, 2] == 1.0
+        pc = compile_comparisons(other, split)  # X_1 = 0, X_2 = 1: item 2 won
+        assert pc.wins[2, 1] == 1.0 and pc.n_records == 1
 
     def test_selection_rate_matches_overlap_weight(self):
         # with 5 responses each pair is selected with prob 4/(5*4) = 0.2;
@@ -190,7 +196,7 @@ class TestCompile:
         for i in range(5):
             for j in range(i):
                 expected = 0.2 if resp[i] != resp[j] else 0.0
-                assert abs(pc.count(i, j) / 100_000 - expected) <= 0.01
+                assert abs(pc.counts[i, j] / 100_000 - expected) <= 0.01
 
     def test_outcomes_conditionally_independent(self):
         # users whose split realizes the matching {(1,0), (3,2)} provide
@@ -277,29 +283,28 @@ class TestDisagreementProb:
 
 
 class TestWeightedPairs:
+    """The weighted within-user pairs of the pseudo-likelihood, read from
+    their win matrix: ``W[i, j]`` sums the weights of the users who answered
+    item ``i`` with ``X = 1`` and item ``j`` with ``X = 0``."""
+
     def test_wp_weight_five_responses(self):
-        data = _one_user_data([0, 1, 0, 1, 1])
-        wp = enumerate_weighted_pairs(data, "wp")
-        assert wp.n_records == 6  # disagreeing pairs of (2 zeros, 3 ones)
-        np.testing.assert_allclose(wp.weights, 0.2)
+        # the 6 disagreeing pairs of (2 zeros, 3 ones) weigh 4 / (5 * 4) = 0.2 each
+        want = np.zeros((5, 5))
+        want[np.ix_([1, 3, 4], [0, 2])] = 0.2
+        np.testing.assert_allclose(_pseudo_wins(_one_user_data([0, 1, 0, 1, 1]), "wp"), want)
 
     def test_wp_weight_two_responses(self):
-        data = _one_user_data([0, 1])
-        wp = enumerate_weighted_pairs(data, "wp")
-        np.testing.assert_allclose(wp.weights, 1.0)
+        W = _pseudo_wins(_one_user_data([0, 1]), "wp")
+        np.testing.assert_allclose(W, [[0.0, 0.0], [1.0, 0.0]])
 
     def test_pmle_unit_weights(self):
-        data = _one_user_data([0, 1, 1])
-        wp = enumerate_weighted_pairs(data, "pmle")
-        assert wp.n_records == 2
-        np.testing.assert_allclose(wp.weights, 1.0)
+        W = _pseudo_wins(_one_user_data([0, 1, 1]), "pmle")
+        np.testing.assert_array_equal(W, [[0, 0, 0], [1, 0, 0], [1, 0, 0]])
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            enumerate_weighted_pairs(_one_user_data([0, 1]), "mle")
+            _pseudo_wins(_one_user_data([0, 1]), "mle")
 
     def test_agreeing_pairs_excluded(self):
-        data = _one_user_data([1, 1, 0])
-        wp = enumerate_weighted_pairs(data, "pmle")
-        pairs = set(zip(wp.items_hi.tolist(), wp.items_lo.tolist()))
-        assert pairs == {(2, 0), (2, 1)}
+        W = _pseudo_wins(_one_user_data([1, 1, 0]), "pmle")
+        assert set(zip(*np.nonzero(W))) == {(0, 2), (1, 2)}

@@ -20,16 +20,20 @@ from hypothesis import strategies as st
 
 from rasch import _rng, pairing, solver
 from rasch.cli import main
-from rasch.errors import EstimationError
+from rasch.errors import DataFormatError, EstimationError
 from rasch.estimators import EstimatorConfig, mrp_mle, rp_mle, wp_mle
 from rasch.inference import _split_user_gradients, _wp_score_covariance, plugin_covariance
-from rasch.laplacian import _unentered_set, build_count_laplacian, build_z_laplacian
+from rasch.laplacian import (
+    _component_labels,
+    _unentered_set,
+    build_count_laplacian,
+    build_z_laplacian,
+)
 from rasch.model import ResponseData, sample_ground_truth, sample_responses, sigmoid_deriv
 from rasch.pairing import (
     USER_BLOCK,
     _pseudo_wins,
     compile_comparisons,
-    enumerate_weighted_pairs,
     random_split,
     split_wins,
 )
@@ -113,7 +117,7 @@ def test_gradient_sums_to_zero_and_hessian_kills_ones(case):
 @given(objectives(), st.floats(-50.0, 50.0))
 def test_estimate_ignores_a_common_shift_of_the_start(case, shift):
     obj, theta = case
-    assume(len(obj.components()) == 1)
+    assume(not _component_labels(obj.wins + obj.wins.T > 0).any())  # connected
     start = 0.5 * theta
     a = solve_newton(obj, start=start)
     b = solve_newton(obj, start=start + shift)
@@ -238,17 +242,31 @@ def test_dense_builders_match_per_record_aggregation(data, seed, k):
     assert pc.wins.tobytes() == split_wins(data, seed, k + 1)[k].tobytes()
 
 
+@PROPERTY
+@given(response_data(), SEEDS, st.integers(0, 3))
+def test_recorded_positions_compile_like_the_lookup(data, seed, k):
+    # an equal copy is another object, so the split's edges are looked up
+    split = random_split(data, seed, k)
+    copy = ResponseData(data.n_users, data.n_items, data.user_ids, data.item_ids,
+                        data.responses)
+    own, looked_up = compile_comparisons(data, split), compile_comparisons(copy, split)
+    for name in ("rec_i", "rec_j", "rec_t", "rec_y", "wins", "counts"):
+        assert getattr(own, name).tobytes() == getattr(looked_up, name).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Random pairing against a stable-argsort oracle
 # ---------------------------------------------------------------------------
 
-SPLIT_FIELDS = ("users", "items_hi", "items_lo", "edge_hi", "edge_lo")
+# the last two are the positions `random_split` records for `compile_comparisons`
+SPLIT_FIELDS = ("users", "items_hi", "items_lo", "_edge_hi", "_edge_lo")
 
 
 def _argsort_split(data, keys):
     """One split built pair by pair: each user's edges ordered by the stable
     argsort of ``2 * user + key`` and taken consecutively in pairs.  Returns
-    the `SplitAssignment` fields and the split's win matrix."""
+    the `SplitAssignment` fields, with the recorded response positions, and
+    the split's win matrix."""
     order = np.argsort(data.user_ids * 2.0 + keys, kind="stable")
     user, item, x = data.user_ids, data.item_ids, data.responses
     rows, W = [], np.zeros((data.n_items, data.n_items))
@@ -267,6 +285,7 @@ def _assert_split_matches(split, W_k, data, keys):
     fields, want_W = _argsort_split(data, keys)
     for name in SPLIT_FIELDS:
         np.testing.assert_array_equal(getattr(split, name), fields[name])
+    assert split._source is data
     assert W_k.tobytes() == want_W.tobytes()
 
 
@@ -394,18 +413,6 @@ def test_pseudo_wins_are_item_relabel_equivariant(data, pick):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 @PROPERTY
-@given(response_data(), st.sampled_from(["wp", "pmle"]))
-def test_weighted_pairs_match_per_user_loop(data, scheme):
-    wp = enumerate_weighted_pairs(data, scheme)
-    got = Counter(zip(wp.users.tolist(), wp.items_hi.tolist(), wp.items_lo.tolist(),
-                      wp.y.tolist(), wp.weights.tolist()))
-    want = Counter((t, max(i, j), min(i, j), int(i < j), w)
-                   for t, i, j, w in _per_user_comparisons(data, scheme))
-    assert got == want
-    assert wp.n_records == sum(want.values())
-
-
-@PROPERTY
 @given(response_data(), SEEDS, st.integers(0, 3))
 def test_split_user_gradients_match_per_record_sums(data, seed, k):
     theta = np.random.default_rng(seed).normal(0.0, 2.0, data.n_items)
@@ -495,13 +502,17 @@ def test_csv_round_trip(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         data.to_csv(path)
+        if not data.n_edges:  # a header with no response rows is rejected
+            with pytest.raises(DataFormatError, match="no response rows"):
+                ResponseData.from_csv(path, n_users=data.n_users, n_items=data.n_items)
+            return
         back = ResponseData.from_csv(path, n_users=data.n_users, n_items=data.n_items)
         inferred = ResponseData.from_csv(path)
     for got in (back, inferred):
         for name in ("user_ids", "item_ids", "responses"):
             assert np.array_equal(getattr(got, name), getattr(data, name))
     assert (back.n_users, back.n_items) == (data.n_users, data.n_items)
-    assert inferred.n_users == (data.user_ids.max() + 1 if data.n_edges else 0)
+    assert inferred.n_users == data.user_ids.max() + 1
 
 
 MALFORMED = ("oops", "1,2", "1,2,3,4", "a,1,0", "0,0,2", "0,0,-1", "0,,1")

@@ -88,7 +88,7 @@ class TestDerivatives:
         gt = GroundTruth(np.array([0.4, -0.1, -0.3]), np.zeros(300))
         data = sample_responses(gt, 1.0, seed=5)
         pc = compile_comparisons(data, random_split(data, 5))
-        obj = BtlObjective.from_comparisons(pc)
+        obj = BtlObjective.from_wins(pc.wins)
         theta = np.array([0.2, 0.0, -0.2])
         np.testing.assert_allclose(hessian(obj, theta).matrix,
                                    build_z_laplacian(pc, theta).matrix, atol=1e-12)
