@@ -3,10 +3,14 @@
     PYTHONPATH=src python3 scripts/fingerprint.py
 
 Two checkouts whose hashes agree give the same estimates, covariances, CLI
-output and compiled splits bit for bit.  The hash covers, at seeds 0-2 and
-(n, m, p) = (1e4, 20, 0.5), (1e4, 50, 0.1), (300, 6, 0.6):
+output and compiled splits bit for bit.  The hash covers, at seeds 0-2, the
+Bernoulli samples with standard-normal parameters at (n, m, p) = (1e4, 20,
+0.5), (1e4, 50, 0.1), (300, 6, 0.6) and the fixed-length ``uniform-mp``
+sample with all-zeros parameters at (1e4, 50, 0.2), where every user answers
+10 items and the splits sort one row per user:
 
-- theta_hat of ``rp``, ``mrp`` (n_split=20), ``wp`` and ``pmle``;
+- theta_hat of ``rp``, ``mrp`` (n_split=20), ``wp`` and ``pmle`` (only ``rp``
+  and ``mrp`` at the ``uniform-mp`` point);
 - ``H_hat``, ``V_diff_hat`` and ``Sigma_hat`` of the ``wp`` and ``mrp``
   plug-in covariances;
 - the ``rec_*``, ``wins`` and ``counts`` arrays of
@@ -33,7 +37,12 @@ from rasch.cli import main as cli_main
 from rasch.estimators import EstimatorConfig
 
 SEEDS = (0, 1, 2)
-POINTS = ((10_000, 20, 0.5), (10_000, 50, 0.1), (300, 6, 0.6))
+ALL_METHODS = ("rp", "mrp", "wp", "pmle")
+# (n, m, p, parameters, sampling mode, methods)
+POINTS = ((10_000, 20, 0.5, "standard-normal", "bernoulli", ALL_METHODS),
+          (10_000, 50, 0.1, "standard-normal", "bernoulli", ALL_METHODS),
+          (300, 6, 0.6, "standard-normal", "bernoulli", ALL_METHODS),
+          (10_000, 50, 0.2, "all-zeros", "uniform-mp", ("rp", "mrp")))
 COV_FIELDS = ("H_hat", "V_diff_hat", "Sigma_hat")
 PC_FIELDS = ("rec_i", "rec_j", "rec_t", "rec_y", "wins", "counts")
 
@@ -63,12 +72,14 @@ def fingerprint() -> str:
         h.update(f"{label}:{len(payload)}:".encode())
         h.update(payload)
 
-    for n, m, p in POINTS:
+    for n, m, p, spec, mode, methods in POINTS:
         for seed in SEEDS:
-            gt = rasch.sample_ground_truth(n, m, "standard-normal", seed=seed)
-            data = rasch.sample_responses(gt, p, seed=seed)
+            gt = rasch.sample_ground_truth(n, m, spec, seed=seed)
+            data = rasch.sample_responses(gt, p, seed=seed, mode=mode)
             where = f"n={n} m={m} p={p} seed={seed}"
-            for method in ("rp", "mrp", "wp", "pmle"):
+            if mode != "bernoulli":
+                where += f" {spec} {mode}"
+            for method in methods:
                 try:
                     arrays = _fit(data, method, seed)
                 except rasch.EstimationError as exc:

@@ -78,6 +78,8 @@ class ExperimentConfig:
             listed = isinstance(merged[key], list)
             if listed != isinstance(value, list):
                 raise ValueError(f"{key} must be {'a list' if listed else 'a number'}, got {value!r}")
+            if listed and not value:
+                raise ValueError(f"{key} must not be empty")
             # an integer default (or a list of them) takes integral numbers only
             whole = all(type(v) is int for v in (merged[key] if listed else [merged[key]]))
             values = [_integer(key, v) if whole else _number(key, v)

@@ -194,6 +194,14 @@ class ResponseData:
         blocklen = np.repeat(counts, counts)
         return np.flatnonzero((local % 2 == 0) & (local + 1 < blocklen))
 
+    @cached_property
+    def _sort_width(self) -> int:
+        """Row width of a split's key sort: the common degree of the users with
+        responses, one row per user, if they share one; else ``n_edges``."""
+        counts = self.user_degrees()
+        d = int(counts.max(initial=1))
+        return d if np.all(counts[counts > 0] == d) else self.n_edges
+
     def user_degrees(self) -> np.ndarray:
         """Number of responses per user (``m_t``)."""
         return np.diff(self.user_indptr)

@@ -7,11 +7,12 @@ response is used at most once per split, which is what makes the resulting
 comparison outcomes conditionally independent.  A split orders the edges with
 one value sort of int64 keys: each is the bit pattern of the edge's float sort
 key with a payload in its low bits (the response's item and value, or its
-index within its user).  `_sorted_payload` falls back to the stable argsort
-of the float keys when two keys tie in their remaining bits.  Whatever the
-route, the comparisons of one split are summarized by one m x m win matrix:
-`split_wins` compiles the splits of a multi-split fit straight into these
-matrices, which is all the estimators read.  `random_split` and
+index within its user), sorted in one row per user when every responding user
+answered the same number of items.  `_sorted_payload` falls back to the
+stable argsort of the float keys when two keys tie in their remaining bits.
+Whatever the route, the comparisons of one split are summarized by one m x m
+win matrix: `split_wins` compiles the splits of a multi-split fit straight
+into these matrices, which is all the estimators read.  `random_split` and
 `compile_comparisons` expose one split record by record, next to its win and
 count matrices, for checks and for `laplacian.build_z_laplacian` (the
 paper's l2 error predictor).  The overlapping route of the
@@ -140,7 +141,7 @@ class PairedComparisons:
 # Operations
 # ---------------------------------------------------------------------------
 
-def _sorted_payload(key: np.ndarray, payload: np.ndarray, bits: int) -> np.ndarray:
+def _sorted_payload(key: np.ndarray, payload: np.ndarray, bits: int, width: int) -> np.ndarray:
     """``payload[np.argsort(key, kind="stable")]`` for keys ``>= 0`` and
     payloads in ``[0, 2**bits)``, found by one value sort.
 
@@ -148,12 +149,14 @@ def _sorted_payload(key: np.ndarray, payload: np.ndarray, bits: int) -> np.ndarr
     their low ``bits`` bits replaced by the payload, are sorted as values; when
     no two of them share the bits above those, the sort orders the payloads
     exactly as the stable argsort of the keys does.  An exact tie, or two keys
-    less than ``2**bits`` ulps apart, falls back to that argsort.
+    less than ``2**bits`` ulps apart, falls back to that argsort.  Rows of
+    ``width`` keys are sorted one by one: the whole sort if every key of a row
+    is below every key of the next (one row of all the keys always is).
     """
     mask = (1 << bits) - 1
     packed = key.view(np.int64) & ~mask
     packed |= payload
-    packed.sort()
+    packed.reshape(-1, width).sort()
     high = packed >> bits
     if (high[1:] == high[:-1]).any():
         return payload[np.argsort(key, kind="stable")]
@@ -161,28 +164,30 @@ def _sorted_payload(key: np.ndarray, payload: np.ndarray, bits: int) -> np.ndarr
     return packed
 
 
-def _pairing_order(data: ResponseData, seed: int, split_index: int,
-                   payload: np.ndarray, bits: int) -> np.ndarray:
-    """Per-edge ``payload`` (below ``2**bits``) in the order of split ``split_index``.
+def _pairing_orders(data: ResponseData, seed: int, splits, payload: np.ndarray, bits: int):
+    """Per-edge ``payload`` (below ``2**bits``) in the order of each split in ``splits``.
 
     The edges stay grouped by user, in a uniformly random order within each
-    user's block; the pairs of the split are the consecutive entries at
+    user's block; the pairs of a split are the consecutive entries at
     ``data._pair_slots`` and the one after each.
     """
-    rng = _rng.substream(seed, _rng.SPLIT, split_index)
-    keys = rng.random(data.n_edges)
     # The float key 2 * user + key keeps >= 31 bits of key resolution only
     # while the user-id part stays below 2^20; lexsort serves larger ids.
     # Both stay because lexsort is far slower.  On 5e4 edges (n=1e4, m=50,
     # p=0.1) lexsort takes 13.8 ms, a stable argsort of the float key 1.4 ms
     # and the packed value sort of `_sorted_payload` 0.8 ms; on 1e5 edges the
-    # value sort takes 1.0 ms against 3.3 ms for the argsort (2-core x86-64
-    # with AVX-512, numpy 2.4).  It fell back to the argsort in 1 of 500
-    # splits at n=1e4, m=50.
-    if data.n_users <= 2**20:
-        keys += data.user_ids * 2.0
-        return _sorted_payload(keys, payload, bits)
-    return payload[np.lexsort((keys, data.user_ids))]
+    # value sort takes 1.0 ms against 3.3 ms for the argsort, or 0.6 ms as
+    # 1e4 rows of 10 when every user answered 10 items (2-core x86-64 with
+    # AVX-512, numpy 2.4).  It fell back to the argsort in 1 of 500 splits at
+    # n=1e4, m=50.
+    user_key = data.user_ids * 2.0
+    for k in splits:
+        keys = _rng.substream(seed, _rng.SPLIT, k).random(data.n_edges)
+        if data.n_users > 2**20:
+            yield payload[np.lexsort((keys, data.user_ids))]
+        else:
+            keys += user_key
+            yield _sorted_payload(keys, payload, bits, data._sort_width)
 
 
 def _paired_positions(data: ResponseData, seed: int, split_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +200,7 @@ def _paired_positions(data: ResponseData, seed: int, split_index: int) -> tuple[
     start = data.user_indptr[data.user_ids]
     local = np.arange(data.n_edges) - start
     bits = int(data.user_degrees().max(initial=1) - 1).bit_length()
-    shuffled = _pairing_order(data, seed, split_index, local, bits)
+    shuffled, = _pairing_orders(data, seed, (split_index,), local, bits)
     slots = data._pair_slots
     base = start[slots]
     return base + shuffled[slots], base + shuffled[slots + 1]
@@ -243,10 +248,10 @@ def split_wins(data: ResponseData, seed: int, n_split: int) -> np.ndarray:
     bits = (2 * m - 1).bit_length()
     code = np.concatenate((np.arange(m) + 2 * mm, np.arange(m) * m))
     slots = data._pair_slots
+    partners = slots + 1
     out = np.empty((n_split, m, m))
-    for k in range(n_split):
-        shuffled = _pairing_order(data, seed, k, payload, bits)
-        bins = np.bincount(code[shuffled[slots]] + code[shuffled[slots + 1]], minlength=3 * mm)
+    for k, shuffled in enumerate(_pairing_orders(data, seed, range(n_split), payload, bits)):
+        bins = np.bincount(code[shuffled[slots]] + code[shuffled[partners]], minlength=3 * mm)
         out[k] = bins[2 * mm:3 * mm].reshape(m, m)
     return out
 

@@ -300,6 +300,17 @@ class TestExperiment:
     def test_param_not_of_its_default_type_exit_2(self, tmp_path, capsys, name, params, key):
         self._assert_usage_exit(tmp_path, capsys, {"name": name, "params": params}, key)
 
+    @pytest.mark.parametrize("name, key", [("multirun", "n_split_grid"), ("coverage", "levels"),
+                                           ("linf-vs-n", "n_grid")])
+    def test_empty_list_param_exit_2(self, tmp_path, capsys, monkeypatch, name, key):
+        # rejected with the config, before any trial samples data
+        sampled = []
+        monkeypatch.setattr(cli.experiments, "sample_responses",
+                            lambda *args, **kwargs: sampled.append(args))
+        self._assert_usage_exit(tmp_path, capsys,
+                                {"name": name, "trials": 1, "params": {key: []}}, key)
+        assert sampled == []
+
     def test_output_not_a_string_exit_2(self, tmp_path, capsys, monkeypatch):
         # an integer output would be opened as a file descriptor; never write
         written = []

@@ -110,7 +110,8 @@ class TestSortedPayload:
         key = np.asarray(key, float)
         payload = np.asarray(payload, np.int64)
         want = payload[np.argsort(key, kind="stable")]
-        np.testing.assert_array_equal(_sorted_payload(key, payload, bits), want)
+        # one row of all the keys: the sort of the whole array
+        np.testing.assert_array_equal(_sorted_payload(key, payload, bits, max(key.size, 1)), want)
 
     def test_distinct_keys_of_several_users(self):
         rng = np.random.default_rng(0)
@@ -130,6 +131,19 @@ class TestSortedPayload:
         tiny = [0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1e-300, 0.0, 0.5]
         self.check(tiny, [3, 2, 1, 0, 3, 2, 1], 2)
         self.check(tiny[::-1], [3, 2, 1, 0, 3, 2, 1], 2)
+
+    def test_row_width_sorts_like_one_row(self):
+        # 30 users of 6 keys each, in user order: sorting each row of 6 keys
+        # is the whole sort, for distinct, exactly tied and near-tied keys
+        rng = np.random.default_rng(1)
+        users = np.repeat(np.arange(30), 6)
+        payload = rng.integers(0, 8, users.size)
+        base = users * 2.0 + 0.5  # low mantissa bits zero: base .. base + 7 ulps tie
+        for key in (users * 2.0 + rng.random(users.size), base,
+                    _ulps_above(base, rng.integers(0, 8, users.size))):
+            rows = _sorted_payload(key, payload, 3, 6)
+            assert rows.tobytes() == _sorted_payload(key, payload, 3, key.size).tobytes()
+            np.testing.assert_array_equal(rows, payload[np.argsort(key, kind="stable")])
 
     def test_empty_single_and_payload_free(self):
         self.check([], [], 3)

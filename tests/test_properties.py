@@ -321,11 +321,11 @@ def _assert_split_matches_on_keys(data, keys):
 
 
 @st.composite
-def close_keys(draw):
+def close_keys(draw, datas=response_data()):
     """Responses and per-edge keys whose float keys ``2 * user + key`` sit a
     few ulps above a common base per user: exact ties and near-ties, down to
     subnormal keys for user 0 when the base is ``2 * user``."""
-    data = draw(response_data())
+    data = draw(datas)
     base = data.user_ids * 2.0 + draw(st.sampled_from([0.0, 0.5]))
     steps = draw(st.lists(st.integers(0, 40), min_size=data.n_edges, max_size=data.n_edges))
     full = (base.view(np.int64) + np.array(steps, dtype=np.int64)).view(float)
@@ -335,6 +335,46 @@ def close_keys(draw):
 @PROPERTY
 @given(close_keys())
 def test_splits_match_the_oracle_on_tied_and_near_tied_keys(case):
+    _assert_split_matches_on_keys(*case)
+
+
+@st.composite
+def rectangular_data(draw):
+    """Responses where every responding user answered the same number ``d``
+    of the items (``d`` = 1, 2, 3 or ``m``) and the other users none; with
+    ``ragged``, one of two or more responding users answered ``d - 1``.
+    Returns the data and the row width its splits are sorted in."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(2, 8))
+    d = draw(st.sampled_from(sorted({1, 2, min(3, m), m})))
+    rng = np.random.default_rng(draw(SEEDS))
+    responding = np.flatnonzero(rng.random(n) < draw(st.floats(0.2, 1.0)))
+    if responding.size == 0:
+        responding = np.array([rng.integers(n)])
+    degree = np.full(responding.size, d)
+    ragged = draw(st.booleans()) and d >= 2 and responding.size >= 2
+    if ragged:
+        degree[rng.integers(responding.size)] = d - 1
+    users = np.repeat(responding, degree)
+    items = np.concatenate([np.sort(rng.permutation(m)[:k]) for k in degree])
+    data = ResponseData(n, m, users, items, rng.integers(0, 2, users.size))
+    return data, data.n_edges if ragged else d
+
+
+@PROPERTY
+@given(rectangular_data(), SEEDS, st.integers(1, 3))
+def test_rectangular_splits_match_a_stable_argsort_oracle(case, seed, K):
+    data, width = case
+    assert data._sort_width == width
+    W = split_wins(data, seed, K)
+    for k in range(K):
+        keys = _rng.substream(seed, _rng.SPLIT, k).random(data.n_edges)
+        _assert_split_matches(random_split(data, seed, k), W[k], data, keys)
+
+
+@PROPERTY
+@given(close_keys(rectangular_data().map(lambda case: case[0])))
+def test_rectangular_splits_match_the_oracle_on_tied_and_near_tied_keys(case):
     _assert_split_matches_on_keys(*case)
 
 
