@@ -12,8 +12,10 @@ side won in the direction of that metric's ``better`` (ties count for
 neither).  It then counts the lines of ``src/rasch/*.py``, runs the tier-1
 suite and the benchmark's own tests (``perfbench/tests``) once on each side,
 and records the hash that the change's ``scripts/fingerprint.py`` prints
-against each side's ``src/``: equal hashes mean the same numbers.  Runs are
-sequential, so the two sides never share the processor.
+against each side's ``src/``: equal hashes mean the same numbers.  Under
+``acceptance`` it keeps the paper scorecard of each side's tier-1 run: the
+``[criterion N] PASS|FAIL <detail>`` line each acceptance test prints, by
+criterion.  Runs are sequential, so the two sides never share the processor.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10  # alternating pairs per workload, enough to read a comparison
+SCORECARD = re.compile(r"^\[criterion ([^\]]+)\] (PASS|FAIL) (.*)$", re.MULTILINE)
 
 
 def run_workload(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -42,10 +45,11 @@ def run_workload(checkout: Path, workload: str, seed: int, seconds: int) -> dict
     return json.loads(lines[-1])
 
 
-def pytest_counts(checkout: Path, *paths: str) -> dict:
-    """Wall time and passed/failed counts of one pytest run in ``checkout``."""
+def pytest_run(checkout: Path, *paths: str) -> tuple[dict, str]:
+    """Wall time and passed/failed counts of one pytest run in ``checkout``,
+    and its output, which shows what passing tests printed too (``-rP``)."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rP", "--continue-on-collection-errors",
            "-p", "no:cacheprovider", *paths]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
@@ -53,7 +57,15 @@ def pytest_counts(checkout: Path, *paths: str) -> dict:
     summary = proc.stdout.strip().splitlines()[-1]
     counts = {key: int(num) for num, key in re.findall(r"(\d+) (passed|failed|error)", summary)}
     return {"wall_s": round(wall, 1), "passed": counts.get("passed", 0),
-            "failed": counts.get("failed", 0) + counts.get("error", 0), "summary": summary}
+            "failed": counts.get("failed", 0) + counts.get("error", 0),
+            "summary": summary}, proc.stdout
+
+
+def scorecard(output: str) -> dict:
+    """``{criterion: {"status": "PASS"|"FAIL", "detail": ...}}`` from the
+    ``[criterion N] PASS|FAIL <detail>`` lines of a pytest run's output."""
+    return {name: {"status": status, "detail": detail}
+            for name, status, detail in SCORECARD.findall(output)}
 
 
 def fingerprint(script: Path, checkout: Path) -> str:
@@ -108,13 +120,15 @@ def main(argv=None) -> int:
                 print(w, seed, side, "done", file=sys.stderr, flush=True)
         workloads[w] = runs | {"median": {side: medians(runs[side]) for side in SIDES},
                                "pair_wins": pair_wins(runs, better)}
+    tier1 = {side: pytest_run(d) for side, d in dirs.items()}
     record = {
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "pairs": PAIRS,
         "workloads": workloads,
         "src_lines": {side: src_lines(d) for side, d in dirs.items()},
-        "tier1": {side: pytest_counts(d) for side, d in dirs.items()},
-        "perfbench_tests": {side: pytest_counts(d, "perfbench/tests") for side, d in dirs.items()},
+        "tier1": {side: counts for side, (counts, _) in tier1.items()},
+        "acceptance": {side: scorecard(output) for side, (_, output) in tier1.items()},
+        "perfbench_tests": {side: pytest_run(d, "perfbench/tests")[0] for side, d in dirs.items()},
         "fingerprint": {side: fingerprint(dirs["change"] / "scripts" / "fingerprint.py", d)
                         for side, d in dirs.items()},
     }

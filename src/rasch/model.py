@@ -122,7 +122,8 @@ class ResponseData:
     """Sparse binary user-item responses.
 
     Edges are stored as parallel read-only int64 arrays sorted by
-    ``(user_id, item_id)`` with no duplicate pairs.  ``responses`` holds
+    ``(user_id, item_id)`` with no duplicate pairs; a `random_split` records
+    its pairs as positions in this order of this object.  ``responses`` holds
     ``X_ti`` in {0, 1} with the negative-response convention of the model.
 
     Edges may be given in any order.  The arrays are copied, so the caller's
@@ -175,11 +176,6 @@ class ResponseData:
         """CSR-style offsets: edges of user ``t`` live in ``[indptr[t], indptr[t+1])``."""
         counts = np.bincount(self.user_ids, minlength=self.n_users)
         return np.concatenate(([0], np.cumsum(counts)))
-
-    @cached_property
-    def edge_key(self) -> np.ndarray:
-        """Sorted combined key ``user * n_items + item`` for fast edge lookup."""
-        return self.user_ids * self.n_items + self.item_ids
 
     @cached_property
     def _pair_slots(self) -> np.ndarray:

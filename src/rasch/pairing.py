@@ -15,17 +15,17 @@ win matrix: `split_wins` compiles the splits of a multi-split fit straight
 into these matrices, which is all the estimators read.  `random_split` and
 `compile_comparisons` expose one split record by record, next to its win and
 count matrices, for checks and for `laplacian.build_z_laplacian` (the
-paper's l2 error predictor).  The overlapping route of the
-pseudo-likelihood estimators takes every within-user item pair without
-listing them: its win matrix is ``X1^T diag(w) X0``, from the users' 0/1
-response indicators ``X1 = 1{X = 1}``, ``X0 = 1{X = 0}`` and weights ``w``,
-block by block.
+paper's l2 error predictor); a split records where its responses sit in the
+data object it was drawn from, and compiles against that object only.  The
+overlapping route of the pseudo-likelihood estimators takes every within-user
+item pair without listing them: its win matrix is ``X1^T diag(w) X0``, from
+the users' 0/1 response indicators ``X1 = 1{X = 1}``, ``X0 = 1{X = 0}`` and
+weights ``w``, block by block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -70,9 +70,9 @@ class SplitAssignment:
     A split drawn by `random_split` also keeps, privately, the `ResponseData`
     it was drawn from (``_source``) and the positions of the paired responses
     in that data's edge order (``_edge_hi``, ``_edge_lo``).  Both are frozen,
-    so `compile_comparisons` reads the responses at those positions when it
-    is handed that same data object; it looks up every other split edge by
-    edge.
+    and `compile_comparisons` reads the responses at those positions from
+    that same data object only.  A split built by hand has no source, and
+    compiles against no data.
     """
 
     users: np.ndarray
@@ -112,25 +112,18 @@ class PairedComparisons:
     rec_y: np.ndarray
     wins: np.ndarray = field(init=False, repr=False)
     counts: np.ndarray = field(init=False, repr=False)
+    edge_i: np.ndarray = field(init=False, repr=False)
+    edge_j: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("rec_i", "rec_j", "rec_t", "rec_y"):
             object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=np.int64)))
         wins = _win_matrix(self.m, self.rec_i, self.rec_j, self.rec_y).astype(float)
+        counts = wins + wins.T
         object.__setattr__(self, "wins", _frozen(wins))
-        object.__setattr__(self, "counts", _frozen(wins + wins.T))
-
-    @cached_property
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(_frozen(a) for a in np.nonzero(np.tril(self.counts, -1)))
-
-    @property
-    def edge_i(self) -> np.ndarray:
-        return self._edges[0]
-
-    @property
-    def edge_j(self) -> np.ndarray:
-        return self._edges[1]
+        object.__setattr__(self, "counts", _frozen(counts))
+        for name, arr in zip(("edge_i", "edge_j"), np.nonzero(np.tril(counts, -1))):
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def n_records(self) -> int:
@@ -256,35 +249,18 @@ def split_wins(data: ResponseData, seed: int, n_split: int) -> np.ndarray:
     return out
 
 
-def _lookup_edges(data: ResponseData, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """Indices of (user, item) pairs in the data's canonical edge order."""
-    key = data.edge_key
-    want = users * data.n_items + items
-    pos = np.searchsorted(key, want)
-    bad = pos >= key.size
-    bad[~bad] = key[pos[~bad]] != want[~bad]
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"split references edge (user {int(users[k])}, item {int(items[k])}) absent from data"
-        )
-    return pos
-
-
 def compile_comparisons(data: ResponseData, split: SplitAssignment) -> PairedComparisons:
     """Turn a split into comparison records, dropping pairs with equal responses.
 
-    A split that `random_split` drew from this very ``data`` object reads the
-    responses at the positions it recorded; any other split is looked up edge
-    by edge, and one naming an edge absent from ``data`` raises `ValueError`.
+    The split reads the responses at the positions `random_split` recorded,
+    so it compiles only against the very ``data`` object it was drawn from;
+    any other split, or other data (an equal copy included), raises
+    `ValueError`.
     """
-    if split._source is data:
-        idx_hi, idx_lo = split._edge_hi, split._edge_lo
-    else:
-        idx_hi, idx_lo = (_lookup_edges(data, split.users, items)
-                          for items in (split.items_hi, split.items_lo))
-    x_hi = data.responses[idx_hi]
-    x_lo = data.responses[idx_lo]
+    if split._source is not data:
+        raise ValueError("a split compiles only against the data object random_split drew it from")
+    x_hi = data.responses[split._edge_hi]
+    x_lo = data.responses[split._edge_lo]
     keep = x_hi != x_lo
     return PairedComparisons(
         m=data.n_items, rec_i=split.items_hi[keep], rec_j=split.items_lo[keep],

@@ -25,16 +25,16 @@ gradient and Hessian weights are built: one exponential of the m x m
 differences per iteration.  The line search compares losses, which near the
 optimum differ by less than their own round-off; once the predicted decrease
 ``-g.d`` is below ``1e-13 max(1, |f|)`` the full Newton step is taken.
-`BtlObjective` holds one win matrix, given as aggregated pair terms or
-directly (`BtlObjective.from_wins`, as the pseudo-likelihood estimators
-build it from response indicators), and `nll`, `gradient`, `hessian` and
-`solve_newton` evaluate and fit it with the same dense functions.
+`BtlObjective` holds one win matrix and nothing else: its constructor sums
+aggregated pair terms into it, and `BtlObjective.from_wins` checks and keeps
+a matrix as it is (the pseudo-likelihood estimators build theirs from
+response indicators).  `nll`, `gradient`, `hessian` and `solve_newton`
+evaluate and fit it with the same dense functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -68,25 +68,27 @@ MIN_STEP = 1e-12
 
 @dataclass(frozen=True)
 class BtlObjective:
-    """Aggregated comparison terms ``(item_i, item_j, weight, wins_i)``.
+    """A win matrix `wins`: ``wins[i, j]`` is the (possibly weighted) number
+    of comparisons item ``i`` won against item ``j``.
 
-    One term per unordered item pair with ``item_i > item_j``.  ``weight`` is
-    the (possibly weighted) number of comparisons on the pair and ``wins_i``
-    the weighted number won by ``item_i``; ``0 <= wins_i <= weight``.  The
-    solver works on the dense form `wins`.
+    The constructor sums aggregated terms ``(item_i, item_j, weight, wins_i)``
+    into `wins` and keeps none of them: one per item pair, ``item_i >
+    item_j``, with ``weight > 0`` comparisons of which ``item_i`` won
+    ``0 <= wins_i <= weight``.  `from_wins` takes the matrix itself.
     """
 
     m: int
-    item_i: np.ndarray
-    item_j: np.ndarray
-    weight: np.ndarray
-    wins_i: np.ndarray
+    item_i: InitVar[np.ndarray]
+    item_j: InitVar[np.ndarray]
+    weight: InitVar[np.ndarray]
+    wins_i: InitVar[np.ndarray]
+    wins: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        item_i = np.asarray(self.item_i, np.int64)
-        item_j = np.asarray(self.item_j, np.int64)
-        weight = np.asarray(self.weight, float)
-        wins = np.asarray(self.wins_i, float)
+    def __post_init__(self, item_i, item_j, weight, wins_i):
+        item_i = np.asarray(item_i, np.int64)
+        item_j = np.asarray(item_j, np.int64)
+        weight = np.asarray(weight, float)
+        wins = np.asarray(wins_i, float)
         if not (item_i.shape == item_j.shape == weight.shape == wins.shape):
             raise ValueError("term arrays must have equal shapes")
         if item_i.size:
@@ -94,36 +96,37 @@ class BtlObjective:
                 raise ValueError("terms must satisfy item_i > item_j")
             if item_i.max() >= self.m or item_j.min() < 0:
                 raise ValueError("item index out of range")
-            if not np.all(weight > 0):
-                raise ValueError("weights must be positive")
-            if np.any(wins < -1e-12) or np.any(wins > weight + 1e-12):
-                raise ValueError("wins_i must lie in [0, weight]")
-        for name, arr in (("item_i", item_i), ("item_j", item_j),
-                          ("weight", weight), ("wins_i", wins)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @cached_property
-    def wins(self) -> np.ndarray:
-        """Win matrix: ``wins[i, j]`` is the weight of comparisons ``i`` won against ``j``."""
+            _check_terms(weight, wins)
         m = self.m
-        W = (np.bincount(self.item_i * m + self.item_j, self.wins_i, m * m)
-             + np.bincount(self.item_j * m + self.item_i, self.weight - self.wins_i, m * m))
+        W = (np.bincount(item_i * m + item_j, wins, m * m)
+             + np.bincount(item_j * m + item_i, weight - wins, m * m))
         W = W.reshape(m, m)
         W.setflags(write=False)
-        return W
+        object.__setattr__(self, "wins", W)
 
     @classmethod
     def from_wins(cls, W) -> "BtlObjective":
-        """Objective of the m x m win matrix ``W``, kept as its `wins`."""
+        """Objective of the m x m win matrix ``W``, kept as its `wins`.  Each
+        pair ``i > j`` with a non-zero count ``N = W[i, j] + W[j, i]`` must
+        pass the constructor's checks as the term ``(i, j, N, W[i, j])``."""
         W = np.array(W, float)
-        W.setflags(write=False)
+        if W.ndim != 2 or W.shape[0] != W.shape[1]:
+            raise ValueError(f"win matrix has shape {W.shape}, expected (m, m)")
         N = _counts(W)
-        item_i, item_j = np.nonzero(np.tril(N, -1))
-        obj = cls(m=W.shape[0], item_i=item_i, item_j=item_j,
-                  weight=N[item_i, item_j], wins_i=W[item_i, item_j])
-        obj.__dict__["wins"] = W
+        lower = np.tri(*W.shape, -1, dtype=bool) & (N != 0)
+        _check_terms(N[lower], W[lower])
+        W.setflags(write=False)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "m", W.shape[0])
+        object.__setattr__(obj, "wins", W)
         return obj
+
+
+def _check_terms(weight: np.ndarray, wins: np.ndarray) -> None:
+    if not np.all(weight > 0):
+        raise ValueError("weights must be positive")
+    if np.any(wins < -1e-12) or np.any(wins > weight + 1e-12):
+        raise ValueError("wins_i must lie in [0, weight]")
 
 
 @dataclass(frozen=True)

@@ -183,22 +183,24 @@ class TestCompile:
         assert pc.wins[1, 0] + pc.wins[0, 1] == pc.counts[1, 0] == pc.n_records == 200
 
     def test_foreign_split_rejected(self):
-        data = _one_user_data([0, 1, 1, 0])
-        split = SplitAssignment(users=[0], items_hi=[9], items_lo=[0])
-        with pytest.raises(ValueError, match="absent"):
-            compile_comparisons(ResponseData(1, 10, [0, 0], [0, 1], [0, 1]), split)
-        with pytest.raises(ValueError, match="absent"):  # data with no edges at all
-            compile_comparisons(ResponseData(1, 10, [], [], []), split)
+        # a split built by hand was drawn from no data, so it compiles against none
+        split = SplitAssignment(users=[0], items_hi=[1], items_lo=[0])
+        for data in (ResponseData(1, 10, [0, 0], [0, 1], [0, 1]),
+                     ResponseData(1, 10, [], [], [])):  # data with no edges at all
+            with pytest.raises(ValueError, match="drew it from"):
+                compile_comparisons(data, split)
 
     def test_positions_drawn_from_other_data_are_not_trusted(self):
         # user 0 answered items 1, 2 in `drawn` but 0, 1, 2 in `other`, so the
-        # positions recorded against `drawn` name items 0, 1 in `other`
+        # positions recorded against `drawn` would name items 0, 1 in `other`
         drawn = ResponseData(1, 3, [0, 0], [1, 2], [1, 0])
         other = ResponseData(1, 3, [0, 0, 0], [0, 1, 2], [1, 0, 1])
+        copy = ResponseData(1, 3, drawn.user_ids, drawn.item_ids, drawn.responses)
         split = random_split(drawn, seed=0)
         assert compile_comparisons(drawn, split).wins[1, 2] == 1.0
-        pc = compile_comparisons(other, split)  # X_1 = 0, X_2 = 1: item 2 won
-        assert pc.wins[2, 1] == 1.0 and pc.n_records == 1
+        for data in (other, copy):
+            with pytest.raises(ValueError, match="drew it from"):
+                compile_comparisons(data, split)
 
     def test_selection_rate_matches_overlap_weight(self):
         # with 5 responses each pair is selected with prob 4/(5*4) = 0.2;

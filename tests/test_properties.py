@@ -1,10 +1,12 @@
-"""Property-based checks of the dense comparison objective, the dense
-Laplacian builders, the batched Newton engine and its check that the MLE
-exists, random pairing, the indicator-block pseudo-likelihood builders, edge
+"""Property-based checks of the dense comparison objective and the checks
+`BtlObjective.from_wins` makes, the dense Laplacian builders, the batched
+Newton engine and its check that the MLE exists, random pairing, the
+indicator-block pseudo-likelihood builders, the model's symmetries, edge
 ingest and CSV input.  Examples are derandomized so that every run tests the
 same inputs."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from rasch import _rng, pairing, solver
 from rasch.cli import main
 from rasch.errors import DataFormatError, EstimationError
-from rasch.estimators import EstimatorConfig, mrp_mle, rp_mle, wp_mle
+from rasch.estimators import EstimatorConfig, estimate, mrp_mle, rp_mle, wp_mle
 from rasch.inference import _split_user_gradients, _wp_score_covariance, plugin_covariance
 from rasch.laplacian import (
     _component_labels,
@@ -52,22 +54,23 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 @st.composite
 def objectives(draw):
-    """A random edge-list objective with fractional weights, and a point."""
+    """A random edge-list objective with fractional weights, the term arrays
+    ``(item_i, item_j, weight, wins_i)`` it was built from, and a point."""
     m = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(SEEDS))
     lo, hi = np.triu_indices(m, k=1)
     keep = rng.random(lo.size) < 0.7
     weight = rng.uniform(0.5, 10.0, keep.sum())
     wins = rng.uniform(0.0, 1.0, keep.sum()) * weight
-    obj = BtlObjective(m=m, item_i=hi[keep], item_j=lo[keep], weight=weight, wins_i=wins)
-    return obj, rng.normal(0.0, 2.0, m)
+    terms = (hi[keep], lo[keep], weight, wins)
+    obj = BtlObjective(m, *terms)
+    return obj, terms, rng.normal(0.0, 2.0, m)
 
 
-def _per_edge(obj, theta):
+def _per_edge(m, terms, theta):
     """Loss, gradient and Hessian summed term by term over the edge list."""
-    m = obj.m
     f, g, H = 0.0, np.zeros(m), np.zeros((m, m))
-    for i, j, w, a in zip(obj.item_i, obj.item_j, obj.weight, obj.wins_i):
+    for i, j, w, a in zip(*terms):
         d = theta[i] - theta[j]
         p = 1.0 / (1.0 + math.exp(-d))
         f += -a * d + w * math.log1p(math.exp(d))
@@ -79,6 +82,49 @@ def _per_edge(obj, theta):
         H[i, j] -= z
         H[j, i] -= z
     return f, g, H
+
+
+@st.composite
+def rough_win_matrices(draw):
+    """Square matrices of wins with what a win matrix may not hold mixed in:
+    negative and NaN entries, a non-zero diagonal, wins a hair outside
+    ``[0, count]`` and pairs of zero count with ``W[i, j] = -W[j, i]``."""
+    m = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(SEEDS))
+    W = rng.integers(0, 5, (m, m)) * draw(st.sampled_from([1.0, 0.5, 1e-3]))
+    W[np.arange(m), np.arange(m)] = 0.0
+    values = [-1.0, -1e-11, -1e-13, np.nan, 2.5]
+    for _ in range(draw(st.integers(0, 2))):
+        W[rng.integers(0, m), rng.integers(0, m)] = values[rng.integers(0, len(values))]
+    if draw(st.booleans()):
+        i, j = rng.integers(0, m, 2)
+        W[i, j] = -W[j, i]
+    return W
+
+
+def _lower_terms(W):
+    """``(item_i, item_j, weight, wins_i)`` of every pair ``i > j`` of non-zero count."""
+    N = W + W.T
+    i, j = np.nonzero(np.tril(N, -1))
+    return i, j, N[i, j], W[i, j]
+
+
+@PROPERTY
+@given(rough_win_matrices())
+def test_from_wins_accepts_what_its_lower_terms_pass(W):
+    def outcome(build):
+        try:
+            return build()
+        except ValueError as exc:
+            return str(exc)
+
+    terms = outcome(lambda: BtlObjective(W.shape[0], *_lower_terms(W)))
+    obj = outcome(lambda: BtlObjective.from_wins(W))
+    if isinstance(terms, str):
+        assert obj == terms
+    else:
+        assert obj.m == W.shape[0] and obj.wins.tobytes() == W.tobytes()
+        assert not obj.wins.flags.writeable
 
 
 def _win_stack(seed, K, m):
@@ -96,9 +142,9 @@ def _win_stack(seed, K, m):
 @PROPERTY
 @given(objectives())
 def test_dense_derivatives_match_per_edge_sums(case):
-    obj, theta = case
-    f, g, H = _per_edge(obj, theta)
-    scale = max(1.0, float(obj.weight.sum()))
+    obj, terms, theta = case
+    f, g, H = _per_edge(obj.m, terms, theta)
+    scale = max(1.0, float(terms[2].sum()))
     assert abs(nll(obj, theta) - f) <= 1e-12 * max(scale, abs(f))
     np.testing.assert_allclose(gradient(obj, theta), g, rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(hessian(obj, theta).matrix, H, rtol=0, atol=1e-12 * scale)
@@ -107,8 +153,8 @@ def test_dense_derivatives_match_per_edge_sums(case):
 @PROPERTY
 @given(objectives())
 def test_gradient_sums_to_zero_and_hessian_kills_ones(case):
-    obj, theta = case
-    scale = max(1.0, float(obj.weight.sum()))
+    obj, terms, theta = case
+    scale = max(1.0, float(terms[2].sum()))
     assert abs(gradient(obj, theta).sum()) <= 1e-12 * scale
     assert np.abs(hessian(obj, theta).matrix @ np.ones(obj.m)).max() <= 1e-12 * scale
 
@@ -116,7 +162,7 @@ def test_gradient_sums_to_zero_and_hessian_kills_ones(case):
 @PROPERTY
 @given(objectives(), st.floats(-50.0, 50.0))
 def test_estimate_ignores_a_common_shift_of_the_start(case, shift):
-    obj, theta = case
+    obj, _, theta = case
     assume(not _component_labels(obj.wins + obj.wins.T > 0).any())  # connected
     start = 0.5 * theta
     a = solve_newton(obj, start=start)
@@ -240,18 +286,6 @@ def test_dense_builders_match_per_record_aggregation(data, seed, k):
         np.testing.assert_array_equal(lap.matrix[off], want[off])
         np.testing.assert_allclose(np.diag(lap.matrix), np.diag(want), rtol=1e-12, atol=0)
     assert pc.wins.tobytes() == split_wins(data, seed, k + 1)[k].tobytes()
-
-
-@PROPERTY
-@given(response_data(), SEEDS, st.integers(0, 3))
-def test_recorded_positions_compile_like_the_lookup(data, seed, k):
-    # an equal copy is another object, so the split's edges are looked up
-    split = random_split(data, seed, k)
-    copy = ResponseData(data.n_users, data.n_items, data.user_ids, data.item_ids,
-                        data.responses)
-    own, looked_up = compile_comparisons(data, split), compile_comparisons(copy, split)
-    for name in ("rec_i", "rec_j", "rec_t", "rec_y", "wins", "counts"):
-        assert getattr(own, name).tobytes() == getattr(looked_up, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +533,88 @@ def test_wp_score_covariance_matches_per_user_loop_across_blocks():
     for _, i, j, w in _per_user_comparisons(data, "wp"):
         wins[i, j] += w
     np.testing.assert_allclose(_pseudo_wins(data, "wp"), wins, rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Symmetries of the Rasch model
+# ---------------------------------------------------------------------------
+
+@st.composite
+def rasch_samples(draw):
+    """Bernoulli responses with standard-normal parameters; past 512 users
+    the duplicated copy spans two `USER_BLOCK`s of indicators."""
+    seed, n, m = draw(SEEDS), draw(st.integers(50, 1200)), draw(st.integers(2, 10))
+    data = sample_responses(sample_ground_truth(n, m, "standard-normal", seed=seed), 0.5, seed=seed)
+    return seed, data
+
+
+def _fits(data, seed):
+    """Estimate of each method, or the class of the error it raised."""
+    out = {}
+    for method, n_split in (("rp", 1), ("mrp", 4), ("wp", 1), ("pmle", 1)):
+        try:
+            out[method] = estimate(data, EstimatorConfig(method=method, seed=seed, n_split=n_split))
+        except EstimationError as exc:
+            out[method] = type(exc)
+    return out
+
+
+def _close_sigma(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@PROPERTY
+@given(rasch_samples())
+def test_flipping_every_response_negates_the_estimates(case):
+    # (theta, zeta, X) -> (-theta, -zeta, 1 - X) leaves the model's law as it
+    # is; the pairing keys do not read responses, so every win matrix is
+    # transposed and every estimate negated
+    seed, data = case
+    flipped = ResponseData(data.n_users, data.n_items, data.user_ids, data.item_ids,
+                           1 - data.responses)
+    fits, flips = _fits(data, seed), _fits(flipped, seed)
+    for method, est in fits.items():
+        if isinstance(est, type):
+            assert flips[method] is est
+            continue
+        np.testing.assert_allclose(flips[method].theta_hat, -est.theta_hat, rtol=0, atol=1e-12)
+        if method != "pmle":
+            _close_sigma(plugin_covariance(flipped, flips[method]).Sigma_hat,
+                         plugin_covariance(data, est).Sigma_hat)
+
+
+def _stopping_error(est):
+    """First-order bound on the distance from ``est`` to the exact optimum of
+    its win matrix: the gradient left at the stop through ``H^+``."""
+    H = hessian(BtlObjective.from_wins(est.split_wins[0]), est.theta_hat).matrix
+    grad = est.solve_results[0].grad_inf_norm
+    return 2.0 * math.sqrt(est.m) * np.linalg.norm(np.linalg.pinv(H), 2) * grad
+
+
+@PROPERTY
+@given(rasch_samples())
+def test_duplicating_every_user_keeps_the_pseudo_estimates_and_halves_the_wp_covariance(case):
+    seed, data = case
+    n = data.n_users
+    twice = ResponseData(2 * n, data.n_items, np.concatenate((data.user_ids, data.user_ids + n)),
+                         np.tile(data.item_ids, 2), np.tile(data.responses, 2))
+    for method in ("wp", "pmle"):
+        cfg = EstimatorConfig(method=method, seed=seed)
+        try:
+            est = estimate(data, cfg)
+        except EstimationError as exc:
+            with pytest.raises(type(exc)):
+                estimate(twice, cfg)
+            continue
+        dup = estimate(twice, cfg)
+        # the win matrix doubles, but the log-odds start does not scale with
+        # it: the two solves stop at different points within their tolerance
+        slack = _stopping_error(est) + _stopping_error(dup)
+        assert np.abs(dup.theta_hat - est.theta_hat).max() <= 1e-12 + slack
+        if method == "wp":
+            at_est = dataclasses.replace(dup, theta_hat=est.theta_hat)
+            _close_sigma(plugin_covariance(twice, at_est).Sigma_hat,
+                         plugin_covariance(data, est).Sigma_hat / 2)
 
 
 # ---------------------------------------------------------------------------
