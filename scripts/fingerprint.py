@@ -5,12 +5,14 @@
 Two checkouts whose hashes agree give the same estimates, covariances, CLI
 output and compiled splits bit for bit.  The hash covers, at seeds 0-2, the
 Bernoulli samples with standard-normal parameters at (n, m, p) = (1e4, 20,
-0.5), (1e4, 50, 0.1), (300, 6, 0.6) and the fixed-length ``uniform-mp``
-sample with all-zeros parameters at (1e4, 50, 0.2), where every user answers
-10 items and the splits sort one row per user:
+0.5), (1e4, 50, 0.1), (300, 6, 0.6), the fixed-length ``uniform-mp`` sample
+with all-zeros parameters at (1e4, 50, 0.2), where every user answers 10
+items and the splits sort one row per user, and the (1e4, 50, 0.1) Bernoulli
+sample without the last response of each user of odd degree, where the
+degrees are even but unequal and the splits pair by strided views:
 
 - theta_hat of ``rp``, ``mrp`` (n_split=20), ``wp`` and ``pmle`` (only ``rp``
-  and ``mrp`` at the ``uniform-mp`` point);
+  and ``mrp`` at the ``uniform-mp`` and even-degree points);
 - ``H_hat``, ``V_diff_hat`` and ``Sigma_hat`` of the ``wp`` and ``mrp``
   plug-in covariances;
 - the ``rec_*``, ``wins`` and ``counts`` arrays of
@@ -38,11 +40,12 @@ from rasch.estimators import EstimatorConfig
 
 SEEDS = (0, 1, 2)
 ALL_METHODS = ("rp", "mrp", "wp", "pmle")
-# (n, m, p, parameters, sampling mode, methods)
+# (n, m, p, parameters, sampling mode or "even-degrees", methods)
 POINTS = ((10_000, 20, 0.5, "standard-normal", "bernoulli", ALL_METHODS),
           (10_000, 50, 0.1, "standard-normal", "bernoulli", ALL_METHODS),
           (300, 6, 0.6, "standard-normal", "bernoulli", ALL_METHODS),
-          (10_000, 50, 0.2, "all-zeros", "uniform-mp", ("rp", "mrp")))
+          (10_000, 50, 0.2, "all-zeros", "uniform-mp", ("rp", "mrp")),
+          (10_000, 50, 0.1, "standard-normal", "even-degrees", ("rp", "mrp")))
 COV_FIELDS = ("H_hat", "V_diff_hat", "Sigma_hat")
 PC_FIELDS = ("rec_i", "rec_j", "rec_t", "rec_y", "wins", "counts")
 
@@ -56,6 +59,15 @@ def _fit(data, method: str, seed: int) -> list[tuple[str, np.ndarray]]:
         cov = rasch.plugin_covariance(data, est)
         out += [(name, getattr(cov, name)) for name in COV_FIELDS]
     return out
+
+
+def _even_degrees(data):
+    """``data`` without the last response of each user of odd degree."""
+    odd_last = data.user_indptr[1:][data.user_degrees() % 2 == 1] - 1
+    keep = np.ones(data.n_edges, bool)
+    keep[odd_last] = False
+    return rasch.ResponseData(data.n_users, data.n_items, data.user_ids[keep],
+                              data.item_ids[keep], data.responses[keep])
 
 
 def _cli_stdout(argv: list[str]) -> bytes:
@@ -75,7 +87,10 @@ def fingerprint() -> str:
     for n, m, p, spec, mode, methods in POINTS:
         for seed in SEEDS:
             gt = rasch.sample_ground_truth(n, m, spec, seed=seed)
-            data = rasch.sample_responses(gt, p, seed=seed, mode=mode)
+            if mode == "even-degrees":
+                data = _even_degrees(rasch.sample_responses(gt, p, seed=seed))
+            else:
+                data = rasch.sample_responses(gt, p, seed=seed, mode=mode)
             where = f"n={n} m={m} p={p} seed={seed}"
             if mode != "bernoulli":
                 where += f" {spec} {mode}"

@@ -12,6 +12,7 @@ response ``X = 1 - correct``, so that larger estimates mean harder problems.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -49,7 +50,18 @@ _CHECKSUM = "260e02802bc287a3ce4b696faea040347f79182189d49132ca4c8e57660c6158"
 
 
 def lsat_correct_matrix() -> np.ndarray:
-    """The 1000 x 5 matrix of correctness indicators, checksum-verified."""
+    """The 1000 x 5 matrix of correctness indicators, checksum-verified.
+
+    The totals and the checksum are checked once per process for each
+    expected checksum; every call returns a fresh copy.
+    """
+    return _verified_matrix(_CHECKSUM).copy()
+
+
+@functools.cache
+def _verified_matrix(checksum: str) -> np.ndarray:
+    """The corpus matrix, read-only, after checking its totals and that its
+    canonical CSV hashes to ``checksum``; an error is raised, not cached."""
     rows = []
     for pattern, count in _PATTERNS:
         row = [int(c) for c in pattern]
@@ -60,8 +72,9 @@ def lsat_correct_matrix() -> np.ndarray:
     if tuple(mat.sum(axis=0).tolist()) != LSAT_TOTALS:
         raise RuntimeError("corpus column totals do not match the known values")
     digest = hashlib.sha256(_csv_bytes(mat)).hexdigest()
-    if digest != _CHECKSUM:
+    if digest != checksum:
         raise RuntimeError(f"corpus checksum mismatch: {digest}")
+    mat.setflags(write=False)
     return mat
 
 

@@ -5,14 +5,17 @@ responded items, pairs them consecutively (dropping one item when the count is
 odd), and keeps a comparison record only when the two responses differ.  Each
 response is used at most once per split, which is what makes the resulting
 comparison outcomes conditionally independent.  A split orders the edges with
-one value sort of int64 keys: each is the bit pattern of the edge's float sort
-key with a payload in its low bits (the response's item and value, or its
-index within its user), sorted in one row per user when every responding user
-answered the same number of items.  `_sorted_payload` falls back to the
-stable argsort of the float keys when two keys tie in their remaining bits.
-Whatever the route, the comparisons of one split are summarized by one m x m
-win matrix: `split_wins` compiles the splits of a multi-split fit straight
-into these matrices, which is all the estimators read.  `random_split` and
+one value sort in one key buffer, reused by every split of a call: each
+edge's float sort key, drawn into the buffer, gets a payload in the low bits
+of its bit pattern (the response's item and value, or its index within its
+user) and is sorted in place, as one float64 row, or as int64 rows of the
+common degree when every responding user answered the same number of items.
+When two keys tie in their remaining bits, the split's keys are drawn again
+from its sub-stream and ordered by their stable argsort.  Whatever the route,
+the comparisons of one split are summarized by one m x m win matrix:
+`split_wins` compiles the splits of a multi-split fit straight into these
+matrices, which is all the estimators read; it counts each pair by a code
+formed from the two payloads, one `bincount` per split.  `random_split` and
 `compile_comparisons` expose one split record by record, next to its win and
 count matrices, for checks and for `laplacian.build_z_laplacian` (the
 paper's l2 error predictor); a split records where its responses sit in the
@@ -134,25 +137,33 @@ class PairedComparisons:
 # Operations
 # ---------------------------------------------------------------------------
 
-def _sorted_payload(key: np.ndarray, payload: np.ndarray, bits: int, width: int) -> np.ndarray:
+def _sorted_payload(key: np.ndarray, payload: np.ndarray, bits: int, width: int) -> np.ndarray | None:
     """``payload[np.argsort(key, kind="stable")]`` for keys ``>= 0`` and
-    payloads in ``[0, 2**bits)``, found by one value sort.
+    payloads in ``[0, 2**bits)``, found by one value sort in ``key``'s own
+    buffer; None when that sort cannot stand in for the argsort.
 
-    A non-negative float64 sorts as its int64 bit pattern.  The patterns, with
-    their low ``bits`` bits replaced by the payload, are sorted as values; when
-    no two of them share the bits above those, the sort orders the payloads
-    exactly as the stable argsort of the keys does.  An exact tie, or two keys
-    less than ``2**bits`` ulps apart, falls back to that argsort.  Rows of
-    ``width`` keys are sorted one by one: the whole sort if every key of a row
-    is below every key of the next (one row of all the keys always is).
+    A non-negative float64, subnormals included, sorts as its int64 bit
+    pattern.  The low ``bits`` bits of each key are replaced in place by its
+    payload and the keys are sorted as values; when no two of them share the
+    bits above those, the sort orders the payloads exactly as the stable
+    argsort of the keys does, and they are returned as the int64 view of
+    ``key``.  An exact tie, or two keys less than ``2**bits`` ulps apart,
+    returns None, with ``key`` overwritten.  One row of all the keys is
+    sorted as float64; rows of a smaller ``width`` are sorted one by one as
+    int64, which is the whole sort if every key of a row is below every key
+    of the next.
     """
     mask = (1 << bits) - 1
-    packed = key.view(np.int64) & ~mask
+    packed = key.view(np.int64)
+    packed &= ~mask
     packed |= payload
-    packed.reshape(-1, width).sort()
+    if width == key.size:
+        key.sort()
+    else:
+        packed.reshape(-1, width).sort()
     high = packed >> bits
     if (high[1:] == high[:-1]).any():
-        return payload[np.argsort(key, kind="stable")]
+        return None
     packed &= mask
     return packed
 
@@ -162,25 +173,33 @@ def _pairing_orders(data: ResponseData, seed: int, splits, payload: np.ndarray, 
 
     The edges stay grouped by user, in a uniformly random order within each
     user's block; the pairs of a split are the consecutive entries at
-    ``data._pair_slots`` and the one after each.
+    ``data._pair_slots`` and the one after each.  Each order is yielded in
+    one buffer, which the next split overwrites.
     """
     # The float key 2 * user + key keeps >= 31 bits of key resolution only
     # while the user-id part stays below 2^20; lexsort serves larger ids.
-    # Both stay because lexsort is far slower.  On 5e4 edges (n=1e4, m=50,
-    # p=0.1) lexsort takes 13.8 ms, a stable argsort of the float key 1.4 ms
-    # and the packed value sort of `_sorted_payload` 0.8 ms; on 1e5 edges the
-    # value sort takes 1.0 ms against 3.3 ms for the argsort, or 0.6 ms as
-    # 1e4 rows of 10 when every user answered 10 items (2-core x86-64 with
-    # AVX-512, numpy 2.4).  It fell back to the argsort in 1 of 500 splits at
-    # n=1e4, m=50.
+    # Both stay because lexsort is slower.  On 5e4 edges (n=1e4, m=50, p=0.1)
+    # lexsort takes 1.33 ms, a stable argsort of the float key 1.27 ms, and
+    # the packed value sort of `_sorted_payload` 0.35 ms as float64 against
+    # 0.40 ms as int64; on 1e5 edges in 1e4 rows of 10, when every user
+    # answered 10 items, the int64 row sort takes 0.40 ms against 0.57 ms as
+    # float64 (medians of 100, 2-core x86-64 with AVX-512, numpy 2.4).  It
+    # fell back to the argsort in 1 of 500 splits at n=1e4, m=50.
+    keys = np.empty(data.n_edges)
     user_key = data.user_ids * 2.0
     for k in splits:
-        keys = _rng.substream(seed, _rng.SPLIT, k).random(data.n_edges)
+        _rng.substream(seed, _rng.SPLIT, k).random(out=keys)
         if data.n_users > 2**20:
             yield payload[np.lexsort((keys, data.user_ids))]
-        else:
+            continue
+        keys += user_key
+        order = _sorted_payload(keys, payload, bits, data._sort_width)
+        if order is None:
+            # the value sort overwrote the keys: draw them again
+            _rng.substream(seed, _rng.SPLIT, k).random(out=keys)
             keys += user_key
-            yield _sorted_payload(keys, payload, bits, data._sort_width)
+            order = payload[np.argsort(keys, kind="stable")]
+        yield order
 
 
 def _paired_positions(data: ResponseData, seed: int, split_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,21 +250,26 @@ def split_wins(data: ResponseData, seed: int, n_split: int) -> np.ndarray:
     ``X = 1``.  Split ``k`` pairs exactly as ``random_split(data, seed, k)``.
     """
     m = data.n_items
-    mm = m * m
-    # A response travels through the sort as its payload item + m * X, and
-    # code[payload] is its code: item * m for X = 1 (the winner), item + 2m^2
-    # for X = 0.  A pair's key is the sum of its two codes.  Pairs that differ
-    # land on 2m^2 + winner * m + loser; agreeing pairs fall below or above
-    # that range.
+    # A response travels through the sort as its payload item + m * X, in
+    # [0, 2m).  A pair of payloads (a, b) counts at a * 2m + b, so the bins
+    # are B[X_a, item_a, X_b, item_b]: the pairs that differ are those at
+    # B[1, :, 0, :] (a won) and at B[0, :, 1, :] (b won).
     payload = data.item_ids + m * data.responses
     bits = (2 * m - 1).bit_length()
-    code = np.concatenate((np.arange(m) + 2 * mm, np.arange(m) * m))
     slots = data._pair_slots
-    partners = slots + 1
+    if 2 * slots.size == data.n_edges:
+        # every degree is even: the pairs are the entries two by two, read as
+        # strided views instead of gathers; on n=1e4 users of degree 10,
+        # split_wins(n_split=50) was faster so in 55 of 60 interleaved pairs
+        first, second = slice(0, None, 2), slice(1, None, 2)
+    else:
+        first, second = slots, slots + 1
     out = np.empty((n_split, m, m))
     for k, shuffled in enumerate(_pairing_orders(data, seed, range(n_split), payload, bits)):
-        bins = np.bincount(code[shuffled[slots]] + code[shuffled[partners]], minlength=3 * mm)
-        out[k] = bins[2 * mm:3 * mm].reshape(m, m)
+        pair = shuffled[first] * (2 * m)
+        pair += shuffled[second]
+        B = np.bincount(pair, minlength=4 * m * m).reshape(2, m, 2, m)
+        np.add(B[1, :, 0, :], B[0, :, 1, :].T, out=out[k])
     return out
 
 

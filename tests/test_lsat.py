@@ -12,9 +12,15 @@ class TestCorpus:
         assert tuple(mat.sum(axis=0).tolist()) == lsat.LSAT_TOTALS
 
     def test_checksum_guard(self, monkeypatch):
+        lsat.lsat_correct_matrix()  # verified once under the real checksum
         monkeypatch.setattr(lsat, "_CHECKSUM", "0" * 64)
         with pytest.raises(RuntimeError, match="checksum"):
             lsat.lsat_correct_matrix()
+
+    def test_each_call_returns_a_fresh_array(self):
+        mat = lsat.lsat_correct_matrix()
+        mat[:] = 0
+        assert tuple(lsat.lsat_correct_matrix().sum(axis=0).tolist()) == lsat.LSAT_TOTALS
 
     def test_load_uses_negative_response_convention(self):
         data = lsat.load_lsat()

@@ -1,6 +1,10 @@
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from rasch import pairing
 from rasch.model import GroundTruth, ResponseData, sample_responses
 from rasch.pairing import (
     SplitAssignment,
@@ -102,16 +106,35 @@ def _ulps_above(x, n):
     return (np.asarray(x, float).view(np.int64) + n).view(float)
 
 
+def _engine_order(key, payload, bits, width):
+    """The order `_pairing_orders` gives ``payload`` when one user's split
+    stream draws the float keys ``key``, sorted in rows of ``width``: the
+    value sort, or the stable argsort of the keys drawn again on a tie."""
+    data = SimpleNamespace(n_edges=key.size, n_users=1, user_ids=np.zeros(key.size, np.int64),
+                           _sort_width=width)
+    stream = SimpleNamespace(random=lambda out: np.copyto(out, key))
+    with mock.patch.object(pairing._rng, "substream", lambda *args: stream):
+        order, = pairing._pairing_orders(data, 0, (0,), payload, bits)
+    return order.copy()
+
+
 class TestSortedPayload:
     """The packed value sort against the stable argsort it stands in for."""
 
     @staticmethod
-    def check(key, payload, bits):
+    def check(key, payload, bits, width=None):
         key = np.asarray(key, float)
         payload = np.asarray(payload, np.int64)
+        width = width or max(key.size, 1)  # default: one row of all the keys
         want = payload[np.argsort(key, kind="stable")]
-        # one row of all the keys: the sort of the whole array
-        np.testing.assert_array_equal(_sorted_payload(key, payload, bits, max(key.size, 1)), want)
+        high = np.sort(key).view(np.int64) >> bits
+        tied = bool((high[1:] == high[:-1]).any())
+        got = _sorted_payload(key.copy(), payload, bits, width)
+        # None exactly when two keys share their bits above the payload's
+        assert (got is None) == tied
+        if got is not None:
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(_engine_order(key, payload, bits, width), want)
 
     def test_distinct_keys_of_several_users(self):
         rng = np.random.default_rng(0)
@@ -131,6 +154,8 @@ class TestSortedPayload:
         tiny = [0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1e-300, 0.0, 0.5]
         self.check(tiny, [3, 2, 1, 0, 3, 2, 1], 2)
         self.check(tiny[::-1], [3, 2, 1, 0, 3, 2, 1], 2)
+        # subnormal and distinct: sorted as float64 bit patterns, no fallback
+        self.check([2e-323, 5e-324, 2.2250738585072014e-308, 0.25], [1, 0, 1, 0], 1)
 
     def test_row_width_sorts_like_one_row(self):
         # 30 users of 6 keys each, in user order: sorting each row of 6 keys
@@ -141,9 +166,8 @@ class TestSortedPayload:
         base = users * 2.0 + 0.5  # low mantissa bits zero: base .. base + 7 ulps tie
         for key in (users * 2.0 + rng.random(users.size), base,
                     _ulps_above(base, rng.integers(0, 8, users.size))):
-            rows = _sorted_payload(key, payload, 3, 6)
-            assert rows.tobytes() == _sorted_payload(key, payload, 3, key.size).tobytes()
-            np.testing.assert_array_equal(rows, payload[np.argsort(key, kind="stable")])
+            self.check(key, payload, 3, width=6)
+            self.check(key, payload, 3)
 
     def test_empty_single_and_payload_free(self):
         self.check([], [], 3)
@@ -242,6 +266,62 @@ class TestCompile:
             np.add.at(want, (pc.rec_i, pc.rec_j), 1 - pc.rec_y)  # larger-indexed item won
             np.add.at(want, (pc.rec_j, pc.rec_i), pc.rec_y)
             np.testing.assert_array_equal(W[k], want)
+
+
+def _degree_data(degrees, m=7, seed=0):
+    """Responses where user ``t`` answered ``degrees[t]`` distinct items."""
+    rng = np.random.default_rng(seed)
+    users = np.repeat(np.arange(len(degrees)), degrees)
+    items = np.concatenate([np.sort(rng.permutation(m)[:d]) for d in degrees])
+    return ResponseData(len(degrees), m, users, items, rng.integers(0, 2, users.size))
+
+
+class TestSplitWinsBranches:
+    """`split_wins` against `compile_comparisons` on each way a split is
+    sorted (one float64 row, or int64 rows of the common degree) and paired
+    (strided views when every degree is even, else gathers)."""
+
+    @staticmethod
+    def check(data, seed=5, K=4):
+        W = split_wins(data, seed, K)
+        for k in range(K):
+            pc = compile_comparisons(data, random_split(data, seed, k))
+            assert W[k].tobytes() == pc.wins.tobytes()
+        return W
+
+    def test_even_unequal_degrees(self):
+        data = _degree_data(np.tile([2, 4, 6, 0, 4], 40))
+        assert data._sort_width == data.n_edges  # one float64 row
+        assert 2 * data._pair_slots.size == data.n_edges  # strided pairs
+        self.check(data)
+
+    def test_fixed_odd_degree(self):
+        data = _degree_data(np.full(150, 5))
+        assert data._sort_width == 5  # int64 rows
+        assert 2 * data._pair_slots.size < data.n_edges  # gathered pairs
+        self.check(data)
+
+    def test_ragged_degrees(self):
+        data = _degree_data(np.tile([1, 2, 3, 4, 5, 6, 7], 30))
+        assert data._sort_width == data.n_edges
+        assert 2 * data._pair_slots.size < data.n_edges
+        self.check(data)
+
+    def test_tie_fallback_pairs_in_edge_order(self):
+        # every key of a user is 2 * user + 0.5: the value sort finds a tie,
+        # and the stable argsort of the keys drawn again keeps edge order
+        stream = SimpleNamespace(random=lambda out: out.fill(0.5))
+        for degrees in ([2, 4, 6, 0, 4] * 10, [5] * 30, [1, 2, 3, 4, 5, 6, 7] * 5):
+            data = _degree_data(degrees, seed=1)
+            with mock.patch.object(pairing._rng, "substream", lambda *args: stream):
+                W = self.check(data, K=2)
+            want = np.zeros((data.n_items, data.n_items))
+            for a in data._pair_slots:
+                x, y = data.responses[a], data.responses[a + 1]
+                if x != y:
+                    win, lose = (a, a + 1) if x == 1 else (a + 1, a)
+                    want[data.item_ids[win], data.item_ids[lose]] += 1
+            assert W[0].tobytes() == W[1].tobytes() == want.tobytes()
 
 
 class TestBtlWinProb:

@@ -43,6 +43,15 @@ class TestObjective:
         with pytest.raises(ValueError):
             BtlObjective(m=2, item_i=[1], item_j=[0], weight=[0.0], wins_i=[0.0])
 
+    def test_from_wins_rejects_what_newton_cannot_use(self):
+        # a NaN or negative entry, a zero-count pair with wins, a non-zero diagonal
+        for W, message in (([[np.nan, 1, 2], [1, 0, 1], [1, 1, 0]], "non-negative"),
+                           ([[-3, 1, 2], [1, 0, 1], [1, 1, 0]], "non-negative"),
+                           ([[0, 5, 1], [-5, 0, 1], [1, 1, 0]], "non-negative"),
+                           ([[2, 1], [1, 0]], "diagonal")):
+            with pytest.raises(ValueError, match=message):
+                BtlObjective.from_wins(W)
+
     def test_nll_values(self):
         obj = _two_item()
         assert nll(obj, np.zeros(2)) == pytest.approx(4 * np.log(2.0), rel=1e-12)
@@ -104,6 +113,29 @@ class TestDerivatives:
             v = rng.standard_normal(m)
             fd = (gradient(obj, theta + h * v) - gradient(obj, theta - h * v)) / (2 * h)
             assert np.abs(H @ v - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
+
+    def test_kernels_match_the_plain_formulas_bit_for_bit(self):
+        # D = +0 and -0, and |D| > 745, where exp(-|D|) underflows to 0
+        rng = np.random.default_rng(7)
+        K, m = 5, 9
+        theta = rng.normal(0.0, 3.0, (K, m))
+        theta[:, :5] = [0.0, -0.0, 0.0, 400.0, -400.0]
+        W = rng.integers(0, 7, (K, m, m)) * rng.choice([1.0, 0.25, 1e-3], (K, m, m))
+        N = W + np.swapaxes(W, -1, -2)
+        D = theta[..., :, None] - theta[..., None, :]
+        t = np.exp(-np.abs(D))
+        assert ((D == 0) & np.signbit(D)).any() and ((D == 0) & ~np.signbit(D)).any()
+        assert (t == 0).any()
+        r = 1.0 / (1.0 + t)
+        loss = (W * (np.log1p(t) + np.maximum(-D, 0.0))).reshape(K, m * m).sum(axis=-1)
+        grad = (N * np.where(D >= 0.0, r, t * r) - W).sum(axis=-1)
+        Z = N * (t * r * r)
+        for s in (slice(None), 0):  # a stack, and one matrix as `nll` passes it
+            D_k, t_k = solver._pairwise(theta[s])
+            assert D_k.tobytes() == D[s].tobytes() and t_k.tobytes() == t[s].tobytes()
+            assert solver._loss_at(W[s], D[s], t[s]).tobytes() == loss[s].tobytes()
+            g_k, Z_k = solver._derivatives_at(W[s], N[s], D[s], t[s])
+            assert g_k.tobytes() == grad[s].tobytes() and Z_k.tobytes() == Z[s].tobytes()
 
     def test_hessian_psd(self):
         rng = np.random.default_rng(4)
