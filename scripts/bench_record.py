@@ -16,6 +16,9 @@ against each side's ``src/``: equal hashes mean the same numbers.  Under
 ``acceptance`` it keeps the paper scorecard of each side's tier-1 run: the
 ``[criterion N] PASS|FAIL <detail>`` line each acceptance test prints, by
 criterion.  Runs are sequential, so the two sides never share the processor.
+It also records how many CPUs the runs could use (``usable_cpus``): a fit
+with enough work computes its splits on two threads when two are usable, so
+its timings depend on that count.
 """
 
 from __future__ import annotations
@@ -124,6 +127,7 @@ def main(argv=None) -> int:
     record = {
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "pairs": PAIRS,
+        "usable_cpus": len(os.sched_getaffinity(0)),
         "workloads": workloads,
         "src_lines": {side: src_lines(d) for side, d in dirs.items()},
         "tier1": {side: counts for side, (counts, _) in tier1.items()},

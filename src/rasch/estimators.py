@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .model import ResponseData
 from .pairing import _pseudo_wins, split_wins
-from .solver import BtlObjective, SolverOptions, solve_newton, solve_newton_batch
+from .solver import BtlObjective, SolverOptions, _is_integer, solve_newton, solve_newton_batch
 
 __all__ = [
     "EstimatorConfig",
@@ -42,7 +42,8 @@ METHODS = ("rp", "mrp", "wp", "pmle")
 class EstimatorConfig:
     """Method selection plus the knobs shared by all estimators.
 
-    ``n_split`` only matters for ``mrp``.
+    ``n_split`` only matters for ``mrp``.  ``seed`` must be an integer
+    ``>= 0`` and ``n_split`` an integer ``>= 1``; a boolean is neither.
     """
 
     method: str = "mrp"
@@ -53,8 +54,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.n_split < 1:
-            raise ValueError("n_split must be >= 1")
+        if not _is_integer(self.n_split) or self.n_split < 1:
+            raise ValueError(f"n_split must be an integer >= 1, got {self.n_split!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ per-user weighted-pseudo gradients (``V_diff``); for ``rp``/``mrp`` with K
 splits, ``V = H/K + (K-1)/K * V_diff``, because the score covariance within
 one split equals its curvature.  The per-user gradients are formed as matrix
 products of the users' response indicators, block by block, without listing
-the within-user pairs.  Intervals are two-sided normal intervals on the diagonal,
-optionally Bonferroni-corrected across items.
+the within-user pairs, in row chunks small enough for OpenBLAS to compute
+them on the calling thread.  Intervals are two-sided normal intervals on the
+diagonal, optionally Bonferroni-corrected across items.
 """
 
 from __future__ import annotations
@@ -110,13 +111,49 @@ class PluginCovariance:
             raise ValueError(f"Sigma_hat is not PSD: min eigenvalue {eig[0]}")
 
 
+# Largest product, in multiply-adds, that OpenBLAS computes on the calling
+# thread.  At m = 50 a block's products X @ S^T of 1024 users take 2.56e6 and
+# go to OpenBLAS's worker thread, which keeps spinning after them and takes
+# the second core from the split threads of the next fit: 20 covariances of
+# an mrp-sparse input (n=1e4, m=50, p=0.1) took 0.44-0.50 s of CPU in
+# 0.15-0.19 s of wall time; in chunks they take as much CPU as wall time,
+# 0.19-0.23 s.  Chunks of at most 2**19 // m**2 users, spread evenly over a block,
+# gave the same bits as the block's one product for every block size up to
+# 1024 and every m <= 80 tried, but not from m = 81 on, where chunks of a few
+# dozen users take another kernel; so a block is chunked only where that
+# bound is MIN_CHUNK users or more, m <= 64 (2-core x86-64 with AVX-512,
+# numpy 2.4 and its bundled OpenBLAS).
+CALLER_PRODUCT = 2**19
+MIN_CHUNK = 128
+
+
 def _wp_score_covariance(data: ResponseData, theta: np.ndarray) -> np.ndarray:
     """``G^T G / n`` of the per-user ``"wp"`` scores at ``theta``, block by block:
-    ``G = w * [X1 * (X0 (S - 1)^T) + X0 * (X1 S^T)]``, ``S_ij = sigma(theta_i - theta_j)``."""
+    ``G = w * [X1 * (X0 (S - 1)^T) + X0 * (X1 S^T)]``, ``S_ij = sigma(theta_i - theta_j)``.
+
+    The products ``X0 (S - 1)^T`` and ``X1 S^T`` are taken in evenly spread
+    row chunks of at most ``CALLER_PRODUCT // m**2`` users, written in place,
+    so that OpenBLAS computes them on the calling thread; the chunks give the
+    same bits as one product per block (see `CALLER_PRODUCT`).
+    """
+    m = data.n_items
     S = sigmoid(theta[:, None] - theta[None, :])
-    V = np.zeros((data.n_items, data.n_items))
+    lose, win = (S - 1.0).T, S.T
+    cap = CALLER_PRODUCT // m**2
+    V = np.zeros((m, m))
     for _, X1, X0, w in _indicator_blocks(data, "wp"):
-        G = w[:, None] * (X1 * (X0 @ (S - 1.0).T) + X0 * (X1 @ S.T))
+        users = X0.shape[0]
+        chunks = -(-users // cap) if cap >= MIN_CHUNK else 1
+        G, P = np.empty_like(X0), np.empty_like(X1)
+        for c in range(chunks):
+            rows = slice(users * c // chunks, users * (c + 1) // chunks)
+            np.matmul(X0[rows], lose, out=G[rows])
+            np.matmul(X1[rows], win, out=P[rows])
+        # in place, the same products and sum as w * (X1 * G + X0 * P)
+        G *= X1
+        P *= X0
+        G += P
+        G *= w[:, None]
         V += G.T @ G
     return V / data.n_users
 

@@ -15,15 +15,17 @@ from its sub-stream and ordered by their stable argsort.  Whatever the route,
 the comparisons of one split are summarized by one m x m win matrix:
 `split_wins` compiles the splits of a multi-split fit straight into these
 matrices, which is all the estimators read; it counts each pair by a code
-formed from the two payloads, one `bincount` per split.  `random_split` and
-`compile_comparisons` expose one split record by record, next to its win and
-count matrices, for checks and for `laplacian.build_z_laplacian` (the
-paper's l2 error predictor); a split records where its responses sit in the
-data object it was drawn from, and compiles against that object only.  The
-overlapping route of the pseudo-likelihood estimators takes every within-user
-item pair without listing them: its win matrix is ``X1^T diag(w) X0``, from
-the users' 0/1 response indicators ``X1 = 1{X = 1}``, ``X0 = 1{X = 0}`` and
-weights ``w``, block by block.
+formed from the two payloads, one `bincount` per split, and computes the
+second half of a large batch of splits on a helper thread with a key buffer
+of its own.  `random_split` and `compile_comparisons` expose one split
+record by record, next to its win and count matrices, for checks and for
+`laplacian.build_z_laplacian` (the paper's l2 error predictor); a split
+records where its responses sit in the data object it was drawn from, and
+compiles against that object only.  The overlapping route of the
+pseudo-likelihood estimators takes every within-user item pair without
+listing them: its win matrix is ``X1^T diag(w) X0``, from the users' 0/1
+response indicators ``X1 = 1{X = 1}``, ``X0 = 1{X = 0}`` and weights ``w``,
+block by block.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _rng
+from . import _rng, _threads
 from .model import ResponseData, sigmoid
 
 __all__ = [
@@ -52,6 +54,14 @@ __all__ = [
 # they replaced; with 1024-user blocks it measured 111.1-112.5 MB (seeds 1-3,
 # 2-core x86-64, numpy 2.4).
 USER_BLOCK = 1024
+
+# Edges from which `split_wins` computes the two halves of its splits on two
+# threads.  Two threads against one, median times of `split_wins`: 22.1 vs
+# 14.6 ms on 5,000 edges (m=5, K=100, as LSAT), 15.1 vs 15.9 ms on 15,697
+# (m=20, K=50), 18.5 vs 24.9 ms on 24,803 (m=50, K=50), 21.1 vs 30.0 ms on
+# 31,596 and 32.9 vs 53.3 ms on 49,763 (n=1e4, m=50, p=0.1, K=50); 2-core
+# x86-64, numpy 2.4.
+SPLIT_THREAD_EDGES = 2**15
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -248,6 +258,10 @@ def split_wins(data: ResponseData, seed: int, n_split: int) -> np.ndarray:
     ``W[k, i, j]`` counts the comparisons of split ``k`` that item ``i`` won
     against item ``j``: pairs whose responses differ, won by the item with
     ``X = 1``.  Split ``k`` pairs exactly as ``random_split(data, seed, k)``.
+    With at least ``SPLIT_THREAD_EDGES`` edges, two splits or more and two
+    usable CPUs, the second half of the splits is computed on a helper
+    thread, each half with its own key buffer; every split is drawn from its
+    own sub-stream, so the matrices are the same bits either way.
     """
     m = data.n_items
     # A response travels through the sort as its payload item + m * X, in
@@ -256,7 +270,8 @@ def split_wins(data: ResponseData, seed: int, n_split: int) -> np.ndarray:
     # B[1, :, 0, :] (a won) and at B[0, :, 1, :] (b won).
     payload = data.item_ids + m * data.responses
     bits = (2 * m - 1).bit_length()
-    slots = data._pair_slots
+    # both cached properties are computed here, before a helper thread reads them
+    slots, _ = data._pair_slots, data._sort_width
     if 2 * slots.size == data.n_edges:
         # every degree is even: the pairs are the entries two by two, read as
         # strided views instead of gathers; on n=1e4 users of degree 10,
@@ -265,11 +280,16 @@ def split_wins(data: ResponseData, seed: int, n_split: int) -> np.ndarray:
     else:
         first, second = slots, slots + 1
     out = np.empty((n_split, m, m))
-    for k, shuffled in enumerate(_pairing_orders(data, seed, range(n_split), payload, bits)):
-        pair = shuffled[first] * (2 * m)
-        pair += shuffled[second]
-        B = np.bincount(pair, minlength=4 * m * m).reshape(2, m, 2, m)
-        np.add(B[1, :, 0, :], B[0, :, 1, :].T, out=out[k])
+
+    def fill(lo: int, hi: int) -> None:
+        splits = range(lo, hi)
+        for k, shuffled in zip(splits, _pairing_orders(data, seed, splits, payload, bits)):
+            pair = shuffled[first] * (2 * m)
+            pair += shuffled[second]
+            B = np.bincount(pair, minlength=4 * m * m).reshape(2, m, 2, m)
+            np.add(B[1, :, 0, :], B[0, :, 1, :].T, out=out[k])
+
+    _threads.in_halves(fill, n_split, data.n_edges >= SPLIT_THREAD_EDGES)
     return out
 
 

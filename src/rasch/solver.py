@@ -16,7 +16,8 @@ before any Newton step.
 one multi-split estimate, by damped Newton on all of them at once: one
 batched linear solve ``(H + 11^T/m) d = -g`` per iteration (positive
 definite whenever the comparison graph is connected) and a step size per
-matrix.  Every solve starts from the classical Rasch/Bradley-Terry value,
+matrix; a large batch is fitted in two halves, the second on a helper
+thread.  Every solve starts from the classical Rasch/Bradley-Terry value,
 the centred log-odds ``log((sum_j W_ij + 1/2) / (sum_j W_ji + 1/2))`` of each
 item's wins over its losses, one pass over the win matrix.  The Armijo line
 search evaluates the loss at the centred trial point and keeps its
@@ -39,10 +40,13 @@ diagonal before any Newton step.  `nll`, `gradient`, `hessian` and
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+from . import _threads
 from .errors import ConvergenceError, DisconnectedGraphError, DivergenceError
 from .laplacian import (
     WeightedLaplacian,
@@ -69,6 +73,12 @@ __all__ = [
 ROUNDOFF = 1e-13
 ARMIJO = 1e-4
 MIN_STEP = 1e-12
+# Size K * m^2 of a batch of K win matrices from which `solve_newton_batch`
+# fits the two halves of the batch on two threads.  Two threads against one,
+# median times of the batch: 6.8 vs 2.6 ms at K m^2 = 2,500 (m=5, K=100, as
+# LSAT), 8.0 vs 5.2 ms at 20,000, 9.5 vs 9.9 ms at 40,000, 9.6 vs 13.5 ms at
+# 64,000 and 16.4 vs 26.7 ms at 125,000 (m=50, K=50); 2-core x86-64, numpy 2.4.
+NEWTON_THREAD_SIZE = 2**16
 
 
 @dataclass(frozen=True)
@@ -142,10 +152,22 @@ def _check_terms(weight: np.ndarray, wins: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Newton stopping rules: the gradient sup-norm ``tol`` and ``max_iter``."""
+    """Newton stopping rules: the gradient sup-norm ``tol``, a finite number
+    ``>= 0``, and ``max_iter``, an integer ``>= 0``."""
 
     tol: float = 1e-10
     max_iter: int = 100
+
+    def __post_init__(self):
+        tol, max_iter = self.tol, self.max_iter
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < math.inf:
+            raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+        if not _is_integer(max_iter) or max_iter < 0:
+            raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -356,7 +378,9 @@ def solve_newton_batch(W, opts: SolverOptions | None = None) -> tuple[SolveResul
 
     Split ``k`` gets the same `SolveResult`, bit for bit, as when solved
     alone.  Only the splits below the lowest-indexed one without an MLE
-    (win graph not strongly connected) enter Newton.  Raises the error that
+    (win graph not strongly connected) enter Newton.  When those are two or
+    more, ``count * m^2 >= NEWTON_THREAD_SIZE`` and two CPUs are usable, the
+    second half of them is fitted on a helper thread.  Raises the error that
     solving the splits one after another in index order would raise first:
     that of the lowest-indexed split whose comparison graph is disconnected
     (`DisconnectedGraphError`), whose win graph is connected but not strongly
@@ -366,7 +390,12 @@ def solve_newton_batch(W, opts: SolverOptions | None = None) -> tuple[SolveResul
     opts = opts or SolverOptions()
     W = np.asarray(W, float)
     first, error, detail = _first_without_mle(W)
-    results = _newton(W[:first], _log_odds(W[:first]), opts)
+
+    def fit(lo: int, hi: int) -> list[SolveResult]:
+        return _newton(W[lo:hi], _log_odds(W[lo:hi]), opts)
+
+    halves = _threads.in_halves(fit, first, first * W.shape[-1] ** 2 >= NEWTON_THREAD_SIZE)
+    results = [res for half in halves for res in half]
     for k, res in enumerate(results):
         if not res.converged:
             raise ConvergenceError(res.grad_inf_norm, res.iterations, split_index=k)

@@ -197,6 +197,20 @@ class TestDispatchAndSerialization:
         with pytest.raises(ValueError):
             EstimatorConfig(method="spectral")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_split": 2.5}, {"n_split": 2.0}, {"n_split": True}, {"n_split": 0}, {"n_split": "3"},
+        {"seed": -1}, {"seed": 1.0}, {"seed": False}, {"seed": None},
+    ])
+    def test_config_rejects_a_non_integer_split_count_or_seed(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            EstimatorConfig(method="mrp", **kwargs)
+
+    def test_config_takes_numpy_integers(self):
+        cfg = EstimatorConfig(method="mrp", seed=np.int64(3), n_split=np.int32(2))
+        _, data = _pair_data(100, seed=3)
+        want = mrp_mle(data, EstimatorConfig(method="mrp", seed=3, n_split=2))
+        assert mrp_mle(data, cfg).theta_hat.tobytes() == want.theta_hat.tobytes()
+
     def test_json_round_trip(self):
         _, data = _pair_data(100, seed=14)
         est = mrp_mle(data, EstimatorConfig(method="mrp", seed=14, n_split=2))

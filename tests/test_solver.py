@@ -222,6 +222,17 @@ class TestNewton:
         np.testing.assert_allclose(res.theta_hat, start - start.mean(), rtol=0, atol=1e-15)
         assert res.iterations == 0 and not res.converged
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": float("nan")}, {"tol": -1e-10}, {"tol": float("inf")}, {"tol": True}, {"tol": "1e-8"},
+        {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": 10.0}, {"max_iter": True},
+    ])
+    def test_options_reject_what_cannot_stop_newton(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SolverOptions(**kwargs)
+
+    def test_options_take_a_zero_tolerance_and_no_iterations(self):
+        assert SolverOptions(tol=0.0, max_iter=0) == SolverOptions(tol=0, max_iter=np.int64(0))
+
     def test_all_wins_item_diverges_from_log_odds_start(self):
         # item 2 wins all 80 of its comparisons, so no MLE exists however
         # close the log-odds start puts it
