@@ -6,13 +6,17 @@ checkout and a changed checkout, side by side.
 Both directories are complete checkouts.  For every workload in the change's
 ``BENCHMARK.json`` it runs ``perfbench/run.py --trace 0`` in ``PAIRS`` pairs
 with the fixed seeds 1..``PAIRS``, alternating which side runs first, and
-keeps the final JSON line of each run.  Per workload it records the median
-of every metric and, for each end-to-end metric, how many of the pairs each
-side won in the direction of that metric's ``better`` (ties count for
-neither).  It then counts the lines of ``src/rasch/*.py``, runs the tier-1
-suite and the benchmark's own tests (``perfbench/tests``) once on each side,
-and records the hash that the change's ``scripts/fingerprint.py`` prints
-against each side's ``src/``: equal hashes mean the same numbers.  Under
+keeps the final JSON line of each run, with the ``infer_s = ... s`` line it
+prints as ``infer_s`` (null on a workload without an inference step).  Per
+workload it records the median of every metric and of ``infer_s`` and, for
+each end-to-end metric and ``infer_s`` (lower is better), how many of the
+pairs each side won in the direction of that metric's ``better`` (ties count
+for neither).  ``infer_s`` is not gated; it shows how a saving divides
+between the fit and the inference of a job.  It then counts the lines of
+``src/rasch/*.py``, runs the tier-1 suite and the benchmark's own tests
+(``perfbench/tests``) once on each side, and records the hash that the
+change's ``scripts/fingerprint.py`` prints against each side's ``src/``:
+equal hashes mean the same numbers.  Under
 ``acceptance`` it keeps the paper scorecard of each side's tier-1 run: the
 ``[criterion N] PASS|FAIL <detail>`` line each acceptance test prints, by
 criterion.  Runs are sequential, so the two sides never share the processor.
@@ -36,6 +40,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 PAIRS = 10  # alternating pairs per workload, enough to read a comparison
 SCORECARD = re.compile(r"^\[criterion ([^\]]+)\] (PASS|FAIL) (.*)$", re.MULTILINE)
+INFER = re.compile(r"^\s*infer_s = (\S+) s", re.MULTILINE)
 
 
 def run_workload(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -45,7 +50,8 @@ def run_workload(checkout: Path, workload: str, seed: int, seconds: int) -> dict
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} failed:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    infer = INFER.search(proc.stdout)
+    return json.loads(lines[-1]) | {"infer_s": float(infer.group(1)) if infer else None}
 
 
 def pytest_run(checkout: Path, *paths: str) -> tuple[dict, str]:
@@ -83,9 +89,17 @@ def src_lines(checkout: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (checkout / "src" / "rasch").glob("*.py"))
 
 
+def value(run: dict, name: str) -> float | None:
+    return run["infer_s"] if name == "infer_s" else run["metrics"][name]["value"]
+
+
 def medians(runs: list[dict]) -> dict:
-    names = runs[0]["metrics"]
-    return {name: statistics.median(r["metrics"][name]["value"] for r in runs) for name in names}
+    """Median of every metric and of ``infer_s`` (None where a run lacks it)."""
+    out = {}
+    for name in [*runs[0]["metrics"], "infer_s"]:
+        values = [value(r, name) for r in runs]
+        out[name] = None if None in values else statistics.median(values)
+    return out
 
 
 def pair_wins(runs: dict, better: dict) -> dict:
@@ -95,7 +109,7 @@ def pair_wins(runs: dict, better: dict) -> dict:
         sign = 1 if direction == "lower" else -1
         won = dict.fromkeys(SIDES, 0)
         for parent, change in zip(runs["parent"], runs["change"]):
-            diff = sign * (change["metrics"][name]["value"] - parent["metrics"][name]["value"])
+            diff = sign * (value(change, name) - value(parent, name))
             if diff:
                 won["change" if diff < 0 else "parent"] += 1
         out[name] = won
@@ -121,8 +135,10 @@ def main(argv=None) -> int:
                 runs[side].append({"seed": seed, "first": side == order[0]}
                                   | run_workload(dirs[side], w, seed, seconds))
                 print(w, seed, side, "done", file=sys.stderr, flush=True)
+        timed = all(run["infer_s"] is not None for side in SIDES for run in runs[side])
+        wins = pair_wins(runs, better | ({"infer_s": "lower"} if timed else {}))
         workloads[w] = runs | {"median": {side: medians(runs[side]) for side in SIDES},
-                               "pair_wins": pair_wins(runs, better)}
+                               "pair_wins": wins}
     tier1 = {side: pytest_run(d) for side, d in dirs.items()}
     record = {
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",

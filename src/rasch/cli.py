@@ -3,7 +3,9 @@
 Every command is deterministic given its ``--seed``.  Exit codes: 0 on
 success, 2 on usage errors, 3 on data errors (malformed input, disconnected
 comparison graph, nonexistent MLE, unconverged solve); failures emit one line of
-JSON on stderr, with ``split_index`` when a split of a multi-split fit failed.
+JSON on stderr, with ``split_index`` when a split of a multi-split fit failed
+and ``splits_without_mle``, how many of its splits have no MLE, when that
+split had none.
 """
 
 from __future__ import annotations
@@ -188,8 +190,9 @@ def main(argv=None) -> int:
         extra = {}
         if getattr(exc, "components", None) is not None:
             extra["components"] = exc.components
-        if getattr(exc, "split_index", None) is not None:
-            extra["split_index"] = exc.split_index
+        for name in ("split_index", "splits_without_mle"):
+            if getattr(exc, name, None) is not None:
+                extra[name] = getattr(exc, name)
         _emit_error(type(exc).__name__, str(exc), **extra)
         return DATA_EXIT
     except ValueError as exc:

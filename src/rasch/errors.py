@@ -21,12 +21,16 @@ class DisconnectedGraphError(EstimationError):
     """Comparison graph is not connected, so the MLE is not identified.
 
     ``components`` holds the vertex partition (list of item-id lists);
-    ``split_index`` is set when the failure happened inside a multi-split run.
+    ``split_index`` is set when the failure happened inside a multi-split run,
+    and ``splits_without_mle`` then counts the splits of that run without an
+    MLE, this one included.
     """
 
-    def __init__(self, components, split_index: int | None = None):
+    def __init__(self, components, split_index: int | None = None,
+                 splits_without_mle: int | None = None):
         self.components = [sorted(c) for c in components]
         self.split_index = split_index
+        self.splits_without_mle = splits_without_mle
         where = "" if split_index is None else f" (split {split_index})"
         sizes = sorted((len(c) for c in self.components), reverse=True)
         super().__init__(
@@ -42,12 +46,16 @@ class DivergenceError(EstimationError):
     wherever item ``i`` beat item ``j`` is strongly connected.  Otherwise
     some set of items won every comparison with the rest, and the fitted
     parameters would drift apart without end.  ``items`` holds one such set;
-    ``split_index`` is set when the failure happened inside a multi-split run.
+    ``split_index`` is set when the failure happened inside a multi-split run,
+    and ``splits_without_mle`` then counts the splits of that run without an
+    MLE, this one included.
     """
 
-    def __init__(self, items, split_index: int | None = None):
+    def __init__(self, items, split_index: int | None = None,
+                 splits_without_mle: int | None = None):
         self.items = sorted(items)
         self.split_index = split_index
+        self.splits_without_mle = splits_without_mle
         where = "" if split_index is None else f" (split {split_index})"
         super().__init__(
             f"MLE does not exist{where}: items {self.items} won every "

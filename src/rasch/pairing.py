@@ -25,7 +25,8 @@ compiles against that object only.  The overlapping route of the
 pseudo-likelihood estimators takes every within-user item pair without
 listing them: its win matrix is ``X1^T diag(w) X0``, from the users' 0/1
 response indicators ``X1 = 1{X = 1}``, ``X0 = 1{X = 0}`` and weights ``w``,
-block by block.
+block by block; a block is filled by one scatter of int8 codes ``X + 1``,
+and ``X1`` and ``X0`` are its codes equal to 2 and to 1.
 """
 
 from __future__ import annotations
@@ -346,8 +347,16 @@ def _indicator_blocks(data: ResponseData, scheme: str):
     ``"pmle"``, 0 below two responses.  Item ``i`` beat item ``j`` for user
     ``t`` exactly where ``X1[t, i] X0[t, j] = 1``.
 
-    Blocks are filled flat at ``(user - first) * m + item``.  The index is not
-    cached on the data: an int64 per edge would add ~20% to a dense pool's RSS.
+    A block is filled by one scatter of int8 response codes, ``X + 1``, into
+    a zeroed ``(users, m)`` code array, flat at ``(user - first) * m + item``;
+    ``X1`` and ``X0`` are then its entries equal to 2 and to 1, as float64.
+    The codes are cast once per pass, one byte per edge.  Neither the index
+    nor a code matrix is cached on the data: an int64 per edge would add ~20%
+    to a dense pool's RSS, and an int8 n x m matrix ~18% to the mrp-sparse
+    pool's.  Scattering float64 0/1 values into ``X1`` and ``X0`` directly
+    took 1.42 ms per pass at n=1e4, m=20, p=0.5 against 0.92 ms this way,
+    and 1.18 against 0.95 ms at m=50, p=0.1 (``np.equal(code, k, out=X1)``:
+    0.97 and 1.13 ms; medians of 200, 2-core x86-64, numpy 2.4).
     """
     if scheme not in ("wp", "pmle"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'wp' or 'pmle'")
@@ -356,14 +365,13 @@ def _indicator_blocks(data: ResponseData, scheme: str):
     mt = np.diff(indptr).astype(float)
     w = ((mt - mt % 2) / np.maximum(mt * (mt - 1.0), 1.0) if scheme == "wp"
          else (mt >= 2).astype(float))
+    codes = (data.responses + 1).astype(np.int8)
     for first in range(0, data.n_users, USER_BLOCK):
         last = min(first + USER_BLOCK, data.n_users)
         edges = slice(indptr[first], indptr[last])
-        at = (data.user_ids[edges] - first) * m + data.item_ids[edges]
-        X1, X0 = np.zeros((2, (last - first) * m))
-        X1[at] = data.responses[edges]
-        X0[at] = 1 - data.responses[edges]
-        yield first, X1.reshape(-1, m), X0.reshape(-1, m), w[first:last]
+        code = np.zeros((last - first, m), np.int8)
+        code.ravel()[(data.user_ids[edges] - first) * m + data.item_ids[edges]] = codes[edges]
+        yield first, (code == 2).astype(float), (code == 1).astype(float), w[first:last]
 
 
 def _pseudo_wins(data: ResponseData, scheme: str) -> np.ndarray:

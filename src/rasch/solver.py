@@ -207,20 +207,21 @@ def _check_theta(obj: BtlObjective, theta) -> np.ndarray:
 
 
 def _first_without_mle(W: np.ndarray):
-    """``(k, error, detail)`` for the lowest-indexed win matrix ``k`` of the
-    stack ``W`` without an MLE: `DisconnectedGraphError` and its components,
-    or `DivergenceError` and a set of items that won every comparison with
-    the rest.  ``(K, None, None)`` when every MLE exists."""
+    """``(k, error, detail, count)`` for the lowest-indexed win matrix ``k``
+    of the stack ``W`` without an MLE: `DisconnectedGraphError` and its
+    components, or `DivergenceError` and a set of items that won every
+    comparison with the rest; ``count`` matrices of the stack have no MLE.
+    ``(K, None, None, 0)`` when every MLE exists."""
     beat = W > 0
     won = _unentered_set(beat)
     failing = np.flatnonzero(won.any(axis=-1))
     if not failing.size:
-        return W.shape[0], None, None
+        return W.shape[0], None, None, 0
     k = int(failing[0])
     labels = _component_labels(beat[k] | beat[k].T)
     if labels.any():
-        return k, DisconnectedGraphError, _partition(labels)
-    return k, DivergenceError, np.flatnonzero(won[k]).tolist()
+        return k, DisconnectedGraphError, _partition(labels), failing.size
+    return k, DivergenceError, np.flatnonzero(won[k]).tolist(), failing.size
 
 
 def _init(obj: BtlObjective, start) -> np.ndarray:
@@ -365,7 +366,7 @@ def solve_newton(obj: BtlObjective, opts: SolverOptions | None = None,
     """
     opts = opts or SolverOptions()
     W = obj.wins[None]
-    _, error, detail = _first_without_mle(W)
+    _, error, detail, _ = _first_without_mle(W)
     if error is not None:
         raise error(detail)
     theta = _log_odds(W) if start is None else _init(obj, start)[None]
@@ -385,11 +386,12 @@ def solve_newton_batch(W, opts: SolverOptions | None = None) -> tuple[SolveResul
     that of the lowest-indexed split whose comparison graph is disconnected
     (`DisconnectedGraphError`), whose win graph is connected but not strongly
     connected (`DivergenceError`) or which ends unconverged
-    (`ConvergenceError`), with ``split_index`` set.
+    (`ConvergenceError`), with ``split_index`` set; the first two also carry
+    ``splits_without_mle``, how many splits of the stack have no MLE.
     """
     opts = opts or SolverOptions()
     W = np.asarray(W, float)
-    first, error, detail = _first_without_mle(W)
+    first, error, detail, without_mle = _first_without_mle(W)
 
     def fit(lo: int, hi: int) -> list[SolveResult]:
         return _newton(W[lo:hi], _log_odds(W[lo:hi]), opts)
@@ -400,5 +402,5 @@ def solve_newton_batch(W, opts: SolverOptions | None = None) -> tuple[SolveResul
         if not res.converged:
             raise ConvergenceError(res.grad_inf_norm, res.iterations, split_index=k)
     if error is not None:
-        raise error(detail, split_index=first)
+        raise error(detail, split_index=first, splits_without_mle=without_mle)
     return tuple(results)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rasch
-from rasch import cli
+from rasch import cli, estimators
 from rasch.cli import main
 from rasch.estimators import EstimatorConfig
 from rasch.experiments import ExperimentConfig, run_experiment
@@ -128,6 +128,21 @@ class TestEstimate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DisconnectedGraphError"
         assert err["components"] == [[0, 1], [2, 3]]
+
+    def test_split_without_mle_exit_3_with_count(self, tmp_path, capsys, monkeypatch):
+        # a 4-split stack whose splits 1 (disconnected) and 3 (item 2 won
+        # every comparison) have no MLE
+        fine = [[0, 3, 2], [2, 0, 4], [2, 1, 0]]
+        disconnected = [[0, 3, 0], [2, 0, 0], [0, 0, 0]]
+        all_wins = [[0, 20, 0], [20, 0, 0], [40, 40, 0]]
+        stack = np.array([fine, disconnected, fine, all_wins], dtype=float)
+        monkeypatch.setattr(estimators, "split_wins", lambda data, seed, n_split: stack.copy())
+        src = tmp_path / "d.csv"
+        _write_two_item_fixture(src)
+        assert main(["estimate", str(src), "--method", "mrp", "--n-split", "4"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DisconnectedGraphError"
+        assert err["split_index"] == 1 and err["splits_without_mle"] == 2
 
     def test_unconverged_split_exit_3_with_split_index(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "d.csv"

@@ -31,7 +31,13 @@ from rasch.laplacian import (
     build_count_laplacian,
     build_z_laplacian,
 )
-from rasch.model import ResponseData, sample_ground_truth, sample_responses, sigmoid_deriv
+from rasch.model import (
+    ResponseData,
+    sample_ground_truth,
+    sample_responses,
+    sigmoid,
+    sigmoid_deriv,
+)
 from rasch.pairing import (
     USER_BLOCK,
     _pseudo_wins,
@@ -541,6 +547,80 @@ def test_wp_score_covariance_matches_per_user_loop_across_blocks():
     for _, i, j, w in _per_user_comparisons(data, "wp"):
         wins[i, j] += w
     np.testing.assert_allclose(_pseudo_wins(data, "wp"), wins, rtol=1e-12, atol=0)
+
+
+@st.composite
+def blocked_response_data(draw):
+    """Ragged responses over small user blocks, and the block size: users
+    answer 0 to m items, at least one user answers exactly one and one
+    outside the empty block none, one full block answers nothing at all, and
+    the last block is partial."""
+    block, full = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    n, m = block * full + draw(st.integers(1, block - 1)), draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(SEEDS))
+    degrees = rng.integers(0, m + 1, n)
+    empty = draw(st.integers(0, full - 1))
+    degrees[empty * block:(empty + 1) * block] = 0
+    one, none = rng.choice([t for t in range(n) if t // block != empty], 2, replace=False)
+    degrees[one], degrees[none] = 1, 0
+    users = np.repeat(np.arange(n), degrees)
+    # each user's items in a random order, so that the data sorts them
+    items = np.concatenate([rng.choice(m, d, replace=False) for d in degrees])
+    return ResponseData(n, m, users, items, rng.integers(0, 2, users.size)), block
+
+
+def _naive_indicator_blocks(data, scheme, block):
+    """``(first, X1, X0, w, responded)`` per block of ``block`` users, set
+    entry by entry from each user's responses."""
+    m = data.n_items
+    out = []
+    for first in range(0, data.n_users, block):
+        users = range(first, min(first + block, data.n_users))
+        X1, X0, responded = (np.zeros((len(users), m)) for _ in range(3))
+        w = np.zeros(len(users))
+        for row, t in enumerate(users):
+            mine = np.flatnonzero(data.user_ids == t).tolist()
+            for e in mine:
+                item = data.item_ids[e]
+                (X1 if data.responses[e] == 1 else X0)[row, item] = 1.0
+                responded[row, item] = 1.0
+            mt = len(mine)
+            if mt >= 2:
+                w[row] = (mt - mt % 2) / (mt * (mt - 1)) if scheme == "wp" else 1.0
+        out.append((first, X1, X0, w, responded))
+    return out
+
+
+@PROPERTY
+@given(blocked_response_data(), SEEDS)
+def test_indicator_blocks_match_a_per_user_construction_byte_for_byte(case, seed):
+    data, block = case
+    m = data.n_items
+    theta = np.random.default_rng(seed).normal(0.0, 2.0, m)
+    with mock.patch.object(pairing, "USER_BLOCK", block):
+        got = {scheme: list(pairing._indicator_blocks(data, scheme)) for scheme in ("wp", "pmle")}
+        W = {scheme: _pseudo_wins(data, scheme) for scheme in ("wp", "pmle")}
+        V = _wp_score_covariance(data, theta)
+    for scheme, blocks in got.items():
+        want = _naive_indicator_blocks(data, scheme, block)
+        assert [b[0] for b in blocks] == [b[0] for b in want]
+        for (_, X1, X0, w), (_, X1_, X0_, w_, responded) in zip(blocks, want):
+            for arr, ref in ((X1, X1_), (X0, X0_), (w, w_)):
+                assert arr.dtype == np.float64 and arr.flags.c_contiguous
+                assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes()
+            assert np.array_equal(X1 + X0, responded)
+        # the consumers' sums, in block order over the oracle's blocks
+        wins = np.zeros((m, m))
+        for _, X1, X0, w, _ in want:
+            wins += (X1 * w[:, None]).T @ X0
+        assert W[scheme].tobytes() == wins.tobytes()
+    S = sigmoid(theta[:, None] - theta[None, :])
+    cov = np.zeros((m, m))
+    for _, X1, X0, w, _ in _naive_indicator_blocks(data, "wp", block):
+        G = X1 * (X0 @ (S - 1.0).T) + X0 * (X1 @ S.T)
+        G *= w[:, None]
+        cov += G.T @ G
+    assert V.tobytes() == (cov / data.n_users).tobytes()
 
 
 # ---------------------------------------------------------------------------

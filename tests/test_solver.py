@@ -288,6 +288,18 @@ class TestNewtonBatch:
             assert res.theta_hat.tobytes() == alone.theta_hat.tobytes()
             assert res.iterations == alone.iterations and res.converged
 
+    def test_errors_count_every_split_without_mle(self):
+        # splits 1 and 3 have no MLE; the error is split 1's, with a count of 2
+        for bad, kind in ((self.DISCONNECTED, DisconnectedGraphError),
+                          (self.ALL_WINS, DivergenceError)):
+            other = self.ALL_WINS if bad is self.DISCONNECTED else self.DISCONNECTED
+            with pytest.raises(kind) as err:
+                solve_newton_batch(np.stack([self.FINE, bad, self.FINE, other]))
+            assert err.value.split_index == 1 and err.value.splits_without_mle == 2
+        with pytest.raises(DisconnectedGraphError) as err:
+            solve_newton(BtlObjective.from_wins(self.DISCONNECTED))
+        assert err.value.split_index is None and err.value.splits_without_mle is None
+
     def test_lowest_failing_split_wins_whatever_its_kind(self):
         stack = np.stack([self.FINE, self.DISCONNECTED, self.ALL_WINS])
         with pytest.raises(DisconnectedGraphError) as err:
