@@ -12,7 +12,9 @@ workload it records the median of every metric and of ``infer_s`` and, for
 each end-to-end metric and ``infer_s`` (lower is better), how many of the
 pairs each side won in the direction of that metric's ``better`` (ties count
 for neither).  ``infer_s`` is not gated; it shows how a saving divides
-between the fit and the inference of a job.  It then counts the lines of
+between the fit and the inference of a job.  Under ``held_out`` it then runs
+``HELD_OUT_PAIRS`` more alternating pairs on the seed ``HELD_OUT``, outside
+1..``PAIRS``, and keeps their runs and medians.  It then counts the lines of
 ``src/rasch/*.py``, runs the tier-1 suite and the benchmark's own tests
 (``perfbench/tests``) once on each side, and records the hash that the
 change's ``scripts/fingerprint.py`` prints against each side's ``src/``:
@@ -39,6 +41,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10  # alternating pairs per workload, enough to read a comparison
+HELD_OUT, HELD_OUT_PAIRS = 101, 3  # a seed no claim was tuned on
 SCORECARD = re.compile(r"^\[criterion ([^\]]+)\] (PASS|FAIL) (.*)$", re.MULTILINE)
 INFER = re.compile(r"^\s*infer_s = (\S+) s", re.MULTILINE)
 
@@ -127,18 +130,27 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     workloads = {}
-    for w in (item["name"] for item in spec["workloads"]):
+
+    def alternating(w: str, seeds) -> dict:
+        """Runs of ``w`` on each side, one pair per seed, alternating which runs first."""
         runs = {side: [] for side in SIDES}
-        for seed in range(1, PAIRS + 1):
-            order = SIDES if seed % 2 else SIDES[::-1]
+        for n, seed in enumerate(seeds, start=1):
+            order = SIDES if n % 2 else SIDES[::-1]
             for side in order:
                 runs[side].append({"seed": seed, "first": side == order[0]}
                                   | run_workload(dirs[side], w, seed, seconds))
                 print(w, seed, side, "done", file=sys.stderr, flush=True)
+        return runs
+
+    for w in (item["name"] for item in spec["workloads"]):
+        runs = alternating(w, range(1, PAIRS + 1))
         timed = all(run["infer_s"] is not None for side in SIDES for run in runs[side])
         wins = pair_wins(runs, better | ({"infer_s": "lower"} if timed else {}))
+        held = alternating(w, [HELD_OUT] * HELD_OUT_PAIRS)
         workloads[w] = runs | {"median": {side: medians(runs[side]) for side in SIDES},
-                               "pair_wins": wins}
+                               "pair_wins": wins,
+                               "held_out": held | {"median": {side: medians(held[side])
+                                                              for side in SIDES}}}
     tier1 = {side: pytest_run(d) for side, d in dirs.items()}
     record = {
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",

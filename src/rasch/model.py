@@ -121,10 +121,15 @@ class ConditionNumbers:
 class ResponseData:
     """Sparse binary user-item responses.
 
-    Edges are stored as parallel read-only int64 arrays sorted by
-    ``(user_id, item_id)`` with no duplicate pairs; a `random_split` records
-    its pairs as positions in this order of this object.  ``responses`` holds
-    ``X_ti`` in {0, 1} with the negative-response convention of the model.
+    Edges are stored as parallel read-only arrays sorted by
+    ``(user_id, item_id)`` with no duplicate pairs, 9 bytes per edge: int32
+    ids and int8 ``responses``; a `random_split` records its pairs as
+    positions in this order of this object.  ``responses`` holds ``X_ti`` in
+    {0, 1} with the negative-response convention of the model.  Every input
+    is stored at these widths, so ``n_users``, ``n_items`` and the number of
+    edges must be below ``2**31``; sums and products that can leave them
+    (the ``(user, item)`` sort key, split payloads, flat indices) are formed
+    in int64.
 
     Edges may be given in any order.  The arrays are copied, so the caller's
     arrays stay writable and later changes to them do not reach the data.
@@ -140,11 +145,15 @@ class ResponseData:
     responses: np.ndarray
 
     def __post_init__(self):
+        if self.n_users >= 2**31 or self.n_items >= 2**31:
+            raise ValueError("n_users and n_items must be below 2**31")
         users = np.array(self.user_ids, dtype=np.int64)
         items = np.array(self.item_ids, dtype=np.int64)
         resp = np.array(self.responses, dtype=np.int64)
         if not (users.shape == items.shape == resp.shape) or users.ndim != 1:
             raise ValueError("edge arrays must be 1-d and of equal length")
+        if users.size >= 2**31:
+            raise ValueError("at most 2**31 - 1 edges")
         if users.size:
             if users.min() < 0 or users.max() >= self.n_users:
                 raise ValueError("user_id out of range")
@@ -152,17 +161,19 @@ class ResponseData:
                 raise ValueError("item_id out of range")
             if resp.min() < 0 or resp.max() > 1:
                 raise ValueError("responses must be 0 or 1")
-            # compared as shifted views: an np.diff temporary made the
-            # check on sorted input several times slower
-            key = users * self.n_items + items
-            if not np.all(key[1:] > key[:-1]):
-                # keys are unique after the check below, so this is the
-                # (user, item) lexicographic order
-                order = np.argsort(key, kind="stable")
-                key = key[order]
-                if np.any(key[1:] == key[:-1]):
-                    raise ValueError("duplicate (user, item) pair")
-                users, items, resp = users[order], items[order], resp[order]
+        # the key in int64, from the checked arrays before they are narrowed;
+        # compared as shifted views: an np.diff temporary made the check on
+        # sorted input several times slower
+        key = users * self.n_items + items
+        users, items, resp = users.astype(np.int32), items.astype(np.int32), resp.astype(np.int8)
+        if not np.all(key[1:] > key[:-1]):
+            # keys are unique after the check below, so this is the
+            # (user, item) lexicographic order
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            if np.any(key[1:] == key[:-1]):
+                raise ValueError("duplicate (user, item) pair")
+            users, items, resp = users[order], items[order], resp[order]
         for name, arr in (("user_ids", users), ("item_ids", items), ("responses", resp)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -183,12 +194,15 @@ class ResponseData:
 
         Within each user's block of length L these are offsets 0, 2, ... below
         2*floor(L/2); the mask depends only on block sizes, so it is shared by
-        every random split of this data.
+        every random split of this data.  Read-only int32, half the bytes of
+        an index; a caller expands it to ``intp`` once before its gathers.
         """
         counts = np.diff(self.user_indptr)
         local = np.arange(self.n_edges) - np.repeat(self.user_indptr[:-1], counts)
         blocklen = np.repeat(counts, counts)
-        return np.flatnonzero((local % 2 == 0) & (local + 1 < blocklen))
+        slots = np.flatnonzero((local % 2 == 0) & (local + 1 < blocklen)).astype(np.int32)
+        slots.setflags(write=False)
+        return slots
 
     @cached_property
     def _sort_width(self) -> int:
@@ -209,8 +223,9 @@ class ResponseData:
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.CSV_HEADER + "\n")
-            for t, i, x in zip(self.user_ids, self.item_ids, self.responses):
-                fh.write(f"{t},{i},{x}\n")
+            # Python ints format several times faster than numpy scalars
+            fh.writelines(f"{t},{i},{x}\n" for t, i, x in zip(
+                self.user_ids.tolist(), self.item_ids.tolist(), self.responses.tolist()))
 
     @classmethod
     def from_csv(cls, path, n_users: int | None = None, n_items: int | None = None) -> "ResponseData":
@@ -254,7 +269,7 @@ class ResponseData:
             return cls(n_users, n_items,
                        np.asarray(users, np.int64), np.asarray(items, np.int64),
                        np.asarray(resp, np.int64))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: an id past int64
             raise DataFormatError(str(exc)) from exc
 
 

@@ -224,7 +224,7 @@ def _paired_positions(data: ResponseData, seed: int, split_index: int) -> tuple[
     local = np.arange(data.n_edges) - start
     bits = int(data.user_degrees().max(initial=1) - 1).bit_length()
     shuffled, = _pairing_orders(data, seed, (split_index,), local, bits)
-    slots = data._pair_slots
+    slots = data._pair_slots.astype(np.intp)
     base = start[slots]
     return base + shuffled[slots], base + shuffled[slots + 1]
 
@@ -268,8 +268,9 @@ def split_wins(data: ResponseData, seed: int, n_split: int) -> np.ndarray:
     # A response travels through the sort as its payload item + m * X, in
     # [0, 2m).  A pair of payloads (a, b) counts at a * 2m + b, so the bins
     # are B[X_a, item_a, X_b, item_b]: the pairs that differ are those at
-    # B[1, :, 0, :] (a won) and at B[0, :, 1, :] (b won).
-    payload = data.item_ids + m * data.responses
+    # B[1, :, 0, :] (a won) and at B[0, :, 1, :] (b won).  Formed in int64:
+    # m * X overflows the int8 responses from m = 128.
+    payload = data.item_ids + m * data.responses.astype(np.int64)
     bits = (2 * m - 1).bit_length()
     # both cached properties are computed here, before a helper thread reads them
     slots, _ = data._pair_slots, data._sort_width
@@ -279,7 +280,8 @@ def split_wins(data: ResponseData, seed: int, n_split: int) -> np.ndarray:
         # split_wins(n_split=50) was faster so in 55 of 60 interleaved pairs
         first, second = slice(0, None, 2), slice(1, None, 2)
     else:
-        first, second = slots, slots + 1
+        first = slots.astype(np.intp)
+        second = first + 1
     out = np.empty((n_split, m, m))
 
     def fill(lo: int, hi: int) -> None:
@@ -350,10 +352,13 @@ def _indicator_blocks(data: ResponseData, scheme: str):
     A block is filled by one scatter of int8 response codes, ``X + 1``, into
     a zeroed ``(users, m)`` code array, flat at ``(user - first) * m + item``;
     ``X1`` and ``X0`` are then its entries equal to 2 and to 1, as float64.
-    The codes are cast once per pass, one byte per edge.  Neither the index
-    nor a code matrix is cached on the data: an int64 per edge would add ~20%
-    to a dense pool's RSS, and an int8 n x m matrix ~18% to the mrp-sparse
-    pool's.  Scattering float64 0/1 values into ``X1`` and ``X0`` directly
+    The codes are the int8 responses plus one, one byte per edge and no
+    cast.  Neither the index nor a code matrix is cached on the data.  On the
+    9-byte-per-edge store, an int64 index per edge raised the benchmark's
+    peak RSS by 31% on its wp-dense pool (102.4 to 134.3 MB) and by 19% on
+    mrp-sparse (77.9 to 92.9 MB), and an int8 n x m code matrix raised it by
+    24% on mrp-sparse (77.9 to 96.4 MB) and 4% on wp-dense (seeds 1-2).
+    Scattering float64 0/1 values into ``X1`` and ``X0`` directly
     took 1.42 ms per pass at n=1e4, m=20, p=0.5 against 0.92 ms this way,
     and 1.18 against 0.95 ms at m=50, p=0.1 (``np.equal(code, k, out=X1)``:
     0.97 and 1.13 ms; medians of 200, 2-core x86-64, numpy 2.4).
@@ -365,12 +370,14 @@ def _indicator_blocks(data: ResponseData, scheme: str):
     mt = np.diff(indptr).astype(float)
     w = ((mt - mt % 2) / np.maximum(mt * (mt - 1.0), 1.0) if scheme == "wp"
          else (mt >= 2).astype(float))
-    codes = (data.responses + 1).astype(np.int8)
+    codes = data.responses + 1
     for first in range(0, data.n_users, USER_BLOCK):
         last = min(first + USER_BLOCK, data.n_users)
         edges = slice(indptr[first], indptr[last])
         code = np.zeros((last - first, m), np.int8)
-        code.ravel()[(data.user_ids[edges] - first) * m + data.item_ids[edges]] = codes[edges]
+        # in intp: past 2**31 entries a block's flat index leaves int32
+        rows = data.user_ids[edges].astype(np.intp) - first
+        code.ravel()[rows * m + data.item_ids[edges]] = codes[edges]
         yield first, (code == 2).astype(float), (code == 1).astype(float), w[first:last]
 
 

@@ -148,10 +148,11 @@ class TestSampleResponses:
         users, items = np.nonzero(mask)
         probs = _two_branch_sigmoid(gt.theta_star[items] - gt.zeta_star[users])
         resp = (_rng.substream(8, _rng.RESPONSES).random(users.size) < probs).astype(np.int64)
-        for got, want in ((data.user_ids, users), (data.item_ids, items),
-                          (data.responses, resp)):
-            assert got.dtype == np.int64
-            assert got.tobytes() == want.astype(np.int64).tobytes()
+        for got, want, dtype in ((data.user_ids, users, np.int32),
+                                 (data.item_ids, items, np.int32),
+                                 (data.responses, resp, np.int8)):
+            assert got.dtype == dtype
+            assert got.tobytes() == want.astype(dtype).tobytes()
 
     def test_uniform_mp_exact_degrees(self):
         gt = sample_ground_truth(500, 10, "standard-normal", seed=2)

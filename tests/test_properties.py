@@ -13,6 +13,7 @@ import math
 import tempfile
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -726,14 +727,113 @@ def test_edges_in_any_order_give_the_lexsorted_data(case, dtype):
     n, m, users, items, resp = case
     order = np.lexsort((items, users))
     edges = (users, items, resp)
-    expected = [a[order].astype(np.int64) for a in edges]
+    stored = (np.int32, np.int32, np.int8)
+    expected = [a[order].astype(width) for a, width in zip(edges, stored)]
     shuffled = ResponseData(n, m, *(a.astype(dtype) for a in edges))
     in_order = ResponseData(n, m, *(a[order].astype(dtype) for a in edges))
     for data in (shuffled, in_order):
         for name, want in zip(("user_ids", "item_ids", "responses"), expected):
             got = getattr(data, name)
-            assert got.dtype == np.int64
+            assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Storage widths: int32 ids and int8 responses, arithmetic in int64
+# ---------------------------------------------------------------------------
+
+def _int64_edges(data):
+    """The edge arrays of ``data`` as int64 copies, next to its sizes."""
+    return SimpleNamespace(n_users=data.n_users, n_items=data.n_items,
+                           user_ids=data.user_ids.astype(np.int64),
+                           item_ids=data.item_ids.astype(np.int64),
+                           responses=data.responses.astype(np.int64))
+
+
+def _int64_split_wins(data, seed, K):
+    """Win matrices of splits ``0 .. K-1``, counted pair by pair on int64 copies."""
+    wide, m = _int64_edges(data), data.n_items
+    W = np.zeros((K, m, m))
+    for k in range(K):
+        a, b = pairing._paired_positions(data, seed, k)
+        x_a, x_b = wide.responses[a], wide.responses[b]
+        i_a, i_b = wide.item_ids[a], wide.item_ids[b]
+        np.add.at(W[k], (i_a[x_a > x_b], i_b[x_a > x_b]), 1)  # X = 1 wins
+        np.add.at(W[k], (i_b[x_b > x_a], i_a[x_b > x_a]), 1)
+    return W
+
+
+@pytest.mark.parametrize("mode, p", [("bernoulli", 0.1), ("uniform-mp", 0.045)])
+def test_splits_past_127_items_match_an_int64_oracle(mode, p):
+    # m * X overflows int8 responses from m = 128
+    data = sample_responses(sample_ground_truth(300, 200, "standard-normal", seed=4), p,
+                            seed=4, mode=mode)
+    assert (data.user_ids.dtype, data.item_ids.dtype, data.responses.dtype) == (
+        np.int32, np.int32, np.int8)
+    assert data._pair_slots.dtype == np.int32 and not data._pair_slots.flags.writeable
+    want = _int64_split_wins(data, 9, 3)
+    assert split_wins(data, 9, 3).tobytes() == want.tobytes()
+    for k in range(3):
+        pc = compile_comparisons(data, random_split(data, 9, k))
+        assert pc.wins.tobytes() == want[k].tobytes()
+        assert all(getattr(pc, name).dtype == np.int64 for name in ("rec_i", "rec_j", "rec_t", "rec_y"))
+
+
+def test_pseudo_wins_past_127_items_match_an_int64_oracle():
+    data = sample_responses(sample_ground_truth(1500, 200, "standard-normal", seed=5), 0.05, seed=5)
+    for scheme in ("wp", "pmle"):
+        wins = np.zeros((200, 200))
+        for _, X1, X0, w, _ in _naive_indicator_blocks(_int64_edges(data), scheme, USER_BLOCK):
+            wins += (X1 * w[:, None]).T @ X0
+        assert _pseudo_wins(data, scheme).tobytes() == wins.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sort_keys_past_int32_sort_and_dedupe_as_int64(seed):
+    # user * n_items + item reaches 3 * (2**31 - 1) + 2**31 - 2
+    n, m = 4, 2**31 - 1
+    rng = np.random.default_rng(seed)
+    items = np.concatenate([rng.choice([0, 1, 2**30, m - 2, m - 1], 3, replace=False)
+                            for _ in range(n)])
+    users = np.repeat(np.arange(n), 3)
+    resp = rng.integers(0, 2, users.size)
+    perm = rng.permutation(users.size)
+    data = ResponseData(n, m, users[perm], items[perm], resp[perm])
+    order = np.lexsort((items, users))
+    assert data.user_ids.tobytes() == users[order].astype(np.int32).tobytes()
+    assert data.item_ids.tobytes() == items[order].astype(np.int32).tobytes()
+    assert data.responses.tobytes() == resp[order].astype(np.int8).tobytes()
+    with pytest.raises(ValueError, match="duplicate"):
+        ResponseData(n, m, np.r_[users[perm], users[0]], np.r_[items[perm], items[0]],
+                     np.r_[resp[perm], 0])
+
+
+@pytest.mark.parametrize("n_users, n_items, users, items", [
+    (2**31, 2, [2**31 - 1], [0]),
+    (2, 2**31, [0], [2**31 - 1]),
+    (2**31 + 1, 2, [2**31], [0]),
+    (2, 2, [2**31], [0]),
+    (2, 2, [0], [2**31]),
+])
+def test_ids_from_2_to_the_31_are_rejected(n_users, n_items, users, items):
+    with pytest.raises(ValueError):
+        ResponseData(n_users, n_items, users, items, [0])
+
+
+@pytest.mark.parametrize("row, sizes", [
+    ("2147483648,0,1", {}),
+    ("0,2147483648,1", {}),
+    ("0,0,1", {"n_users": 2**31}),
+    ("2147483648,0,1", {"n_users": 3, "n_items": 3}),
+    ("9223372036854775808,0,1", {}),
+    ("0,9223372036854775808,1", {"n_users": 3, "n_items": 3}),
+])
+def test_csv_ids_from_2_to_the_31_are_a_format_error(row, sizes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(f"user_id,item_id,response\n{row}\n")
+        with pytest.raises(DataFormatError):
+            ResponseData.from_csv(path, **sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +857,18 @@ def test_csv_round_trip(data):
             assert np.array_equal(getattr(got, name), getattr(data, name))
     assert (back.n_users, back.n_items) == (data.n_users, data.n_items)
     assert inferred.n_users == data.user_ids.max() + 1
+
+
+@PROPERTY
+@given(response_data())
+def test_csv_text_is_each_edge_formatted_in_order(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        data.to_csv(path)
+        text = path.read_bytes().decode()
+    rows = [f"{int(t)},{int(i)},{int(x)}\n"
+            for t, i, x in zip(data.user_ids, data.item_ids, data.responses)]
+    assert text == ResponseData.CSV_HEADER + "\n" + "".join(rows)
 
 
 MALFORMED = ("oops", "1,2", "1,2,3,4", "a,1,0", "0,0,2", "0,0,-1", "0,,1")
