@@ -15,7 +15,8 @@ for neither).  ``infer_s`` is not gated; it shows how a saving divides
 between the fit and the inference of a job.  Under ``held_out`` it then runs
 ``HELD_OUT_PAIRS`` more alternating pairs on the seed ``HELD_OUT``, outside
 1..``PAIRS``, and keeps their runs and medians.  It then counts the lines of
-``src/rasch/*.py``, runs the tier-1 suite and the benchmark's own tests
+``src/rasch/*.py``, in total and by kind (code, docstring, comment and
+blank lines), runs the tier-1 suite and the benchmark's own tests
 (``perfbench/tests``) once on each side, and records the hash that the
 change's ``scripts/fingerprint.py`` prints against each side's ``src/``:
 equal hashes mean the same numbers.  Under
@@ -30,6 +31,8 @@ its timings depend on that count.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import re
@@ -37,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -90,6 +94,42 @@ def fingerprint(script: Path, checkout: Path) -> str:
 
 def src_lines(checkout: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (checkout / "src" / "rasch").glob("*.py"))
+
+
+def src_line_kinds(checkout: Path) -> dict:
+    """Lines of ``src/rasch/*.py`` by kind; the four sum to `src_lines`.
+
+    ``blank``: whitespace-only lines, inside strings too.  ``docstring``:
+    the other lines of module, class and function docstrings (``ast``).
+    ``code``: the other lines that hold a token other than a comment
+    (``tokenize``), so a line of code with a trailing comment is code.
+    ``comment``: lines that hold a comment and nothing else.
+    """
+    kinds = dict.fromkeys(("code", "docstring", "comment", "blank"), 0)
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    for path in (checkout / "src" / "rasch").glob("*.py"):
+        text = path.read_text()
+        lines = text.splitlines()
+        blank = {n for n, line in enumerate(lines, start=1) if not line.strip()}
+        doc, code, comment = set(), set(), set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = node.body[0] if node.body else None
+                if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                        and isinstance(first.value.value, str)):
+                    doc.update(range(first.lineno, first.end_lineno + 1))
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.COMMENT:
+                comment.add(tok.start[0])
+            elif tok.type not in layout:
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        doc -= blank
+        code -= blank | doc
+        comment -= code | doc
+        for kind, found in (("code", code), ("docstring", doc), ("comment", comment), ("blank", blank)):
+            kinds[kind] += len(found)
+    return kinds
 
 
 def value(run: dict, name: str) -> float | None:
@@ -158,6 +198,7 @@ def main(argv=None) -> int:
         "usable_cpus": len(os.sched_getaffinity(0)),
         "workloads": workloads,
         "src_lines": {side: src_lines(d) for side, d in dirs.items()},
+        "src_line_kinds": {side: src_line_kinds(d) for side, d in dirs.items()},
         "tier1": {side: counts for side, (counts, _) in tier1.items()},
         "acceptance": {side: scorecard(output) for side, (_, output) in tier1.items()},
         "perfbench_tests": {side: pytest_run(d, "perfbench/tests")[0] for side, d in dirs.items()},

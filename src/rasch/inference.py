@@ -24,7 +24,7 @@ from .errors import EstimationError
 from .estimators import ItemEstimate
 from .model import GroundTruth, ResponseData, sigmoid
 from .laplacian import _laplacian_matrix, _rank_completion_inverse
-from .pairing import _indicator_blocks, _paired_positions, _pseudo_wins, split_wins
+from .pairing import _indicator_blocks, _pair_users, _paired_positions, _pseudo_wins, split_wins
 from .solver import _counts, _derivatives
 
 __all__ = [
@@ -167,9 +167,10 @@ def _split_user_gradients(data: ResponseData, theta: np.ndarray, seed: int, k: i
     items_a, items_b = data.item_ids[a], data.item_ids[b]
     x_a = data.responses[a]
     val = np.where(x_a != data.responses[b], sigmoid(theta[items_a] - theta[items_b]) - x_a, 0.0)
+    users = _pair_users(data)
     G = np.zeros((data.n_users, data.n_items))
-    G[data.user_ids[a], items_a] = val
-    G[data.user_ids[b], items_b] = -val
+    G[users, items_a] = val
+    G[users, items_b] = -val
     return G
 
 

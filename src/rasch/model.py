@@ -117,55 +117,61 @@ class ConditionNumbers:
     kappa: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ResponseData:
     """Sparse binary user-item responses.
 
-    Edges are stored as parallel read-only arrays sorted by
-    ``(user_id, item_id)`` with no duplicate pairs, 9 bytes per edge: int32
-    ids and int8 ``responses``; a `random_split` records its pairs as
-    positions in this order of this object.  ``responses`` holds ``X_ti`` in
-    {0, 1} with the negative-response convention of the model.  Every input
-    is stored at these widths, so ``n_users``, ``n_items`` and the number of
-    edges must be below ``2**31``; sums and products that can leave them
-    (the ``(user, item)`` sort key, split payloads, flat indices) are formed
-    in int64.
+    Edges are stored sorted by ``(user_id, item_id)`` with no duplicate
+    pairs, 5 bytes per edge: int32 ``item_ids`` and int8 ``responses``, as
+    parallel read-only arrays, next to the read-only int64 offsets
+    ``user_indptr``, 8 bytes per user and one more: the edges of user ``t``
+    are those in ``[user_indptr[t], user_indptr[t + 1])``.  ``user_ids``
+    is derived from the offsets on each read.  A `random_split` records its
+    pairs as positions in this order of this object.  ``responses`` holds
+    ``X_ti`` in {0, 1} with the negative-response convention of the model.
+    Every input is stored at these widths, so ``n_users``, ``n_items`` and
+    the number of edges must be below ``2**31``; sums and products that can
+    leave them (the ``(user, item)`` sort key, split payloads, flat indices)
+    are formed in int64.
 
     Edges may be given in any order.  The arrays are copied, so the caller's
     arrays stay writable and later changes to them do not reach the data.
     Input already sorted without duplicates, as every sampler, the LSAT
     loaders and `to_csv` produce it, is recognized in one linear pass; other
-    input is sorted once.
+    input is sorted once.  Two objects are equal only when they are the same
+    object: a split compiles against the data it was drawn from only, and
+    not against an equal copy.
     """
 
     n_users: int
     n_items: int
-    user_ids: np.ndarray
     item_ids: np.ndarray
     responses: np.ndarray
+    user_indptr: np.ndarray
 
-    def __post_init__(self):
-        if self.n_users >= 2**31 or self.n_items >= 2**31:
+    def __init__(self, n_users: int, n_items: int, user_ids, item_ids, responses):
+        if n_users >= 2**31 or n_items >= 2**31:
             raise ValueError("n_users and n_items must be below 2**31")
-        users = np.array(self.user_ids, dtype=np.int64)
-        items = np.array(self.item_ids, dtype=np.int64)
-        resp = np.array(self.responses, dtype=np.int64)
+        users = np.array(user_ids, dtype=np.int64)
+        items = np.array(item_ids, dtype=np.int64)
+        resp = np.array(responses, dtype=np.int64)
         if not (users.shape == items.shape == resp.shape) or users.ndim != 1:
             raise ValueError("edge arrays must be 1-d and of equal length")
         if users.size >= 2**31:
             raise ValueError("at most 2**31 - 1 edges")
         if users.size:
-            if users.min() < 0 or users.max() >= self.n_users:
+            if users.min() < 0 or users.max() >= n_users:
                 raise ValueError("user_id out of range")
-            if items.min() < 0 or items.max() >= self.n_items:
+            if items.min() < 0 or items.max() >= n_items:
                 raise ValueError("item_id out of range")
             if resp.min() < 0 or resp.max() > 1:
                 raise ValueError("responses must be 0 or 1")
         # the key in int64, from the checked arrays before they are narrowed;
         # compared as shifted views: an np.diff temporary made the check on
         # sorted input several times slower
-        key = users * self.n_items + items
-        users, items, resp = users.astype(np.int32), items.astype(np.int32), resp.astype(np.int8)
+        key = users * n_items + items
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(users, minlength=n_users))))
+        items, resp = items.astype(np.int32), resp.astype(np.int8)
         if not np.all(key[1:] > key[:-1]):
             # keys are unique after the check below, so this is the
             # (user, item) lexicographic order
@@ -173,36 +179,27 @@ class ResponseData:
             key = key[order]
             if np.any(key[1:] == key[:-1]):
                 raise ValueError("duplicate (user, item) pair")
-            users, items, resp = users[order], items[order], resp[order]
-        for name, arr in (("user_ids", users), ("item_ids", items), ("responses", resp)):
+            items, resp = items[order], resp[order]
+        object.__setattr__(self, "n_users", n_users)
+        object.__setattr__(self, "n_items", n_items)
+        for name, arr in (("item_ids", items), ("responses", resp), ("user_indptr", indptr)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def __repr__(self) -> str:
+        return f"ResponseData(n_users={self.n_users}, n_items={self.n_items}, n_edges={self.n_edges})"
+
     @property
     def n_edges(self) -> int:
-        return self.user_ids.size
+        return self.item_ids.size
 
-    @cached_property
-    def user_indptr(self) -> np.ndarray:
-        """CSR-style offsets: edges of user ``t`` live in ``[indptr[t], indptr[t+1])``."""
-        counts = np.bincount(self.user_ids, minlength=self.n_users)
-        return np.concatenate(([0], np.cumsum(counts)))
-
-    @cached_property
-    def _pair_slots(self) -> np.ndarray:
-        """Positions (in any per-user ordering) where consecutive pairing starts.
-
-        Within each user's block of length L these are offsets 0, 2, ... below
-        2*floor(L/2); the mask depends only on block sizes, so it is shared by
-        every random split of this data.  Read-only int32, half the bytes of
-        an index; a caller expands it to ``intp`` once before its gathers.
-        """
-        counts = np.diff(self.user_indptr)
-        local = np.arange(self.n_edges) - np.repeat(self.user_indptr[:-1], counts)
-        blocklen = np.repeat(counts, counts)
-        slots = np.flatnonzero((local % 2 == 0) & (local + 1 < blocklen)).astype(np.int32)
-        slots.setflags(write=False)
-        return slots
+    @property
+    def user_ids(self) -> np.ndarray:
+        """User of each edge, a fresh read-only int32 array derived from
+        `user_indptr` on every read."""
+        ids = np.repeat(np.arange(self.n_users, dtype=np.int32), self.user_degrees())
+        ids.setflags(write=False)
+        return ids
 
     @cached_property
     def _sort_width(self) -> int:

@@ -179,13 +179,37 @@ def _sorted_payload(key: np.ndarray, payload: np.ndarray, bits: int, width: int)
     return packed
 
 
+def _pair_slots(data: ResponseData) -> np.ndarray:
+    """Edge positions where the pairs of a split start, in user order.
+
+    User ``t``'s are ``user_indptr[t] + 2 j`` for ``j < m_t // 2``: pair
+    ``j`` of a user is entries ``2 j`` and ``2 j + 1`` of the user's block
+    in the order of a split, and the left-over entry of an odd block is
+    its last.  Derived from the offsets on each call, one ``repeat`` and one
+    ``arange``.  The 9-byte store cached them as int32 on the data object,
+    4 bytes per pair of every input, formed by a mask over every edge: 0.77-
+    1.51 ms against 0.20-0.30 ms this way on the seed-1 inputs of the three
+    in-process benchmark workloads, 5e4-1e5 edges (medians of 200, 2-core
+    x86-64, numpy 2.4).
+    """
+    indptr = data.user_indptr
+    half = np.diff(indptr) // 2
+    first_pair = np.cumsum(half) - half
+    return np.repeat(indptr[:-1] - 2 * first_pair, half) + 2 * np.arange(half.sum())
+
+
+def _pair_users(data: ResponseData) -> np.ndarray:
+    """User of each pair of a split, in the order of `_pair_slots`."""
+    return np.repeat(np.arange(data.n_users), data.user_degrees() // 2)
+
+
 def _pairing_orders(data: ResponseData, seed: int, splits, payload: np.ndarray, bits: int):
     """Per-edge ``payload`` (below ``2**bits``) in the order of each split in ``splits``.
 
     The edges stay grouped by user, in a uniformly random order within each
     user's block; the pairs of a split are the consecutive entries at
-    ``data._pair_slots`` and the one after each.  Each order is yielded in
-    one buffer, which the next split overwrites.
+    `_pair_slots` and the one after each.  Each order is yielded in one
+    buffer, which the next split overwrites.
     """
     # The float key 2 * user + key keeps >= 31 bits of key resolution only
     # while the user-id part stays below 2^20; lexsort serves larger ids.
@@ -197,11 +221,12 @@ def _pairing_orders(data: ResponseData, seed: int, splits, payload: np.ndarray, 
     # float64 (medians of 100, 2-core x86-64 with AVX-512, numpy 2.4).  It
     # fell back to the argsort in 1 of 500 splits at n=1e4, m=50.
     keys = np.empty(data.n_edges)
-    user_key = data.user_ids * 2.0
+    # 2 * user per edge, exact in float64, so it orders as the user ids do
+    user_key = np.repeat(np.arange(data.n_users) * 2.0, data.user_degrees())
     for k in splits:
         _rng.substream(seed, _rng.SPLIT, k).random(out=keys)
         if data.n_users > 2**20:
-            yield payload[np.lexsort((keys, data.user_ids))]
+            yield payload[np.lexsort((keys, user_key))]
             continue
         keys += user_key
         order = _sorted_payload(keys, payload, bits, data._sort_width)
@@ -220,11 +245,12 @@ def _paired_positions(data: ResponseData, seed: int, split_index: int) -> tuple[
     ``a[k]`` and ``b[k]`` index the two responses of pair ``k`` in the data's
     canonical edge order.
     """
-    start = data.user_indptr[data.user_ids]
+    degrees = data.user_degrees()
+    start = np.repeat(data.user_indptr[:-1], degrees)
     local = np.arange(data.n_edges) - start
-    bits = int(data.user_degrees().max(initial=1) - 1).bit_length()
+    bits = int(degrees.max(initial=1) - 1).bit_length()
     shuffled, = _pairing_orders(data, seed, (split_index,), local, bits)
-    slots = data._pair_slots.astype(np.intp)
+    slots = _pair_slots(data)
     base = start[slots]
     return base + shuffled[slots], base + shuffled[slots + 1]
 
@@ -243,7 +269,7 @@ def random_split(data: ResponseData, seed: int, split_index: int = 0) -> SplitAs
     items_b = data.item_ids[idx_b]
     a_is_hi = items_a >= items_b
     split = SplitAssignment(
-        users=data.user_ids[idx_a],
+        users=_pair_users(data),
         items_hi=np.where(a_is_hi, items_a, items_b),
         items_lo=np.where(a_is_hi, items_b, items_a),
     )
@@ -272,15 +298,14 @@ def split_wins(data: ResponseData, seed: int, n_split: int) -> np.ndarray:
     # m * X overflows the int8 responses from m = 128.
     payload = data.item_ids + m * data.responses.astype(np.int64)
     bits = (2 * m - 1).bit_length()
-    # both cached properties are computed here, before a helper thread reads them
-    slots, _ = data._pair_slots, data._sort_width
-    if 2 * slots.size == data.n_edges:
+    data._sort_width  # cached here, before a helper thread reads it
+    if not (data.user_degrees() % 2).any():
         # every degree is even: the pairs are the entries two by two, read as
         # strided views instead of gathers; on n=1e4 users of degree 10,
         # split_wins(n_split=50) was faster so in 55 of 60 interleaved pairs
         first, second = slice(0, None, 2), slice(1, None, 2)
     else:
-        first = slots.astype(np.intp)
+        first = _pair_slots(data)
         second = first + 1
     out = np.empty((n_split, m, m))
 
@@ -353,8 +378,9 @@ def _indicator_blocks(data: ResponseData, scheme: str):
     a zeroed ``(users, m)`` code array, flat at ``(user - first) * m + item``;
     ``X1`` and ``X0`` are then its entries equal to 2 and to 1, as float64.
     The codes are the int8 responses plus one, one byte per edge and no
-    cast.  Neither the index nor a code matrix is cached on the data.  On the
-    9-byte-per-edge store, an int64 index per edge raised the benchmark's
+    cast.  The rows come from the offsets, one ``repeat`` per block.  Neither
+    the index nor a code matrix is cached on the data.  On the 9-byte-per-edge
+    store of the time, an int64 index per edge raised the benchmark's
     peak RSS by 31% on its wp-dense pool (102.4 to 134.3 MB) and by 19% on
     mrp-sparse (77.9 to 92.9 MB), and an int8 n x m code matrix raised it by
     24% on mrp-sparse (77.9 to 96.4 MB) and 4% on wp-dense (seeds 1-2).
@@ -367,7 +393,8 @@ def _indicator_blocks(data: ResponseData, scheme: str):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'wp' or 'pmle'")
     m = data.n_items
     indptr = data.user_indptr
-    mt = np.diff(indptr).astype(float)
+    degrees = data.user_degrees()
+    mt = degrees.astype(float)
     w = ((mt - mt % 2) / np.maximum(mt * (mt - 1.0), 1.0) if scheme == "wp"
          else (mt >= 2).astype(float))
     codes = data.responses + 1
@@ -376,7 +403,7 @@ def _indicator_blocks(data: ResponseData, scheme: str):
         edges = slice(indptr[first], indptr[last])
         code = np.zeros((last - first, m), np.int8)
         # in intp: past 2**31 entries a block's flat index leaves int32
-        rows = data.user_ids[edges].astype(np.intp) - first
+        rows = np.repeat(np.arange(last - first), degrees[first:last])
         code.ravel()[rows * m + data.item_ids[edges]] = codes[edges]
         yield first, (code == 2).astype(float), (code == 1).astype(float), w[first:last]
 

@@ -5,6 +5,8 @@ import pytest
 
 from rasch import _rng
 from rasch.errors import DataFormatError
+from rasch.estimators import EstimatorConfig, mrp_mle
+from rasch.inference import plugin_covariance
 from rasch.model import (
     GroundTruth,
     ResponseData,
@@ -246,6 +248,26 @@ class TestResponseData:
             assert np.array_equal(stored, kept)
             with pytest.raises(ValueError):
                 stored[...] = 0
+
+    def test_offsets_are_read_only(self):
+        data = sample_responses(sample_ground_truth(200, 8, "standard-normal", seed=2), 0.4, seed=2)
+        cfg = EstimatorConfig(method="mrp", seed=3, n_split=4)
+        est = mrp_mle(data, cfg)
+        cov = plugin_covariance(data, est).Sigma_hat
+        assert data.user_indptr.dtype == np.int64 and not data.user_indptr.flags.writeable
+        with pytest.raises(ValueError):
+            data.user_indptr[1] = 0
+        after = mrp_mle(data, cfg)
+        assert after.theta_hat.tobytes() == est.theta_hat.tobytes()
+        assert plugin_covariance(data, after).Sigma_hat.tobytes() == cov.tobytes()
+
+    def test_equality_is_identity_and_repr_is_short(self):
+        data = ResponseData(3, 4, [0, 0, 2], [1, 3, 0], [1, 0, 1])
+        copy = ResponseData(3, 4, data.user_ids, data.item_ids, data.responses)
+        assert (data == data) is True
+        assert (data == copy) is False and (data != copy) is True
+        assert len({data, copy, data}) == 2
+        assert repr(data) == "ResponseData(n_users=3, n_items=4, n_edges=3)"
 
     def test_csv_round_trip(self, tmp_path):
         gt = sample_ground_truth(20, 6, "standard-normal", seed=4)

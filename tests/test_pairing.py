@@ -110,7 +110,7 @@ def _engine_order(key, payload, bits, width):
     """The order `_pairing_orders` gives ``payload`` when one user's split
     stream draws the float keys ``key``, sorted in rows of ``width``: the
     value sort, or the stable argsort of the keys drawn again on a tie."""
-    data = SimpleNamespace(n_edges=key.size, n_users=1, user_ids=np.zeros(key.size, np.int64),
+    data = SimpleNamespace(n_edges=key.size, n_users=1, user_degrees=lambda: np.array([key.size]),
                            _sort_width=width)
     stream = SimpleNamespace(random=lambda out: np.copyto(out, key))
     with mock.patch.object(pairing._rng, "substream", lambda *args: stream):
@@ -292,19 +292,19 @@ class TestSplitWinsBranches:
     def test_even_unequal_degrees(self):
         data = _degree_data(np.tile([2, 4, 6, 0, 4], 40))
         assert data._sort_width == data.n_edges  # one float64 row
-        assert 2 * data._pair_slots.size == data.n_edges  # strided pairs
+        assert 2 * pairing._pair_slots(data).size == data.n_edges  # strided pairs
         self.check(data)
 
     def test_fixed_odd_degree(self):
         data = _degree_data(np.full(150, 5))
         assert data._sort_width == 5  # int64 rows
-        assert 2 * data._pair_slots.size < data.n_edges  # gathered pairs
+        assert 2 * pairing._pair_slots(data).size < data.n_edges  # gathered pairs
         self.check(data)
 
     def test_ragged_degrees(self):
         data = _degree_data(np.tile([1, 2, 3, 4, 5, 6, 7], 30))
         assert data._sort_width == data.n_edges
-        assert 2 * data._pair_slots.size < data.n_edges
+        assert 2 * pairing._pair_slots(data).size < data.n_edges
         self.check(data)
 
     def test_tie_fallback_pairs_in_edge_order(self):
@@ -316,7 +316,7 @@ class TestSplitWinsBranches:
             with mock.patch.object(pairing._rng, "substream", lambda *args: stream):
                 W = self.check(data, K=2)
             want = np.zeros((data.n_items, data.n_items))
-            for a in data._pair_slots:
+            for a in pairing._pair_slots(data):
                 x, y = data.responses[a], data.responses[a + 1]
                 if x != y:
                     win, lose = (a, a + 1) if x == 1 else (a + 1, a)

@@ -770,7 +770,7 @@ def test_splits_past_127_items_match_an_int64_oracle(mode, p):
                             seed=4, mode=mode)
     assert (data.user_ids.dtype, data.item_ids.dtype, data.responses.dtype) == (
         np.int32, np.int32, np.int8)
-    assert data._pair_slots.dtype == np.int32 and not data._pair_slots.flags.writeable
+    assert np.array_equal(pairing._pair_slots(data), _masked_pair_slots(data.user_indptr))
     want = _int64_split_wins(data, 9, 3)
     assert split_wins(data, 9, 3).tobytes() == want.tobytes()
     for k in range(3):
@@ -834,6 +834,79 @@ def test_csv_ids_from_2_to_the_31_are_a_format_error(row, sizes):
         path.write_text(f"user_id,item_id,response\n{row}\n")
         with pytest.raises(DataFormatError):
             ResponseData.from_csv(path, **sizes)
+
+
+# ---------------------------------------------------------------------------
+# The 5-byte store: user ids and pair slots derived from the offsets
+# ---------------------------------------------------------------------------
+
+def _masked_pair_slots(indptr):
+    """The pair slots the 9-byte store cached: even offsets within each
+    user's block that have a successor in it, found by a mask over the edges."""
+    counts = np.diff(indptr)
+    local = np.arange(indptr[-1]) - np.repeat(indptr[:-1], counts)
+    blocklen = np.repeat(counts, counts)
+    return np.flatnonzero((local % 2 == 0) & (local + 1 < blocklen))
+
+
+@st.composite
+def offset_data(draw, shape):
+    """Responses with ragged degrees, users with 0 or 1 responses among
+    them, and trailing users with none; with the edge users it was built
+    from.  ``shape`` picks how a split pairs and sorts: ``"strided"``
+    (every degree even), ``"gathered"`` (an odd degree, one float64 row) or
+    ``"rows"`` (two or more responding users of one degree, int64 rows)."""
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(2, 15))
+    rng = np.random.default_rng(draw(SEEDS))
+    if shape == "rows":
+        d = draw(st.integers(1, m))
+        degrees = np.where(rng.random(n) < 0.7, d, 0)
+        degrees[:2] = d
+    else:
+        degrees = rng.integers(0, m + 1, n)
+        degrees[:2] = 1, 2
+        if shape == "strided":
+            degrees -= degrees % 2
+    degrees = np.concatenate((rng.permutation(degrees), np.zeros(draw(st.integers(0, 3)), int)))
+    users = np.repeat(np.arange(degrees.size), degrees)
+    items = np.concatenate([np.sort(rng.permutation(m)[:d]) for d in degrees])
+    return ResponseData(degrees.size, m, users, items, rng.integers(0, 2, users.size)), users
+
+
+@PROPERTY
+@pytest.mark.parametrize("shape", ["strided", "gathered", "rows"])
+@given(draws=st.data(), seed=SEEDS)
+def test_ids_and_slots_derived_from_the_offsets_match_the_stored_formulas(shape, draws, seed):
+    data, users = draws.draw(offset_data(shape))
+    ids = data.user_ids
+    assert ids.dtype == np.int32 and not ids.flags.writeable
+    assert ids.tobytes() == users.astype(np.int32).tobytes()
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=data.n_users))))
+    assert data.user_indptr.tobytes() == indptr.tobytes()
+    slots = pairing._pair_slots(data)
+    assert slots.tobytes() == _masked_pair_slots(indptr).tobytes()
+    if shape == "rows":
+        assert data._sort_width < data.n_edges
+    else:
+        assert (2 * slots.size == data.n_edges) == (shape == "strided")
+    W = split_wins(data, seed, 3)
+    for k in range(3):
+        assert W[k].tobytes() == compile_comparisons(data, random_split(data, seed, k)).wins.tobytes()
+
+
+def test_the_store_holds_5_bytes_per_edge_and_the_offsets():
+    data = sample_responses(sample_ground_truth(300, 12, "standard-normal", seed=6), 0.3, seed=6)
+    assert (data.user_degrees() % 2).any()  # pairs are gathered from derived slots
+    random_split(data, 1, 0)
+    split_wins(data, 1, 4)
+    plugin_covariance(data, wp_mle(data))
+    plugin_covariance(data, mrp_mle(data, EstimatorConfig(method="mrp", seed=1, n_split=4)))
+    held = [v for v in vars(data).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in held) <= 5 * data.n_edges + 8 * (data.n_users + 1)
+    assert all(not a.flags.writeable for a in held)
+    ids = data.user_ids
+    assert ids.dtype == np.int32 and not ids.flags.writeable
 
 
 # ---------------------------------------------------------------------------
