@@ -34,3 +34,14 @@ def subseed(seed: int, *key: int) -> int:
     """
     state = np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0]
     return int(state >> np.uint64(1))
+
+
+def row_subsets(rng: np.random.Generator, n: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, items)`` of ``n`` rows that each keep ``k`` of ``m`` items,
+    drawn uniformly without replacement from ``rng``: the first ``k`` of the
+    argsort of one row of i.i.d. keys, in item order.  Both are int64 and
+    flat, row by row."""
+    chosen = np.argsort(rng.random((n, m)), axis=1)[:, :k]
+    chosen = np.sort(chosen, axis=1)
+    rows = np.repeat(np.arange(n, dtype=np.int64), k)
+    return rows, chosen.ravel()

@@ -7,9 +7,10 @@ per-user weighted-pseudo gradients (``V_diff``); for ``rp``/``mrp`` with K
 splits, ``V = H/K + (K-1)/K * V_diff``, because the score covariance within
 one split equals its curvature.  The per-user gradients are formed as matrix
 products of the users' response indicators, block by block, without listing
-the within-user pairs, in row chunks small enough for OpenBLAS to compute
-them on the calling thread.  Intervals are two-sided normal intervals on the
-diagonal, optionally Bonferroni-corrected across items.
+the within-user pairs, in row chunks meant to keep OpenBLAS on the calling
+thread, which they do at some m only (see `CALLER_PRODUCT`).  Intervals are
+two-sided normal intervals on the diagonal, optionally Bonferroni-corrected
+across items.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import EstimationError
 from .estimators import ItemEstimate
 from .model import GroundTruth, ResponseData, sigmoid
 from .laplacian import _laplacian_matrix, _rank_completion_inverse
-from .pairing import _indicator_blocks, _pair_users, _paired_positions, _pseudo_wins, split_wins
+from .pairing import _indicator_blocks, _pair_users, _pseudo_wins, _split_pairs, _split_plan, split_wins
 from .solver import _counts, _derivatives
 
 __all__ = [
@@ -111,18 +112,25 @@ class PluginCovariance:
             raise ValueError(f"Sigma_hat is not PSD: min eigenvalue {eig[0]}")
 
 
-# Largest product, in multiply-adds, that OpenBLAS computes on the calling
-# thread.  At m = 50 a block's products X @ S^T of 1024 users take 2.56e6 and
-# go to OpenBLAS's worker thread, which keeps spinning after them and takes
-# the second core from the split threads of the next fit: 20 covariances of
-# an mrp-sparse input (n=1e4, m=50, p=0.1) took 0.44-0.50 s of CPU in
-# 0.15-0.19 s of wall time; in chunks they take as much CPU as wall time,
-# 0.19-0.23 s.  Chunks of at most 2**19 // m**2 users, spread evenly over a block,
-# gave the same bits as the block's one product for every block size up to
-# 1024 and every m <= 80 tried, but not from m = 81 on, where chunks of a few
-# dozen users take another kernel; so a block is chunked only where that
-# bound is MIN_CHUNK users or more, m <= 64 (2-core x86-64 with AVX-512,
-# numpy 2.4 and its bundled OpenBLAS).
+# Largest row chunk, in multiply-adds, of the products X @ S^T.  At m = 50 a
+# block's products of 1024 users take 2.56e6 and go to OpenBLAS's worker
+# thread, which keeps spinning after them and takes the second core from the
+# split threads of the next fit: 20 covariances of an mrp-sparse input
+# (n=1e4, m=50, p=0.1) took 0.44-0.50 s of CPU in 0.15-0.19 s of wall time;
+# in chunks they take as much CPU as wall time, 0.19-0.23 s.  The chunks do
+# not keep every m <= 64 on the calling thread: 30 covariances at n=1e4,
+# p=0.1, with CPU time read by getrusage over the calls and 0.3 s idle after,
+# took as much CPU as wall time at m = 20, 30, 50 and 56, but 0.43-0.51 s of
+# CPU in 0.15-0.19 s at m = 40, and 0.61-0.66 s in 0.25-0.27 s at m = 64 (45
+# too).  The block's unchunked G^T G reaches the worker at m = 40 and not at
+# m = 50: 300 products of 1024 x 40 took 38 ms of wall time and about 0.2 s
+# of CPU, of 1024 x 50 about 30 ms of both.  Chunks of at most
+# 2**19 // m**2 users, spread evenly over a block, gave the same bits as the
+# block's one product for every block size up to 1024 and every m <= 80
+# tried, but not from m = 81 on, where chunks of a few dozen users take
+# another kernel; so a block is chunked only where that bound is MIN_CHUNK
+# users or more, m <= 64 (2-core x86-64 with AVX-512, numpy 2.4 and its
+# bundled OpenBLAS).
 CALLER_PRODUCT = 2**19
 MIN_CHUNK = 128
 
@@ -133,8 +141,8 @@ def _wp_score_covariance(data: ResponseData, theta: np.ndarray) -> np.ndarray:
 
     The products ``X0 (S - 1)^T`` and ``X1 S^T`` are taken in evenly spread
     row chunks of at most ``CALLER_PRODUCT // m**2`` users, written in place,
-    so that OpenBLAS computes them on the calling thread; the chunks give the
-    same bits as one product per block (see `CALLER_PRODUCT`).
+    which keeps OpenBLAS on the calling thread at some m only; the chunks
+    give the same bits as one product per block (see `CALLER_PRODUCT`).
     """
     m = data.n_items
     S = sigmoid(theta[:, None] - theta[None, :])
@@ -163,10 +171,10 @@ def _split_user_gradients(data: ResponseData, theta: np.ndarray, seed: int, k: i
 
     A response is in at most one pair of a split, so each entry is set once.
     """
-    a, b = _paired_positions(data, seed, k)
-    items_a, items_b = data.item_ids[a], data.item_ids[b]
-    x_a = data.responses[a]
-    val = np.where(x_a != data.responses[b], sigmoid(theta[items_a] - theta[items_b]) - x_a, 0.0)
+    (a, b), = _split_pairs(_split_plan(data), seed, (k,))
+    x_a, items_a = np.divmod(a, data.n_items)
+    x_b, items_b = np.divmod(b, data.n_items)
+    val = np.where(x_a != x_b, sigmoid(theta[items_a] - theta[items_b]) - x_a, 0.0)
     users = _pair_users(data)
     G = np.zeros((data.n_users, data.n_items))
     G[users, items_a] = val

@@ -113,9 +113,6 @@ def subsample(n_users: int, m_items: int, seed: int, trial: int = 0) -> Response
     mat = lsat_correct_matrix()
     rng = _rng.substream(seed, _rng.SUBSAMPLE, trial)
     people = rng.choice(N_USERS, size=n_users, replace=False)
-    chosen = np.argsort(rng.random((n_users, N_ITEMS)), axis=1)[:, :m_items]
-    chosen = np.sort(chosen, axis=1)
-    users = np.repeat(np.arange(n_users, dtype=np.int64), m_items)
-    items = chosen.ravel()
-    correct = mat[people[:, None], chosen].ravel()
+    users, items = _rng.row_subsets(rng, n_users, N_ITEMS, m_items)
+    correct = mat[people[users], items]
     return ResponseData(n_users, N_ITEMS, users, items, 1 - correct)

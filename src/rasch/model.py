@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -126,8 +125,7 @@ class ResponseData:
     parallel read-only arrays, next to the read-only int64 offsets
     ``user_indptr``, 8 bytes per user and one more: the edges of user ``t``
     are those in ``[user_indptr[t], user_indptr[t + 1])``.  ``user_ids``
-    is derived from the offsets on each read.  A `random_split` records its
-    pairs as positions in this order of this object.  ``responses`` holds
+    is derived from the offsets on each read.  ``responses`` holds
     ``X_ti`` in {0, 1} with the negative-response convention of the model.
     Every input is stored at these widths, so ``n_users``, ``n_items`` and
     the number of edges must be below ``2**31``; sums and products that can
@@ -200,14 +198,6 @@ class ResponseData:
         ids = np.repeat(np.arange(self.n_users, dtype=np.int32), self.user_degrees())
         ids.setflags(write=False)
         return ids
-
-    @cached_property
-    def _sort_width(self) -> int:
-        """Row width of a split's key sort: the common degree of the users with
-        responses, one row per user, if they share one; else ``n_edges``."""
-        counts = self.user_degrees()
-        d = int(counts.max(initial=1))
-        return d if np.all(counts[counts > 0] == d) else self.n_edges
 
     def user_degrees(self) -> np.ndarray:
         """Number of responses per user (``m_t``)."""
@@ -355,11 +345,7 @@ def sample_responses(gt: GroundTruth, p: float, seed: int = 0, mode: str = "bern
         mp_int = int(round(mp))
         if abs(mp - mp_int) > 1e-9 or not 1 <= mp_int <= m:
             raise ValueError(f"uniform-mp mode needs m*p a positive integer <= m, got {mp}")
-        # argsort of i.i.d. keys = uniform sample of mp items per user
-        chosen = np.argsort(edge_rng.random((n, m)), axis=1)[:, :mp_int]
-        chosen = np.sort(chosen, axis=1)
-        users = np.repeat(np.arange(n, dtype=np.int64), mp_int)
-        items = chosen.ravel()
+        users, items = _rng.row_subsets(edge_rng, n, m, mp_int)
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     resp_rng = _rng.substream(seed, _rng.RESPONSES)

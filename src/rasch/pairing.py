@@ -4,11 +4,12 @@ Two routes are implemented.  The random disjoint route shuffles each user's
 responded items, pairs them consecutively (dropping one item when the count is
 odd), and keeps a comparison record only when the two responses differ.  Each
 response is used at most once per split, which is what makes the resulting
-comparison outcomes conditionally independent.  A split orders the edges with
-one value sort in one key buffer, reused by every split of a call: each
-edge's float sort key, drawn into the buffer, gets a payload in the low bits
-of its bit pattern (the response's item and value, or its index within its
-user) and is sorted in place, as one float64 row, or as int64 rows of the
+comparison outcomes conditionally independent.  The pairs of a split are
+read in one way, `_split_pairs`, from a plan that the splits of one call
+share.  It orders the edges with one value sort in one key buffer, reused
+by every split of a call: each edge's float sort key, drawn into the buffer,
+gets the response's payload ``item + m * X`` in the low bits of its bit
+pattern and is sorted in place, as one float64 row, or as int64 rows of the
 common degree when every responding user answered the same number of items.
 When two keys tie in their remaining bits, the split's keys are drawn again
 from its sub-stream and ordered by their stable argsort.  Whatever the route,
@@ -20,8 +21,8 @@ second half of a large batch of splits on a helper thread with a key buffer
 of its own.  `random_split` and `compile_comparisons` expose one split
 record by record, next to its win and count matrices, for checks and for
 `laplacian.build_z_laplacian` (the paper's l2 error predictor); a split
-records where its responses sit in the data object it was drawn from, and
-compiles against that object only.  The overlapping route of the
+keeps the responses it paired, and compiles against the data object it was
+drawn from only.  The overlapping route of the
 pseudo-likelihood estimators takes every within-user item pair without
 listing them: its win matrix is ``X1^T diag(w) X0``, from the users' 0/1
 response indicators ``X1 = 1{X = 1}``, ``X0 = 1{X = 0}`` and weights ``w``,
@@ -32,6 +33,7 @@ and ``X1`` and ``X0`` are its codes equal to 2 and to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,19 +84,18 @@ class SplitAssignment:
     """One disjoint random pairing: rows are (user, item_hi, item_lo), item_hi > item_lo.
 
     A split drawn by `random_split` also keeps, privately, the `ResponseData`
-    it was drawn from (``_source``) and the positions of the paired responses
-    in that data's edge order (``_edge_hi``, ``_edge_lo``).  Both are frozen,
-    and `compile_comparisons` reads the responses at those positions from
-    that same data object only.  A split built by hand has no source, and
-    compiles against no data.
+    it was drawn from (``_source``) and the int8 responses of each pair at
+    ``item_hi`` and ``item_lo`` (``_x_hi``, ``_x_lo``), frozen;
+    `compile_comparisons` compiles them against that same data object only.
+    A split built by hand has no source, and compiles against no data.
     """
 
     users: np.ndarray
     items_hi: np.ndarray
     items_lo: np.ndarray
     _source: ResponseData | None = field(default=None, init=False, repr=False, compare=False)
-    _edge_hi: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _edge_lo: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _x_hi: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _x_lo: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("users", "items_hi", "items_lo"):
@@ -203,56 +204,79 @@ def _pair_users(data: ResponseData) -> np.ndarray:
     return np.repeat(np.arange(data.n_users), data.user_degrees() // 2)
 
 
-def _pairing_orders(data: ResponseData, seed: int, splits, payload: np.ndarray, bits: int):
-    """Per-edge ``payload`` (below ``2**bits``) in the order of each split in ``splits``.
+class _SplitPlan(NamedTuple):
+    """What the splits of one call share, formed once by `_split_plan`.
 
-    The edges stay grouped by user, in a uniformly random order within each
-    user's block; the pairs of a split are the consecutive entries at
-    `_pair_slots` and the one after each.  Each order is yielded in one
-    buffer, which the next split overwrites.
+    ``payload`` is each edge's ``item + m * X``, below ``2**bits``; a split
+    sorts it by the float key ``user_key + key``, ``user_key`` being
+    ``2 * user``, in rows of ``width`` edges, or by `np.lexsort` when
+    ``lexsort``.  Pair ``j`` of a split is entries ``first[j]`` and
+    ``second[j]`` of that order.
     """
-    # The float key 2 * user + key keeps >= 31 bits of key resolution only
-    # while the user-id part stays below 2^20; lexsort serves larger ids.
-    # Both stay because lexsort is slower.  On 5e4 edges (n=1e4, m=50, p=0.1)
-    # lexsort takes 1.33 ms, a stable argsort of the float key 1.27 ms, and
-    # the packed value sort of `_sorted_payload` 0.35 ms as float64 against
-    # 0.40 ms as int64; on 1e5 edges in 1e4 rows of 10, when every user
-    # answered 10 items, the int64 row sort takes 0.40 ms against 0.57 ms as
-    # float64 (medians of 100, 2-core x86-64 with AVX-512, numpy 2.4).  It
+
+    payload: np.ndarray
+    bits: int
+    width: int
+    user_key: np.ndarray
+    lexsort: bool
+    first: np.ndarray | slice
+    second: np.ndarray | slice
+
+
+def _split_plan(data: ResponseData) -> _SplitPlan:
+    m = data.n_items
+    degrees = data.user_degrees()
+    d = int(degrees.max(initial=1))
+    if not (degrees % 2).any():
+        # every degree is even: the pairs are the entries two by two, read as
+        # strided views instead of gathers; on n=1e4 users of degree 10,
+        # split_wins(n_split=50) was faster so in 55 of 60 interleaved pairs
+        first, second = slice(0, None, 2), slice(1, None, 2)
+    else:
+        first = _pair_slots(data)
+        second = first + 1
+    # The payload is formed in int64: m * X overflows the int8 responses from
+    # m = 128.  Keys are sorted in one row per user when the users with
+    # responses share a degree.  2 * user is exact in float64, so it orders
+    # as the user ids do; the float key 2 * user + key keeps >= 31 bits of key
+    # resolution only while the user-id part stays below 2^20, and lexsort
+    # serves larger ids.
+    return _SplitPlan(data.item_ids + m * data.responses.astype(np.int64), (2 * m - 1).bit_length(),
+                      d if np.all(degrees[degrees > 0] == d) else data.n_edges,
+                      np.repeat(np.arange(data.n_users) * 2.0, degrees), data.n_users > 2**20,
+                      first, second)
+
+
+def _split_pairs(plan: _SplitPlan, seed: int, splits):
+    """Payloads ``(a, b)`` of the pairs of each split in ``splits``.
+
+    Each user's edges are put in a uniformly random order, drawn from the
+    split's own sub-stream, and taken consecutively in pairs: pair ``j``
+    joins the responses of payloads ``a[j]`` and ``b[j]``, and the
+    left-over edge of an odd degree is the user's last.  ``a`` and ``b``
+    may be views of the key buffer, which the next split overwrites.
+    """
+    # Both sorts stay because lexsort is slower.  On 5e4 edges (n=1e4, m=50,
+    # p=0.1) lexsort takes 1.33 ms, a stable argsort of the float key 1.27 ms,
+    # and the packed value sort of `_sorted_payload` 0.35 ms as float64
+    # against 0.40 ms as int64; on 1e5 edges in 1e4 rows of 10, when every
+    # user answered 10 items, the int64 row sort takes 0.40 ms against 0.57 ms
+    # as float64 (medians of 100, 2-core x86-64 with AVX-512, numpy 2.4).  It
     # fell back to the argsort in 1 of 500 splits at n=1e4, m=50.
-    keys = np.empty(data.n_edges)
-    # 2 * user per edge, exact in float64, so it orders as the user ids do
-    user_key = np.repeat(np.arange(data.n_users) * 2.0, data.user_degrees())
+    keys = np.empty(plan.payload.size)
     for k in splits:
         _rng.substream(seed, _rng.SPLIT, k).random(out=keys)
-        if data.n_users > 2**20:
-            yield payload[np.lexsort((keys, user_key))]
-            continue
-        keys += user_key
-        order = _sorted_payload(keys, payload, bits, data._sort_width)
-        if order is None:
-            # the value sort overwrote the keys: draw them again
-            _rng.substream(seed, _rng.SPLIT, k).random(out=keys)
-            keys += user_key
-            order = payload[np.argsort(keys, kind="stable")]
-        yield order
-
-
-def _paired_positions(data: ResponseData, seed: int, split_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Edge positions ``(a, b)`` of the pairs of split ``split_index``.
-
-    Each user's responses are shuffled and taken consecutively in pairs;
-    ``a[k]`` and ``b[k]`` index the two responses of pair ``k`` in the data's
-    canonical edge order.
-    """
-    degrees = data.user_degrees()
-    start = np.repeat(data.user_indptr[:-1], degrees)
-    local = np.arange(data.n_edges) - start
-    bits = int(degrees.max(initial=1) - 1).bit_length()
-    shuffled, = _pairing_orders(data, seed, (split_index,), local, bits)
-    slots = _pair_slots(data)
-    base = start[slots]
-    return base + shuffled[slots], base + shuffled[slots + 1]
+        if plan.lexsort:
+            order = plan.payload[np.lexsort((keys, plan.user_key))]
+        else:
+            keys += plan.user_key
+            order = _sorted_payload(keys, plan.payload, plan.bits, plan.width)
+            if order is None:
+                # the value sort overwrote the keys: draw them again
+                _rng.substream(seed, _rng.SPLIT, k).random(out=keys)
+                keys += plan.user_key
+                order = plan.payload[np.argsort(keys, kind="stable")]
+        yield order[plan.first], order[plan.second]
 
 
 def random_split(data: ResponseData, seed: int, split_index: int = 0) -> SplitAssignment:
@@ -264,9 +288,9 @@ def random_split(data: ResponseData, seed: int, split_index: int = 0) -> SplitAs
     an independent sub-stream, so repeated splits of the same data never share
     randomness.
     """
-    idx_a, idx_b = _paired_positions(data, seed, split_index)
-    items_a = data.item_ids[idx_a]
-    items_b = data.item_ids[idx_b]
+    (a, b), = _split_pairs(_split_plan(data), seed, (split_index,))
+    x_a, items_a = np.divmod(a, data.n_items)
+    x_b, items_b = np.divmod(b, data.n_items)
     a_is_hi = items_a >= items_b
     split = SplitAssignment(
         users=_pair_users(data),
@@ -274,8 +298,8 @@ def random_split(data: ResponseData, seed: int, split_index: int = 0) -> SplitAs
         items_lo=np.where(a_is_hi, items_b, items_a),
     )
     object.__setattr__(split, "_source", data)
-    object.__setattr__(split, "_edge_hi", _frozen(np.where(a_is_hi, idx_a, idx_b)))
-    object.__setattr__(split, "_edge_lo", _frozen(np.where(a_is_hi, idx_b, idx_a)))
+    object.__setattr__(split, "_x_hi", _frozen(np.where(a_is_hi, x_a, x_b).astype(np.int8)))
+    object.__setattr__(split, "_x_lo", _frozen(np.where(a_is_hi, x_b, x_a).astype(np.int8)))
     return split
 
 
@@ -291,29 +315,18 @@ def split_wins(data: ResponseData, seed: int, n_split: int) -> np.ndarray:
     own sub-stream, so the matrices are the same bits either way.
     """
     m = data.n_items
-    # A response travels through the sort as its payload item + m * X, in
-    # [0, 2m).  A pair of payloads (a, b) counts at a * 2m + b, so the bins
-    # are B[X_a, item_a, X_b, item_b]: the pairs that differ are those at
-    # B[1, :, 0, :] (a won) and at B[0, :, 1, :] (b won).  Formed in int64:
-    # m * X overflows the int8 responses from m = 128.
-    payload = data.item_ids + m * data.responses.astype(np.int64)
-    bits = (2 * m - 1).bit_length()
-    data._sort_width  # cached here, before a helper thread reads it
-    if not (data.user_degrees() % 2).any():
-        # every degree is even: the pairs are the entries two by two, read as
-        # strided views instead of gathers; on n=1e4 users of degree 10,
-        # split_wins(n_split=50) was faster so in 55 of 60 interleaved pairs
-        first, second = slice(0, None, 2), slice(1, None, 2)
-    else:
-        first = _pair_slots(data)
-        second = first + 1
+    plan = _split_plan(data)
     out = np.empty((n_split, m, m))
 
     def fill(lo: int, hi: int) -> None:
         splits = range(lo, hi)
-        for k, shuffled in zip(splits, _pairing_orders(data, seed, splits, payload, bits)):
-            pair = shuffled[first] * (2 * m)
-            pair += shuffled[second]
+        for k, (a, b) in zip(splits, _split_pairs(plan, seed, splits)):
+            # A pair of payloads (a, b), each item + m * X in [0, 2m), counts
+            # at a * 2m + b, so the bins are B[X_a, item_a, X_b, item_b]: the
+            # pairs that differ are those at B[1, :, 0, :] (a won) and at
+            # B[0, :, 1, :] (b won).
+            pair = a * (2 * m)
+            pair += b
             B = np.bincount(pair, minlength=4 * m * m).reshape(2, m, 2, m)
             np.add(B[1, :, 0, :], B[0, :, 1, :].T, out=out[k])
 
@@ -324,15 +337,13 @@ def split_wins(data: ResponseData, seed: int, n_split: int) -> np.ndarray:
 def compile_comparisons(data: ResponseData, split: SplitAssignment) -> PairedComparisons:
     """Turn a split into comparison records, dropping pairs with equal responses.
 
-    The split reads the responses at the positions `random_split` recorded,
-    so it compiles only against the very ``data`` object it was drawn from;
-    any other split, or other data (an equal copy included), raises
-    `ValueError`.
+    The split carries the responses `random_split` paired, so it compiles
+    only against the very ``data`` object it was drawn from; any other split,
+    or other data (an equal copy included), raises `ValueError`.
     """
     if split._source is not data:
         raise ValueError("a split compiles only against the data object random_split drew it from")
-    x_hi = data.responses[split._edge_hi]
-    x_lo = data.responses[split._edge_lo]
+    x_hi, x_lo = split._x_hi, split._x_lo
     keep = x_hi != x_lo
     return PairedComparisons(
         m=data.n_items, rec_i=split.items_hi[keep], rec_j=split.items_lo[keep],

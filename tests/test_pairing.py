@@ -96,7 +96,7 @@ class TestRandomSplit:
             a = random_split(small, seed=9, split_index=k)
             b = random_split(large, seed=9, split_index=k)
             np.testing.assert_array_equal(spread[a.users], b.users)
-            for name in ("items_hi", "items_lo", "_edge_hi", "_edge_lo"):
+            for name in ("items_hi", "items_lo", "_x_hi", "_x_lo"):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         np.testing.assert_array_equal(split_wins(small, 9, 3), split_wins(large, 9, 3))
 
@@ -107,14 +107,15 @@ def _ulps_above(x, n):
 
 
 def _engine_order(key, payload, bits, width):
-    """The order `_pairing_orders` gives ``payload`` when one user's split
+    """The order `_split_pairs` gives ``payload`` when one user's split
     stream draws the float keys ``key``, sorted in rows of ``width``: the
-    value sort, or the stable argsort of the keys drawn again on a tie."""
-    data = SimpleNamespace(n_edges=key.size, n_users=1, user_degrees=lambda: np.array([key.size]),
-                           _sort_width=width)
+    value sort, or the stable argsort of the keys drawn again on a tie.
+    Read through a plan whose one "pair" slot is the whole order."""
+    plan = pairing._SplitPlan(payload=payload, bits=bits, width=width, user_key=np.zeros(key.size),
+                              lexsort=False, first=slice(None), second=slice(0, 0))
     stream = SimpleNamespace(random=lambda out: np.copyto(out, key))
     with mock.patch.object(pairing._rng, "substream", lambda *args: stream):
-        order, = pairing._pairing_orders(data, 0, (0,), payload, bits)
+        (order, _), = pairing._split_pairs(plan, 0, (0,))
     return order.copy()
 
 
@@ -291,19 +292,19 @@ class TestSplitWinsBranches:
 
     def test_even_unequal_degrees(self):
         data = _degree_data(np.tile([2, 4, 6, 0, 4], 40))
-        assert data._sort_width == data.n_edges  # one float64 row
+        assert pairing._split_plan(data).width == data.n_edges  # one float64 row
         assert 2 * pairing._pair_slots(data).size == data.n_edges  # strided pairs
         self.check(data)
 
     def test_fixed_odd_degree(self):
         data = _degree_data(np.full(150, 5))
-        assert data._sort_width == 5  # int64 rows
+        assert pairing._split_plan(data).width == 5  # int64 rows
         assert 2 * pairing._pair_slots(data).size < data.n_edges  # gathered pairs
         self.check(data)
 
     def test_ragged_degrees(self):
         data = _degree_data(np.tile([1, 2, 3, 4, 5, 6, 7], 30))
-        assert data._sort_width == data.n_edges
+        assert pairing._split_plan(data).width == data.n_edges
         assert 2 * pairing._pair_slots(data).size < data.n_edges
         self.check(data)
 

@@ -304,15 +304,15 @@ def test_dense_builders_match_per_record_aggregation(data, seed, k):
 # Random pairing against a stable-argsort oracle
 # ---------------------------------------------------------------------------
 
-# the last two are the positions `random_split` records for `compile_comparisons`
-SPLIT_FIELDS = ("users", "items_hi", "items_lo", "_edge_hi", "_edge_lo")
+# the last two are the responses `random_split` keeps for `compile_comparisons`
+SPLIT_FIELDS = ("users", "items_hi", "items_lo", "_x_hi", "_x_lo")
 
 
 def _argsort_split(data, keys):
     """One split built pair by pair: each user's edges ordered by the stable
     argsort of ``2 * user + key`` and taken consecutively in pairs.  Returns
-    the `SplitAssignment` fields, with the recorded response positions, and
-    the split's win matrix."""
+    the `SplitAssignment` fields, with the kept pair responses, and the
+    split's win matrix."""
     order = np.argsort(data.user_ids * 2.0 + keys, kind="stable")
     user, item, x = data.user_ids, data.item_ids, data.responses
     rows, W = [], np.zeros((data.n_items, data.n_items))
@@ -320,7 +320,7 @@ def _argsort_split(data, keys):
         block = order[data.user_indptr[t]:data.user_indptr[t + 1]]
         for a, b in zip(block[0:-1:2], block[1::2]):
             hi, lo = (a, b) if item[a] > item[b] else (b, a)
-            rows.append((user[a], item[hi], item[lo], hi, lo))
+            rows.append((user[a], item[hi], item[lo], x[hi], x[lo]))
             if x[a] != x[b]:
                 win, lose = (a, b) if x[a] == 1 else (b, a)
                 W[item[win], item[lose]] += 1
@@ -414,7 +414,7 @@ def rectangular_data(draw):
 @given(rectangular_data(), SEEDS, st.integers(1, 3))
 def test_rectangular_splits_match_a_stable_argsort_oracle(case, seed, K):
     data, width = case
-    assert data._sort_width == width
+    assert pairing._split_plan(data).width == width
     W = split_wins(data, seed, K)
     for k in range(K):
         keys = _rng.substream(seed, _rng.SPLIT, k).random(data.n_edges)
@@ -486,7 +486,7 @@ def test_pseudo_wins_match_per_user_loop(data):
 @PROPERTY
 @given(response_data(), st.data())
 def test_pseudo_wins_are_item_relabel_equivariant(data, pick):
-    # Not checked per seed for mrp: _paired_positions draws its sort keys in
+    # Not checked per seed for mrp: a split draws its sort keys in
     # each user's item order, so a relabel changes the pairing itself;
     # test_rp_permutation_equivariance_in_distribution covers mrp in law.
     m = data.n_items
@@ -751,11 +751,16 @@ def _int64_edges(data):
 
 
 def _int64_split_wins(data, seed, K):
-    """Win matrices of splits ``0 .. K-1``, counted pair by pair on int64 copies."""
+    """Win matrices of splits ``0 .. K-1``, counted pair by pair on int64
+    copies: each user's edges ordered by the stable argsort of
+    ``2 * user + key`` and taken consecutively in pairs."""
     wide, m = _int64_edges(data), data.n_items
+    slots = _masked_pair_slots(data.user_indptr)
     W = np.zeros((K, m, m))
     for k in range(K):
-        a, b = pairing._paired_positions(data, seed, k)
+        keys = _rng.substream(seed, _rng.SPLIT, k).random(data.n_edges)
+        order = np.argsort(wide.user_ids * 2.0 + keys, kind="stable")
+        a, b = order[slots], order[slots + 1]
         x_a, x_b = wide.responses[a], wide.responses[b]
         i_a, i_b = wide.item_ids[a], wide.item_ids[b]
         np.add.at(W[k], (i_a[x_a > x_b], i_b[x_a > x_b]), 1)  # X = 1 wins
@@ -887,7 +892,7 @@ def test_ids_and_slots_derived_from_the_offsets_match_the_stored_formulas(shape,
     slots = pairing._pair_slots(data)
     assert slots.tobytes() == _masked_pair_slots(indptr).tobytes()
     if shape == "rows":
-        assert data._sort_width < data.n_edges
+        assert pairing._split_plan(data).width < data.n_edges
     else:
         assert (2 * slots.size == data.n_edges) == (shape == "strided")
     W = split_wins(data, seed, 3)
@@ -905,6 +910,7 @@ def test_the_store_holds_5_bytes_per_edge_and_the_offsets():
     held = [v for v in vars(data).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in held) <= 5 * data.n_edges + 8 * (data.n_users + 1)
     assert all(not a.flags.writeable for a in held)
+    assert set(vars(data)) == {"n_users", "n_items", "item_ids", "responses", "user_indptr"}
     ids = data.user_ids
     assert ids.dtype == np.int32 and not ids.flags.writeable
 

@@ -8,11 +8,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from rasch import _threads, pairing, solver
+from rasch import _rng, _threads, pairing, solver
 from rasch.errors import ConvergenceError
 from rasch.inference import _wp_score_covariance
 from rasch.model import GroundTruth, sample_ground_truth, sample_responses, sigmoid
-from rasch.pairing import USER_BLOCK, _indicator_blocks, _paired_positions, split_wins
+from rasch.pairing import USER_BLOCK, _indicator_blocks, split_wins
 from rasch.solver import SolverOptions, solve_newton_batch
 
 
@@ -30,8 +30,13 @@ def _sparse_data(n=10_000, m=50, p=0.1, seed=3, mode="bernoulli"):
 
 
 def _oracle_wins(data, seed, k):
-    """Win matrix of split ``k``, counted pair by pair."""
-    a, b = _paired_positions(data, seed, k)
+    """Win matrix of split ``k``, counted pair by pair: each user's edges
+    ordered by the stable argsort of ``2 * user + key``, keys drawn from the
+    split's sub-stream, and taken consecutively in pairs."""
+    keys = _rng.substream(seed, _rng.SPLIT, k).random(data.n_edges)
+    order = np.argsort(data.user_ids * 2.0 + keys, kind="stable")
+    slots = pairing._pair_slots(data)
+    a, b = order[slots], order[slots + 1]
     x_a, x_b = data.responses[a], data.responses[b]
     differ = x_a != x_b
     win = np.where(x_a == 1, a, b)[differ]
@@ -137,15 +142,15 @@ def test_error_in_a_threaded_split_reaches_the_caller(two_cpus):
     data = _sparse_data()
     before = threading.active_count()
     calls = []
-    real = pairing._pairing_orders
+    real = pairing._split_pairs
 
-    def failing(data, seed, splits, payload, bits):
+    def failing(plan, seed, splits):
         calls.append(splits)
         if splits.start:
             raise MemoryError("second half")
-        return real(data, seed, splits, payload, bits)
+        return real(plan, seed, splits)
 
-    with mock.patch.object(pairing, "_pairing_orders", failing):
+    with mock.patch.object(pairing, "_split_pairs", failing):
         with pytest.raises(MemoryError, match="second half"):
             split_wins(data, 0, 4)
     assert calls == [range(0, 2), range(2, 4)] or calls == [range(2, 4), range(0, 2)]
