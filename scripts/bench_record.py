@@ -22,7 +22,15 @@ change's ``scripts/fingerprint.py`` prints against each side's ``src/``:
 equal hashes mean the same numbers.  Under
 ``acceptance`` it keeps the paper scorecard of each side's tier-1 run: the
 ``[criterion N] PASS|FAIL <detail>`` line each acceptance test prints, by
-criterion.  Runs are sequential, so the two sides never share the processor.
+criterion.  Under ``blas_idle`` it keeps, per side, the CPU and wall time
+(``cpu_s``, ``wall_s``) of ``BLAS_ROUNDS`` rounds of ``wp_mle``,
+``plugin_covariance`` and ``pmle`` on one input (n = 1e4, m = 50, p = 0.1,
+seed 1) in a fresh interpreter: the CPU time from just before the rounds to
+0.3 s after them, the wall time of the rounds alone, after 0.3 s idle.  A
+product that wakes OpenBLAS's worker thread leaves it spinning on a second
+core after the call, which shows as ``cpu_s`` above ``wall_s``; no workload
+runs ``wp`` at m = 50, so the benchmark itself cannot show it.  Runs are
+sequential, so the two sides never share the processor.
 It also records how many CPUs the runs could use (``usable_cpus``): a fit
 with enough work computes its splits on two threads when two are usable, so
 its timings depend on that count.
@@ -48,6 +56,26 @@ PAIRS = 10  # alternating pairs per workload, enough to read a comparison
 HELD_OUT, HELD_OUT_PAIRS = 101, 3  # a seed no claim was tuned on
 SCORECARD = re.compile(r"^\[criterion ([^\]]+)\] (PASS|FAIL) (.*)$", re.MULTILINE)
 INFER = re.compile(r"^\s*infer_s = (\S+) s", re.MULTILINE)
+BLAS_ROUNDS = 20
+BLAS_IDLE = f"""
+import json, resource, time
+import rasch
+
+def cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+data = rasch.sample_responses(rasch.sample_ground_truth(10_000, 50, "standard-normal", seed=1),
+                              0.1, seed=1)
+time.sleep(0.3)
+cpu, start = cpu_s(), time.perf_counter()
+for _ in range({BLAS_ROUNDS}):
+    rasch.plugin_covariance(data, rasch.wp_mle(data))
+    rasch.pmle(data)
+wall = time.perf_counter() - start
+time.sleep(0.3)
+print(json.dumps({{"cpu_s": round(cpu_s() - cpu, 4), "wall_s": round(wall, 4)}}))
+"""
 
 
 def run_workload(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -90,6 +118,14 @@ def fingerprint(script: Path, checkout: Path) -> str:
     proc = subprocess.run([sys.executable, str(script)], cwd=checkout, env=env,
                           capture_output=True, text=True, check=True)
     return proc.stdout.strip()
+
+
+def blas_idle(checkout: Path) -> dict:
+    """CPU and wall time of the ``BLAS_IDLE`` rounds, with ``rasch`` from ``checkout/src``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-c", BLAS_IDLE], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def src_lines(checkout: Path) -> int:
@@ -197,6 +233,7 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "usable_cpus": len(os.sched_getaffinity(0)),
         "workloads": workloads,
+        "blas_idle": {side: blas_idle(d) for side, d in dirs.items()},
         "src_lines": {side: src_lines(d) for side, d in dirs.items()},
         "src_line_kinds": {side: src_line_kinds(d) for side, d in dirs.items()},
         "tier1": {side: counts for side, (counts, _) in tier1.items()},

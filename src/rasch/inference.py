@@ -7,10 +7,12 @@ per-user weighted-pseudo gradients (``V_diff``); for ``rp``/``mrp`` with K
 splits, ``V = H/K + (K-1)/K * V_diff``, because the score covariance within
 one split equals its curvature.  The per-user gradients are formed as matrix
 products of the users' response indicators, block by block, without listing
-the within-user pairs, in row chunks meant to keep OpenBLAS on the calling
-thread, which they do at some m only (see `CALLER_PRODUCT`).  Intervals are
-two-sided normal intervals on the diagonal, optionally Bonferroni-corrected
-across items.
+the within-user pairs; each is a gemm of fewer than ``pairing.PRODUCT_LIMIT``
+multiply-adds, which OpenBLAS runs on the calling thread.  One product can
+still wake its worker thread, which then spins on the second core:
+``Gk^T Gk`` of the per-split scores, an n x m syrk taken only for the exact
+finite-split mixture.  Intervals are two-sided normal intervals on the
+diagonal, optionally Bonferroni-corrected across items.
 """
 
 from __future__ import annotations
@@ -112,57 +114,32 @@ class PluginCovariance:
             raise ValueError(f"Sigma_hat is not PSD: min eigenvalue {eig[0]}")
 
 
-# Largest row chunk, in multiply-adds, of the products X @ S^T.  At m = 50 a
-# block's products of 1024 users take 2.56e6 and go to OpenBLAS's worker
-# thread, which keeps spinning after them and takes the second core from the
-# split threads of the next fit: 20 covariances of an mrp-sparse input
-# (n=1e4, m=50, p=0.1) took 0.44-0.50 s of CPU in 0.15-0.19 s of wall time;
-# in chunks they take as much CPU as wall time, 0.19-0.23 s.  The chunks do
-# not keep every m <= 64 on the calling thread: 30 covariances at n=1e4,
-# p=0.1, with CPU time read by getrusage over the calls and 0.3 s idle after,
-# took as much CPU as wall time at m = 20, 30, 50 and 56, but 0.43-0.51 s of
-# CPU in 0.15-0.19 s at m = 40, and 0.61-0.66 s in 0.25-0.27 s at m = 64 (45
-# too).  The block's unchunked G^T G reaches the worker at m = 40 and not at
-# m = 50: 300 products of 1024 x 40 took 38 ms of wall time and about 0.2 s
-# of CPU, of 1024 x 50 about 30 ms of both.  Chunks of at most
-# 2**19 // m**2 users, spread evenly over a block, gave the same bits as the
-# block's one product for every block size up to 1024 and every m <= 80
-# tried, but not from m = 81 on, where chunks of a few dozen users take
-# another kernel; so a block is chunked only where that bound is MIN_CHUNK
-# users or more, m <= 64 (2-core x86-64 with AVX-512, numpy 2.4 and its
-# bundled OpenBLAS).
-CALLER_PRODUCT = 2**19
-MIN_CHUNK = 128
-
-
 def _wp_score_covariance(data: ResponseData, theta: np.ndarray) -> np.ndarray:
     """``G^T G / n`` of the per-user ``"wp"`` scores at ``theta``, block by block:
     ``G = w * [X1 * (X0 (S - 1)^T) + X0 * (X1 S^T)]``, ``S_ij = sigma(theta_i - theta_j)``.
 
-    The products ``X0 (S - 1)^T`` and ``X1 S^T`` are taken in evenly spread
-    row chunks of at most ``CALLER_PRODUCT // m**2`` users, written in place,
-    which keeps OpenBLAS on the calling thread at some m only; the chunks
-    give the same bits as one product per block (see `CALLER_PRODUCT`).
+    Each product is one gemm of a block of `pairing._indicator_blocks` with
+    an ``(m, m)`` array, of fewer than ``pairing.PRODUCT_LIMIT``
+    multiply-adds, so OpenBLAS takes it on the calling thread; ``G^T G`` is
+    one too, as it is taken from two distinct arrays.
     """
     m = data.n_items
     S = sigmoid(theta[:, None] - theta[None, :])
     lose, win = (S - 1.0).T, S.T
-    cap = CALLER_PRODUCT // m**2
     V = np.zeros((m, m))
     for _, X1, X0, w in _indicator_blocks(data, "wp"):
-        users = X0.shape[0]
-        chunks = -(-users // cap) if cap >= MIN_CHUNK else 1
-        G, P = np.empty_like(X0), np.empty_like(X1)
-        for c in range(chunks):
-            rows = slice(users * c // chunks, users * (c + 1) // chunks)
-            np.matmul(X0[rows], lose, out=G[rows])
-            np.matmul(X1[rows], win, out=P[rows])
+        G = X0 @ lose
+        P = X1 @ win
         # in place, the same products and sum as w * (X1 * G + X0 * P)
         G *= X1
         P *= X0
         G += P
         G *= w[:, None]
-        V += G.T @ G
+        # G.T @ G on one buffer goes to syrk, which wakes OpenBLAS's worker
+        # thread by a rule of its own (300 block products at m = 35-45 took
+        # 7-11 times their wall time in CPU); on a copy it is a gemm
+        np.copyto(P, G)
+        V += G.T @ P
     return V / data.n_users
 
 

@@ -27,7 +27,10 @@ pseudo-likelihood estimators takes every within-user item pair without
 listing them: its win matrix is ``X1^T diag(w) X0``, from the users' 0/1
 response indicators ``X1 = 1{X = 1}``, ``X0 = 1{X = 0}`` and weights ``w``,
 block by block; a block is filled by one scatter of int8 codes ``X + 1``,
-and ``X1`` and ``X0`` are its codes equal to 2 and to 1.
+and ``X1`` and ``X0`` are its codes equal to 2 and to 1.  One rule sizes
+the blocks, for this win matrix and for the score covariance of
+`inference`: fewer than ``PRODUCT_LIMIT / m**2`` users, so that every
+product over a block is a gemm that OpenBLAS runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -51,12 +54,20 @@ __all__ = [
 ]
 
 
-# Users per block of dense n x m indicators.  Unblocked indicators and score
-# matrices raised the peak RSS of the benchmark's mrp-sparse workload (n=1e4,
-# m=50) to 123.0-126.7 MB, against 112.4-114.3 MB for the pair-listing code
-# they replaced; with 1024-user blocks it measured 111.1-112.5 MB (seeds 1-3,
-# 2-core x86-64, numpy 2.4).
-USER_BLOCK = 1024
+# Multiply-adds below which every product over a block of indicators stays
+# on the calling thread.  The products of `_pseudo_wins` and of
+# `inference._wp_score_covariance` each take a block's (users, m) array with
+# an m-wide one, so blocks of (PRODUCT_LIMIT - 1) // m**2 users keep them
+# under 2**19, where OpenBLAS runs a gemm on one thread: a 128 x 64 @ 64 x 64
+# gemm (2**19) woke its worker thread, which kept spinning on the second core
+# after the call and slowed the next fit, and one of 127 rows did not (2-core
+# x86-64, numpy 2.4.6, OpenBLAS 0.3.31).  A product of one array with its own
+# transpose goes to syrk instead, which threads by a rule of its own, so the
+# consumers keep the two operands distinct.  A block's float64 arrays stay
+# under 2**19 / m entries too.  Above m = 64 blocks shrink, to 52 users at
+# m = 100 and 13 at m = 200, where a score covariance at n=1e4, p=0.1 took
+# 103 ms against 36 ms on two cores with 1024-user blocks.
+PRODUCT_LIMIT = 2**19
 
 # Edges from which `split_wins` computes the two halves of its splits on two
 # threads.  Two threads against one, median times of `split_wins`: 22.1 vs
@@ -377,13 +388,17 @@ def disagreement_prob(theta_i: float, theta_j: float, zeta_t: float):
 
 
 def _indicator_blocks(data: ResponseData, scheme: str):
-    """Dense 0/1 response indicators, ``USER_BLOCK`` users at a time.
+    """Dense 0/1 response indicators, ``max(1, (PRODUCT_LIMIT - 1) // m**2)``
+    users at a time.
 
     Yields ``(first, X1, X0, w)``: row ``t`` of ``X1`` (``X0``) marks the items
     user ``first + t`` answered with ``X = 1`` (``X = 0``), and ``w[t]`` is the
     user's weight, ``mt_even / (m_t (m_t - 1))`` for ``"wp"`` and 1 for
     ``"pmle"``, 0 below two responses.  Item ``i`` beat item ``j`` for user
-    ``t`` exactly where ``X1[t, i] X0[t, j] = 1``.
+    ``t`` exactly where ``X1[t, i] X0[t, j] = 1``.  A product of a block's
+    ``(users, m)`` array with an ``(m, m)`` one is then a gemm of fewer than
+    ``PRODUCT_LIMIT`` multiply-adds, which OpenBLAS runs on the calling thread
+    (up to m = 724; past that a block is one user).
 
     A block is filled by one scatter of int8 response codes, ``X + 1``, into
     a zeroed ``(users, m)`` code array, flat at ``(user - first) * m + item``;
@@ -409,8 +424,9 @@ def _indicator_blocks(data: ResponseData, scheme: str):
     w = ((mt - mt % 2) / np.maximum(mt * (mt - 1.0), 1.0) if scheme == "wp"
          else (mt >= 2).astype(float))
     codes = data.responses + 1
-    for first in range(0, data.n_users, USER_BLOCK):
-        last = min(first + USER_BLOCK, data.n_users)
+    block = max(1, (PRODUCT_LIMIT - 1) // m**2)
+    for first in range(0, data.n_users, block):
+        last = min(first + block, data.n_users)
         edges = slice(indptr[first], indptr[last])
         code = np.zeros((last - first, m), np.int8)
         # in intp: past 2**31 entries a block's flat index leaves int32

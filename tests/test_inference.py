@@ -13,7 +13,7 @@ from rasch.inference import (
     special_case_covariance,
 )
 from rasch.model import GroundTruth, sample_ground_truth, sample_responses
-from rasch.pairing import USER_BLOCK, _pseudo_wins
+from rasch.pairing import PRODUCT_LIMIT, _pseudo_wins
 
 
 class TestNormalQuantile:
@@ -74,7 +74,7 @@ class TestPluginCovariance:
         np.testing.assert_allclose(a.Sigma_hat, b.Sigma_hat, atol=1e-15)
 
     def test_wp_covariance_reuses_the_fitted_win_matrix(self):
-        n = USER_BLOCK + 476  # two blocks of users
+        n = (PRODUCT_LIMIT - 1) // 6**2 + 476  # two blocks of users
         gt = sample_ground_truth(n, 6, "standard-normal", seed=11)
         data = sample_responses(gt, 0.6, seed=11)
         est = wp_mle(data)

@@ -100,6 +100,22 @@ class TestRandomSplit:
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         np.testing.assert_array_equal(split_wins(small, 9, 3), split_wins(large, 9, 3))
 
+    def test_keys_that_tie_as_float_keys_past_2_20_users_pair_in_exact_order(self):
+        # near user 2**20 the float key 2 * user + key resolves 2**-31, so the
+        # keys 0.5 + 2**-33 and 0.5 tie in it, across the pair boundary; the
+        # exact (user, key) order pairs the edges drawn 0.1 and 0.5
+        user = 2**20 + 5
+        data = ResponseData(user + 1, 3, np.full(3, user), np.arange(3), np.array([1, 0, 0]))
+        keys = np.array([0.1, 0.5 + 2**-33, 0.5])
+        assert 2.0 * user + keys[1] == 2.0 * user + keys[2]
+        stream = SimpleNamespace(random=lambda out: np.copyto(out, keys))
+        with mock.patch.object(pairing._rng, "substream", lambda *args: stream):
+            split = random_split(data, seed=0)
+            W = split_wins(data, 0, 1)[0]
+        assert (split.users.tolist(), split.items_hi.tolist(), split.items_lo.tolist()) == (
+            [user], [2], [0])
+        assert W[0, 2] == W.sum() == 1  # item 0, answered X = 1, beat item 2
+
 
 def _ulps_above(x, n):
     """The float ``n`` ulps above the non-negative float ``x``."""

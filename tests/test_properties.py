@@ -40,7 +40,7 @@ from rasch.model import (
     sigmoid_deriv,
 )
 from rasch.pairing import (
-    USER_BLOCK,
+    PRODUCT_LIMIT,
     _pseudo_wins,
     compile_comparisons,
     random_split,
@@ -521,7 +521,7 @@ def test_split_user_gradients_match_per_record_sums(data, seed, k):
 def test_indicator_builders_match_per_user_loops_over_many_blocks(data, block, seed):
     # Blocks of 1-3 users: most inputs span several, some with no responses.
     theta = np.random.default_rng(seed).normal(0.0, 2.0, data.n_items)
-    with mock.patch.object(pairing, "USER_BLOCK", block):
+    with mock.patch.object(pairing, "PRODUCT_LIMIT", block * data.n_items**2 + 1):
         got = {scheme: _pseudo_wins(data, scheme) for scheme in ("wp", "pmle")}
         V = _wp_score_covariance(data, theta)
     for scheme, W in got.items():
@@ -537,7 +537,7 @@ def test_indicator_builders_match_per_user_loops_over_many_blocks(data, block, s
 
 
 def test_wp_score_covariance_matches_per_user_loop_across_blocks():
-    n = USER_BLOCK + 476  # two blocks of users
+    n = (PRODUCT_LIMIT - 1) // 6**2 + 476  # two blocks of users
     gt = sample_ground_truth(n, 6, "standard-normal", seed=11)
     data = sample_responses(gt, 0.6, seed=11)
     est = wp_mle(data)
@@ -598,7 +598,7 @@ def test_indicator_blocks_match_a_per_user_construction_byte_for_byte(case, seed
     data, block = case
     m = data.n_items
     theta = np.random.default_rng(seed).normal(0.0, 2.0, m)
-    with mock.patch.object(pairing, "USER_BLOCK", block):
+    with mock.patch.object(pairing, "PRODUCT_LIMIT", block * m**2 + 1):
         got = {scheme: list(pairing._indicator_blocks(data, scheme)) for scheme in ("wp", "pmle")}
         W = {scheme: _pseudo_wins(data, scheme) for scheme in ("wp", "pmle")}
         V = _wp_score_covariance(data, theta)
@@ -620,7 +620,7 @@ def test_indicator_blocks_match_a_per_user_construction_byte_for_byte(case, seed
     for _, X1, X0, w, _ in _naive_indicator_blocks(data, "wp", block):
         G = X1 * (X0 @ (S - 1.0).T) + X0 * (X1 @ S.T)
         G *= w[:, None]
-        cov += G.T @ G
+        cov += G.T @ G.copy()  # a gemm, as the library takes it
     assert V.tobytes() == (cov / data.n_users).tobytes()
 
 
@@ -631,7 +631,8 @@ def test_indicator_blocks_match_a_per_user_construction_byte_for_byte(case, seed
 @st.composite
 def rasch_samples(draw):
     """Bernoulli responses with standard-normal parameters; past 512 users
-    the duplicated copy spans two `USER_BLOCK`s of indicators."""
+    the duplicated copy spans two of the 1024-user indicator blocks that the
+    duplication test sets."""
     seed, n, m = draw(SEEDS), draw(st.integers(50, 1200)), draw(st.integers(2, 10))
     data = sample_responses(sample_ground_truth(n, m, "standard-normal", seed=seed), 0.5, seed=seed)
     return seed, data
@@ -687,23 +688,25 @@ def test_duplicating_every_user_keeps_the_pseudo_estimates_and_halves_the_wp_cov
     n = data.n_users
     twice = ResponseData(2 * n, data.n_items, np.concatenate((data.user_ids, data.user_ids + n)),
                          np.tile(data.item_ids, 2), np.tile(data.responses, 2))
-    for method in ("wp", "pmle"):
-        cfg = EstimatorConfig(method=method, seed=seed)
-        try:
-            est = estimate(data, cfg)
-        except EstimationError as exc:
-            with pytest.raises(type(exc)):
-                estimate(twice, cfg)
-            continue
-        dup = estimate(twice, cfg)
-        # the win matrix doubles, but the log-odds start does not scale with
-        # it: the two solves stop at different points within their tolerance
-        slack = _stopping_error(est) + _stopping_error(dup)
-        assert np.abs(dup.theta_hat - est.theta_hat).max() <= 1e-12 + slack
-        if method == "wp":
-            at_est = dataclasses.replace(dup, theta_hat=est.theta_hat)
-            _close_sigma(plugin_covariance(twice, at_est).Sigma_hat,
-                         plugin_covariance(data, est).Sigma_hat / 2)
+    # blocks of 1024 users, so that past 512 the copy spans two
+    with mock.patch.object(pairing, "PRODUCT_LIMIT", 1024 * data.n_items**2 + 1):
+        for method in ("wp", "pmle"):
+            cfg = EstimatorConfig(method=method, seed=seed)
+            try:
+                est = estimate(data, cfg)
+            except EstimationError as exc:
+                with pytest.raises(type(exc)):
+                    estimate(twice, cfg)
+                continue
+            dup = estimate(twice, cfg)
+            # the win matrix doubles, but the log-odds start does not scale with
+            # it: the two solves stop at different points within their tolerance
+            slack = _stopping_error(est) + _stopping_error(dup)
+            assert np.abs(dup.theta_hat - est.theta_hat).max() <= 1e-12 + slack
+            if method == "wp":
+                at_est = dataclasses.replace(dup, theta_hat=est.theta_hat)
+                _close_sigma(plugin_covariance(twice, at_est).Sigma_hat,
+                             plugin_covariance(data, est).Sigma_hat / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +791,8 @@ def test_pseudo_wins_past_127_items_match_an_int64_oracle():
     data = sample_responses(sample_ground_truth(1500, 200, "standard-normal", seed=5), 0.05, seed=5)
     for scheme in ("wp", "pmle"):
         wins = np.zeros((200, 200))
-        for _, X1, X0, w, _ in _naive_indicator_blocks(_int64_edges(data), scheme, USER_BLOCK):
+        block = (PRODUCT_LIMIT - 1) // 200**2  # 13 users
+        for _, X1, X0, w, _ in _naive_indicator_blocks(_int64_edges(data), scheme, block):
             wins += (X1 * w[:, None]).T @ X0
         assert _pseudo_wins(data, scheme).tobytes() == wins.tobytes()
 

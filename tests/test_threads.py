@@ -1,8 +1,11 @@
-"""The two-thread paths of `split_wins` and `solve_newton_batch`, and the
-chunked products of the score covariance, against one-thread oracles."""
+"""The two-thread paths of `split_wins` and `solve_newton_batch` against
+one-thread oracles, and the blocks that keep every product of the
+pseudo-likelihood and the score covariance on the calling thread."""
 
+import resource
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -10,9 +13,10 @@ import pytest
 
 from rasch import _rng, _threads, pairing, solver
 from rasch.errors import ConvergenceError
-from rasch.inference import _wp_score_covariance
-from rasch.model import GroundTruth, sample_ground_truth, sample_responses, sigmoid
-from rasch.pairing import USER_BLOCK, _indicator_blocks, split_wins
+from rasch.estimators import pmle, wp_mle
+from rasch.inference import plugin_covariance
+from rasch.model import ResponseData, sample_ground_truth, sample_responses
+from rasch.pairing import _indicator_blocks, split_wins
 from rasch.solver import SolverOptions, solve_newton_batch
 
 
@@ -169,17 +173,49 @@ def test_one_cpu_or_small_input_stays_on_the_caller():
     assert spy.call_count == 0
 
 
-def test_score_covariance_chunks_equal_the_whole_block_products():
-    m = 50
-    # two blocks, of 1024 users and of 2 * 209 + 10: chunks of 209 users
-    # with a tail of 10 would take another BLAS kernel for the tail
-    n = USER_BLOCK + 2 * (2**19 // m**2) + 10
-    gt = GroundTruth(np.linspace(-1.5, 1.5, m), np.random.default_rng(8).standard_normal(n))
-    data = sample_responses(gt, 0.3, seed=8)
-    theta = gt.theta_star - gt.theta_star.mean()
-    S = sigmoid(theta[:, None] - theta[None, :])
-    V = np.zeros((m, m))
-    for _, X1, X0, w in _indicator_blocks(data, "wp"):
-        G = w[:, None] * (X1 * (X0 @ (S - 1.0).T) + X0 * (X1 @ S.T))
-        V += G.T @ G
-    assert _wp_score_covariance(data, theta).tobytes() == (V / data.n_users).tobytes()
+@pytest.mark.parametrize("m", [1, 5, 20, 50, 64, 725])
+def test_indicator_blocks_keep_every_product_under_two_to_the_19(m):
+    block = max(1, (2**19 - 1) // m**2)
+    n = 2 * block + 3
+    rng = np.random.default_rng(m)
+    users = rng.choice(n, min(n, 40), replace=False)  # most rows of a block are empty
+    data = ResponseData(n, m, users, rng.integers(0, m, users.size), rng.integers(0, 2, users.size))
+    firsts, sizes = [], []
+    for first, X1, X0, w in _indicator_blocks(data, "wp"):
+        assert X1.shape == X0.shape == (w.size, m)
+        firsts.append(first)
+        sizes.append(w.size)
+    assert sizes[:-1] == [block] * (len(sizes) - 1) and 1 <= sizes[-1] <= block
+    assert firsts == np.cumsum([0] + sizes[:-1]).tolist() and sum(sizes) == n
+    if m <= 724:
+        assert max(sizes) * m**2 < 2**19
+
+
+def _cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
+@pytest.mark.skipif(_threads._usable_cpus() < 2, reason="needs a second CPU to spin on")
+@pytest.mark.parametrize("m", [40, 64])
+def test_pseudo_fits_and_intervals_leave_no_blas_worker_spinning(m):
+    # A product that reaches OpenBLAS's worker thread leaves it spinning on
+    # the second core after the call, which shows as CPU time beyond the wall
+    # time of the calls; a stall of the host adds wall time, not CPU time
+    data = _sparse_data(m=m, seed=5)
+
+    def rounds(count):
+        for _ in range(count):
+            plugin_covariance(data, wp_mle(data))
+            pmle(data)
+
+    # one round first: after a fork, as by an earlier test's process pool,
+    # OpenBLAS starts its worker anew at a later call (eigvalsh at m = 64),
+    # and a new worker spins once before it sleeps
+    rounds(1)
+    time.sleep(0.3)  # a worker woken before now stops spinning
+    cpu, start = _cpu_s(), time.perf_counter()
+    rounds(10)
+    wall = time.perf_counter() - start
+    time.sleep(0.3)
+    assert _cpu_s() - cpu < 1.3 * wall + 0.05
