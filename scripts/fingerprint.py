@@ -7,8 +7,8 @@ output and compiled splits bit for bit.  The hash covers, at seeds 0-2, the
 Bernoulli samples with standard-normal parameters at (n, m, p) = (1e4, 20,
 0.5), (1e4, 50, 0.1), (300, 6, 0.6), the fixed-length ``uniform-mp`` sample
 with all-zeros parameters at (1e4, 50, 0.2), where every user answers 10
-items and the splits sort one row per user, and the (1e4, 50, 0.1) Bernoulli
-sample without the last response of each user of odd degree, where the
+items and the splits sort in rows of whole users, and the (1e4, 50, 0.1)
+Bernoulli sample without the last response of each user of odd degree, where the
 degrees are even but unequal and the splits pair by strided views:
 
 - theta_hat of ``rp``, ``mrp`` (n_split=20), ``wp`` and ``pmle`` (only ``rp``

@@ -16,11 +16,13 @@ import json
 import os
 import sys
 
-from . import experiments, lsat
 from .errors import EstimationError
 from .estimators import EstimatorConfig, estimate
 from .inference import confidence_intervals, plugin_covariance
 from .model import ResponseData, sample_ground_truth, sample_responses
+
+# `experiments` and `lsat` are imported in the commands that use them, so
+# that the other commands do not pay for them at start-up
 
 USAGE_EXIT = 2
 DATA_EXIT = 3
@@ -43,6 +45,8 @@ def _emit_error(kind: str, detail: str, **extra) -> None:
 
 def _load_input(path: str) -> ResponseData:
     if path == "lsat":
+        from . import lsat
+
         return lsat.load_lsat()
     return ResponseData.from_csv(path)
 
@@ -96,6 +100,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from . import experiments
+
     cfg = experiments.ExperimentConfig.from_json(args.config)
     if args.workers is not None:
         cfg = dataclasses.replace(cfg, workers=args.workers)
@@ -104,6 +110,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_lsat(args) -> int:
+    from . import experiments, lsat
+
     if args.lsat_cmd == "export":
         lsat.export_csv(args.out)
         return 0

@@ -14,6 +14,7 @@ single trial can be replayed in isolation.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from dataclasses import dataclass, field, fields
@@ -290,15 +291,26 @@ def _guarded(trial, P, seed) -> dict:
         return {"failed": 1.0}
 
 
-def _map_trials(trial, P: dict, seeds, workers: int) -> list[dict]:
-    fn = partial(_guarded, trial, P)
-    if workers > 1:
-        # imported here: `import rasch.cli` would pay for it on every command
-        from concurrent.futures import ProcessPoolExecutor
+def _trial_pool(workers: int) -> contextlib.AbstractContextManager:
+    """``workers`` worker processes, shared by every grid point of a run, or
+    no pool (a null context) for one worker."""
+    if workers < 2:
+        return contextlib.nullcontext()
+    # imported here: only a pooled run pays for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, seeds))
-    return [fn(s) for s in seeds]
+    # spawned, not forked: after a fork OpenBLAS starts its worker thread
+    # anew in this process, and the new worker spins on the second core (an
+    # eigvalsh at m = 64 took 134.8 ms of CPU in 0.5 ms after a forked pool,
+    # 0.5 ms after a spawned one; 2-core x86-64, numpy 2.4).  A spawned
+    # worker starts a fresh interpreter, so the run starts its pool once.
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
+
+
+def _map_trials(trial, P: dict, seeds, pool) -> list[dict]:
+    fn = partial(_guarded, trial, P)
+    return list(map(fn, seeds) if pool is None else pool.map(fn, seeds))
 
 
 def _aggregate(results: list[dict]) -> dict:
@@ -322,15 +334,16 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     P = cfg.params
     values = [None] if study.grid is None else P[f"{study.grid}_grid"]
     rows_of_dicts: list[dict] = []
-    for gi, value in enumerate(values):
-        point = {}
-        if study.grid is not None:
-            point[study.grid] = int(value) if study.grid == "n" else float(value)
-        if "users_per_item" in P:  # refined-l2 sizes the item set by n
-            point["m"] = point["n"] // int(P["users_per_item"])
-        params = P | point
-        agg = _aggregate(_map_trials(study.trial, params, _trial_seeds(cfg, gi), cfg.workers))
-        rows_of_dicts += study.rows(point, params, agg)
+    with _trial_pool(cfg.workers) as pool:
+        for gi, value in enumerate(values):
+            point = {}
+            if study.grid is not None:
+                point[study.grid] = int(value) if study.grid == "n" else float(value)
+            if "users_per_item" in P:  # refined-l2 sizes the item set by n
+                point["m"] = point["n"] // int(P["users_per_item"])
+            params = P | point
+            agg = _aggregate(_map_trials(study.trial, params, _trial_seeds(cfg, gi), pool))
+            rows_of_dicts += study.rows(point, params, agg)
     header = sorted({k for r in rows_of_dicts for k in r})
     first_cols = [c for c in ("n", "p", "m", "n_split", "delta", "log_kappa", "level") if c in header]
     header = first_cols + [c for c in header if c not in first_cols]
@@ -354,12 +367,13 @@ def lsat_top1_recovery(n_users: int, m_items: int, trials: int = 100, n_split: i
         raise ValueError("workers must be >= 1")
     header = ["method", "n_trials", "recovery", "stderr", "n_failed"]
     rows = []
-    for method in methods:
-        P = {"n_users": n_users, "m_items": m_items, "n_split": n_split,
-             "method": method, "seed": seed}
-        agg = _aggregate(_map_trials(_trial_lsat_top1, P, range(trials), workers))
-        rows.append([method, trials, agg.get("recovery_mean", ""),
-                     agg.get("recovery_stderr", ""), agg["n_failed"]])
+    with _trial_pool(workers) as pool:
+        for method in methods:
+            P = {"n_users": n_users, "m_items": m_items, "n_split": n_split,
+                 "method": method, "seed": seed}
+            agg = _aggregate(_map_trials(_trial_lsat_top1, P, range(trials), pool))
+            rows.append([method, trials, agg.get("recovery_mean", ""),
+                         agg.get("recovery_stderr", ""), agg["n_failed"]])
     return header, rows
 
 

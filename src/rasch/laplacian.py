@@ -76,8 +76,10 @@ def _unentered_set(adj: np.ndarray) -> np.ndarray:
 
 def _partition(labels: np.ndarray) -> list[list[int]]:
     """Components of one graph from its `_component_labels`: ascending vertex
-    lists, ordered by their smallest vertex."""
-    return [np.flatnonzero(labels == root).tolist() for root in np.unique(labels)]
+    lists, ordered by their smallest vertex, the vertices labelled by their
+    own index."""
+    roots = np.flatnonzero(labels == np.arange(labels.size))
+    return [np.flatnonzero(labels == root).tolist() for root in roots]
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,10 @@ class WeightedLaplacian:
     """Symmetric PSD matrix ``sum_e w_e (e_i - e_j)(e_i - e_j)^T``.
 
     ``connected`` refers to the graph of strictly positive weights, the
-    negative off-diagonal entries of the matrix; when it is False,
-    ``components`` carries the partition so errors can report it.  Both are
-    computed lazily: solvers rebuild the Hessian every iteration and must not
-    pay for a connectivity check each time.
+    negative off-diagonal entries of the matrix, and is False for an empty
+    matrix; when it is False, ``components`` carries the partition so errors
+    can report it.  Both are computed lazily: solvers rebuild the Hessian
+    every iteration and must not pay for a connectivity check each time.
     """
 
     matrix: np.ndarray
@@ -110,7 +112,7 @@ class WeightedLaplacian:
 
     @cached_property
     def connected(self) -> bool:
-        return len(self.components) == 1
+        return self.m > 0 and not _component_labels(self.matrix < 0).any()
 
     @cached_property
     def spectrum(self) -> np.ndarray:

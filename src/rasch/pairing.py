@@ -9,8 +9,9 @@ read in one way, `_split_pairs`, from a plan that the splits of one call
 share.  It orders the edges with one value sort in one key buffer, reused
 by every split of a call: each edge's float sort key, drawn into the buffer,
 gets the response's payload ``item + m * X`` in the low bits of its bit
-pattern and is sorted in place, as one float64 row, or as int64 rows of the
-common degree when every responding user answered the same number of items.
+pattern and is sorted in place as float64: in rows of about ``ROW_KEYS``
+keys that hold whole users when every responding user answered the same
+number of items, and in one row otherwise.
 When two keys tie in their remaining bits, the split's keys are drawn again
 from its sub-stream and ordered by their stable argsort.  Whatever the route,
 the comparisons of one split are summarized by one m x m win matrix:
@@ -76,6 +77,16 @@ PRODUCT_LIMIT = 2**19
 # 31,596 and 32.9 vs 53.3 ms on 49,763 (n=1e4, m=50, p=0.1, K=50); 2-core
 # x86-64, numpy 2.4.
 SPLIT_THREAD_EDGES = 2**15
+
+# Keys in a row of a split's sort when every responding user has one degree
+# d: rows of d * max(1, ROW_KEYS // d) keys hold whole users, so sorting each
+# row is the whole sort, and numpy's AVX-512 sort keeps a row of up to about
+# 2**7 keys in registers.  `_sorted_payload` on 1e5 keys, n=1e4 users of
+# d = 10, medians of 300 interleaved: 0.58 ms in int64 rows of one user,
+# 0.44 ms in float64 rows of 30 keys, 0.38 of 60, 0.37 of 120, 0.38 of 250
+# and 0.84 ms in one row; on 5,000 keys of d = 5 (LSAT-sized), 0.044-0.066
+# ms against 0.025-0.033 ms in rows of 125 (2-core x86-64, numpy 2.4).
+ROW_KEYS = 2**7
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -171,19 +182,17 @@ def _sorted_payload(key: np.ndarray, payload: np.ndarray, bits: int, width: int)
     bits above those, the sort orders the payloads exactly as the stable
     argsort of the keys does, and they are returned as the int64 view of
     ``key``.  An exact tie, or two keys less than ``2**bits`` ulps apart,
-    returns None, with ``key`` overwritten.  One row of all the keys is
-    sorted as float64; rows of a smaller ``width`` are sorted one by one as
-    int64, which is the whole sort if every key of a row is below every key
-    of the next.
+    returns None, with ``key`` overwritten.  The keys are sorted as float64
+    in rows of ``width``, the last row taking what is left: that is the
+    whole sort if every key of a row is below every key of the next.
     """
     mask = (1 << bits) - 1
     packed = key.view(np.int64)
     packed &= ~mask
     packed |= payload
-    if width == key.size:
-        key.sort()
-    else:
-        packed.reshape(-1, width).sort()
+    full = key.size - key.size % width
+    key[:full].reshape(-1, width).sort()
+    key[full:].sort()
     high = packed >> bits
     if (high[1:] == high[:-1]).any():
         return None
@@ -220,9 +229,9 @@ class _SplitPlan(NamedTuple):
 
     ``payload`` is each edge's ``item + m * X``, below ``2**bits``; a split
     sorts it by the float key ``user_key + key``, ``user_key`` being
-    ``2 * user``, in rows of ``width`` edges, or by `np.lexsort` when
-    ``lexsort``.  Pair ``j`` of a split is entries ``first[j]`` and
-    ``second[j]`` of that order.
+    ``2 * user``, in rows of ``width`` edges that hold whole users, or by
+    `np.lexsort` when ``lexsort``.  Pair ``j`` of a split is entries
+    ``first[j]`` and ``second[j]`` of that order.
     """
 
     payload: np.ndarray
@@ -247,13 +256,14 @@ def _split_plan(data: ResponseData) -> _SplitPlan:
         first = _pair_slots(data)
         second = first + 1
     # The payload is formed in int64: m * X overflows the int8 responses from
-    # m = 128.  Keys are sorted in one row per user when the users with
-    # responses share a degree.  2 * user is exact in float64, so it orders
-    # as the user ids do; the float key 2 * user + key keeps >= 31 bits of key
-    # resolution only while the user-id part stays below 2^20, and lexsort
-    # serves larger ids.
+    # m = 128.  When the users with responses share a degree d, a row holds
+    # max(1, ROW_KEYS // d) whole users; otherwise one row holds every key.
+    # 2 * user is exact in float64, so it orders as the user ids do; the
+    # float key 2 * user + key keeps >= 31 bits of key resolution only while
+    # the user-id part stays below 2^20, and lexsort serves larger ids.
+    fixed = np.all(degrees[degrees > 0] == d)
     return _SplitPlan(data.item_ids + m * data.responses.astype(np.int64), (2 * m - 1).bit_length(),
-                      d if np.all(degrees[degrees > 0] == d) else data.n_edges,
+                      d * max(1, ROW_KEYS // d) if fixed else data.n_edges,
                       np.repeat(np.arange(data.n_users) * 2.0, degrees), data.n_users > 2**20,
                       first, second)
 
@@ -270,10 +280,12 @@ def _split_pairs(plan: _SplitPlan, seed: int, splits):
     # Both sorts stay because lexsort is slower.  On 5e4 edges (n=1e4, m=50,
     # p=0.1) lexsort takes 1.33 ms, a stable argsort of the float key 1.27 ms,
     # and the packed value sort of `_sorted_payload` 0.35 ms as float64
-    # against 0.40 ms as int64; on 1e5 edges in 1e4 rows of 10, when every
-    # user answered 10 items, the int64 row sort takes 0.40 ms against 0.57 ms
-    # as float64 (medians of 100, 2-core x86-64 with AVX-512, numpy 2.4).  It
-    # fell back to the argsort in 1 of 500 splits at n=1e4, m=50.
+    # against 0.40 ms as int64 (medians of 100, 2-core x86-64 with AVX-512,
+    # numpy 2.4).  Rows of whole users made split_wins(n_split=50) at n=1e4,
+    # m=50, d = 10 take 40.1 ms against 47.9 ms in rows of one user, and at
+    # LSAT size (n=1000, d = 5, n_split=100) 11.9 against 15.5 ms (medians of
+    # 40 interleaved).  It fell back to the argsort in 1 of 500 splits at
+    # n=1e4, m=50.
     keys = np.empty(plan.payload.size)
     for k in splits:
         _rng.substream(seed, _rng.SPLIT, k).random(out=keys)

@@ -1,15 +1,17 @@
+import concurrent.futures
 import functools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import rasch
-from rasch import cli, estimators
+from rasch import cli, estimators, experiments
 from rasch.cli import main
 from rasch.estimators import EstimatorConfig
 from rasch.experiments import ExperimentConfig, run_experiment
@@ -226,6 +228,14 @@ class TestExperiment:
                                                  workers=2, params=params))
         assert pooled == serial
 
+    def test_a_pooled_run_spawns_one_pool_for_all_its_grid_points(self):
+        with mock.patch.object(concurrent.futures, "ProcessPoolExecutor",
+                               wraps=concurrent.futures.ProcessPoolExecutor) as spy:
+            run_experiment(ExperimentConfig(name="linf-vs-n", trials=2, seed=1, workers=2,
+                                            params={"n_grid": [100, 200], "m": 6, "p": 0.5}))
+        assert spy.call_count == 1
+        assert spy.call_args.kwargs["mp_context"].get_start_method() == "spawn"
+
     def test_unknown_name_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"name": "warp-drive"}))
@@ -320,7 +330,7 @@ class TestExperiment:
     def test_empty_list_param_exit_2(self, tmp_path, capsys, monkeypatch, name, key):
         # rejected with the config, before any trial samples data
         sampled = []
-        monkeypatch.setattr(cli.experiments, "sample_responses",
+        monkeypatch.setattr(experiments, "sample_responses",
                             lambda *args, **kwargs: sampled.append(args))
         self._assert_usage_exit(tmp_path, capsys,
                                 {"name": name, "trials": 1, "params": {key: []}}, key)
@@ -329,7 +339,7 @@ class TestExperiment:
     def test_output_not_a_string_exit_2(self, tmp_path, capsys, monkeypatch):
         # an integer output would be opened as a file descriptor; never write
         written = []
-        monkeypatch.setattr(cli.experiments, "write_csv", lambda *args: written.append(args))
+        monkeypatch.setattr(experiments, "write_csv", lambda *args: written.append(args))
         self._assert_usage_exit(tmp_path, capsys,
                                 {"name": "linf-vs-n", "output": 7, "trials": 1,
                                  "params": {"n_grid": [40], "m": 4, "p": 0.5}}, "output")
@@ -410,6 +420,15 @@ class TestLsat:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_import_leaves_experiments_unloaded():
+    # `experiments` (and `lsat`) are imported only by the commands that use them
+    env = dict(os.environ, PYTHONPATH=str(Path(rasch.__file__).parents[1]))
+    code = "import sys, rasch.cli; print('rasch.experiments' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rasch
 from rasch.errors import DisconnectedGraphError
 from rasch.laplacian import (
     BtlWeights,
@@ -235,11 +240,33 @@ class TestComponents:
             adj = np.zeros((m, m), dtype=bool)
             adj[ei, ej] = adj[ej, ei] = True
             labels = _component_labels(adj)
-            assert _partition(labels) == _components_reference(m, ei, ej)
+            want = _components_reference(m, ei, ej)
+            assert _partition(labels) == want
+            lap = WeightedLaplacian(-adj.astype(float))  # edges are the negative entries
+            assert lap.connected == (len(want) == 1)
+            assert [list(c) for c in lap.components] == want
+
+    def test_empty_matrix_is_not_connected(self):
+        lap = WeightedLaplacian(np.zeros((0, 0)))
+        assert not lap.connected and lap.components == ()
 
     def test_hessian_builds_skip_connectivity_work(self):
-        # components are cached and only computed on demand
+        # connectivity is cached and only computed on demand
         lap = _from_edges(3, [1, 2], [0, 1], [1.0, 1.0])
-        assert "components" not in lap.__dict__
+        assert "connected" not in lap.__dict__ and "components" not in lap.__dict__
         assert lap.connected
-        assert "components" in lap.__dict__
+        assert "connected" in lap.__dict__
+
+
+def test_pseudo_inverse_trace_leaves_numpy_ma_unloaded():
+    # the first np.unique of a process imports numpy.ma, about 14 ms
+    env = dict(os.environ, PYTHONPATH=str(Path(rasch.__file__).parents[1]))
+    code = ("import sys, numpy as np\n"
+            "from rasch.laplacian import WeightedLaplacian, pseudo_inverse_trace\n"
+            "lap = WeightedLaplacian(np.array([[1., -1, 0], [-1, 2, -1], [0, -1, 1]]))\n"
+            "assert lap.connected and lap.components == ((0, 1, 2),)\n"
+            "pseudo_inverse_trace(lap)\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -175,8 +175,9 @@ class TestSortedPayload:
         self.check([2e-323, 5e-324, 2.2250738585072014e-308, 0.25], [1, 0, 1, 0], 1)
 
     def test_row_width_sorts_like_one_row(self):
-        # 30 users of 6 keys each, in user order: sorting each row of 6 keys
-        # is the whole sort, for distinct, exactly tied and near-tied keys
+        # 30 users of 6 keys each, in user order: sorting each row of 6 or 42
+        # keys (4 rows and a last one of 12) is the whole sort, for distinct,
+        # exactly tied and near-tied keys
         rng = np.random.default_rng(1)
         users = np.repeat(np.arange(30), 6)
         payload = rng.integers(0, 8, users.size)
@@ -184,6 +185,7 @@ class TestSortedPayload:
         for key in (users * 2.0 + rng.random(users.size), base,
                     _ulps_above(base, rng.integers(0, 8, users.size))):
             self.check(key, payload, 3, width=6)
+            self.check(key, payload, 3, width=42)
             self.check(key, payload, 3)
 
     def test_empty_single_and_payload_free(self):
@@ -295,7 +297,7 @@ def _degree_data(degrees, m=7, seed=0):
 
 class TestSplitWinsBranches:
     """`split_wins` against `compile_comparisons` on each way a split is
-    sorted (one float64 row, or int64 rows of the common degree) and paired
+    sorted (one row, or rows of whole users of the common degree) and paired
     (strided views when every degree is even, else gathers)."""
 
     @staticmethod
@@ -308,14 +310,26 @@ class TestSplitWinsBranches:
 
     def test_even_unequal_degrees(self):
         data = _degree_data(np.tile([2, 4, 6, 0, 4], 40))
-        assert pairing._split_plan(data).width == data.n_edges  # one float64 row
+        assert pairing._split_plan(data).width == data.n_edges  # one row
         assert 2 * pairing._pair_slots(data).size == data.n_edges  # strided pairs
         self.check(data)
 
     def test_fixed_odd_degree(self):
         data = _degree_data(np.full(150, 5))
-        assert pairing._split_plan(data).width == 5  # int64 rows
+        assert pairing._split_plan(data).width == 125  # rows of 25 users
         assert 2 * pairing._pair_slots(data).size < data.n_edges  # gathered pairs
+        self.check(data)
+
+    def test_fixed_degree_with_a_short_last_row(self):
+        data = _degree_data(np.full(151, 5))  # 6 rows of 25 users, then one user
+        assert pairing._split_plan(data).width == 125
+        assert data.n_edges % 125 == 5
+        self.check(data)
+
+    def test_fixed_degree_above_the_row_keys_is_one_user_per_row(self):
+        d = pairing.ROW_KEYS + 3
+        data = _degree_data([d, 0, d, d], m=d + 4)
+        assert pairing._split_plan(data).width == d
         self.check(data)
 
     def test_ragged_degrees(self):

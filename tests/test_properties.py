@@ -387,12 +387,18 @@ def test_splits_match_the_oracle_on_tied_and_near_tied_keys(case):
     _assert_split_matches_on_keys(*case)
 
 
+# Row-key targets for `pairing.ROW_KEYS`: on the small inputs drawn here the
+# smaller ones give several rows of whole users and a short last row
+ROW_KEY_TARGETS = st.sampled_from([1, 4, 9, pairing.ROW_KEYS])
+
+
 @st.composite
 def rectangular_data(draw):
     """Responses where every responding user answered the same number ``d``
     of the items (``d`` = 1, 2, 3 or ``m``) and the other users none; with
     ``ragged``, one of two or more responding users answered ``d - 1``.
-    Returns the data and the row width its splits are sorted in."""
+    Returns the data, a row-key target and the row width its splits are
+    sorted in under that target."""
     n = draw(st.integers(1, 12))
     m = draw(st.integers(2, 8))
     d = draw(st.sampled_from(sorted({1, 2, min(3, m), m})))
@@ -407,24 +413,44 @@ def rectangular_data(draw):
     users = np.repeat(responding, degree)
     items = np.concatenate([np.sort(rng.permutation(m)[:k]) for k in degree])
     data = ResponseData(n, m, users, items, rng.integers(0, 2, users.size))
-    return data, data.n_edges if ragged else d
+    row_keys = draw(ROW_KEY_TARGETS)
+    return data, row_keys, data.n_edges if ragged else d * max(1, row_keys // d)
 
 
 @PROPERTY
 @given(rectangular_data(), SEEDS, st.integers(1, 3))
 def test_rectangular_splits_match_a_stable_argsort_oracle(case, seed, K):
-    data, width = case
-    assert pairing._split_plan(data).width == width
-    W = split_wins(data, seed, K)
+    data, row_keys, width = case
+    with mock.patch.object(pairing, "ROW_KEYS", row_keys):
+        assert pairing._split_plan(data).width == width
+        W = split_wins(data, seed, K)
+        splits = [random_split(data, seed, k) for k in range(K)]
     for k in range(K):
         keys = _rng.substream(seed, _rng.SPLIT, k).random(data.n_edges)
-        _assert_split_matches(random_split(data, seed, k), W[k], data, keys)
+        _assert_split_matches(splits[k], W[k], data, keys)
 
 
 @PROPERTY
-@given(close_keys(rectangular_data().map(lambda case: case[0])))
-def test_rectangular_splits_match_the_oracle_on_tied_and_near_tied_keys(case):
-    _assert_split_matches_on_keys(*case)
+@given(close_keys(rectangular_data().map(lambda case: case[0])), ROW_KEY_TARGETS)
+def test_rectangular_splits_match_the_oracle_on_tied_and_near_tied_keys(case, row_keys):
+    with mock.patch.object(pairing, "ROW_KEYS", row_keys):
+        _assert_split_matches_on_keys(*case)
+
+
+@PROPERTY
+@given(st.integers(1, 2 * pairing.ROW_KEYS + 5), st.integers(1, 5), SEEDS)
+def test_fixed_degree_rows_hold_whole_users_and_at_most_row_keys(d, n, seed):
+    rng = np.random.default_rng(seed)
+    m = d + int(rng.integers(0, 3))
+    degrees = np.where(rng.random(n) < 0.7, d, 0)
+    degrees[0] = d
+    users = np.repeat(np.arange(n), degrees)
+    items = np.concatenate([np.sort(rng.permutation(m)[:k]) for k in degrees])
+    data = ResponseData(n, m, users, items, rng.integers(0, 2, users.size))
+    width = pairing._split_plan(data).width
+    assert width % d == 0 and width <= max(pairing.ROW_KEYS, d)
+    W = split_wins(data, seed, 1)
+    assert W[0].tobytes() == compile_comparisons(data, random_split(data, seed, 0)).wins.tobytes()
 
 
 def test_tied_keys_with_empty_and_single_response_users():
@@ -864,7 +890,8 @@ def offset_data(draw, shape):
     them, and trailing users with none; with the edge users it was built
     from.  ``shape`` picks how a split pairs and sorts: ``"strided"``
     (every degree even), ``"gathered"`` (an odd degree, one float64 row) or
-    ``"rows"`` (two or more responding users of one degree, int64 rows)."""
+    ``"rows"`` (two or more responding users of one degree, rows of whole
+    users)."""
     m = draw(st.integers(2, 8))
     n = draw(st.integers(2, 15))
     rng = np.random.default_rng(draw(SEEDS))
@@ -896,7 +923,8 @@ def test_ids_and_slots_derived_from_the_offsets_match_the_stored_formulas(shape,
     slots = pairing._pair_slots(data)
     assert slots.tobytes() == _masked_pair_slots(indptr).tobytes()
     if shape == "rows":
-        assert pairing._split_plan(data).width < data.n_edges
+        d = int(data.user_degrees().max())
+        assert pairing._split_plan(data).width == d * max(1, pairing.ROW_KEYS // d)
     else:
         assert (2 * slots.size == data.n_edges) == (shape == "strided")
     W = split_wins(data, seed, 3)

@@ -14,6 +14,7 @@ import pytest
 from rasch import _rng, _threads, pairing, solver
 from rasch.errors import ConvergenceError
 from rasch.estimators import pmle, wp_mle
+from rasch.experiments import ExperimentConfig, run_experiment
 from rasch.inference import plugin_covariance
 from rasch.model import ResponseData, sample_ground_truth, sample_responses
 from rasch.pairing import _indicator_blocks, split_wins
@@ -209,13 +210,27 @@ def test_pseudo_fits_and_intervals_leave_no_blas_worker_spinning(m):
             plugin_covariance(data, wp_mle(data))
             pmle(data)
 
-    # one round first: after a fork, as by an earlier test's process pool,
-    # OpenBLAS starts its worker anew at a later call (eigvalsh at m = 64),
-    # and a new worker spins once before it sleeps
+    # one round first: after a fork OpenBLAS starts its worker anew at a
+    # later call (eigvalsh at m = 64), and a new worker spins once before it
+    # sleeps
     rounds(1)
     time.sleep(0.3)  # a worker woken before now stops spinning
     cpu, start = _cpu_s(), time.perf_counter()
     rounds(10)
+    wall = time.perf_counter() - start
+    time.sleep(0.3)
+    assert _cpu_s() - cpu < 1.3 * wall + 0.05
+
+
+@pytest.mark.skipif(_threads._usable_cpus() < 2, reason="needs a second CPU to spin on")
+def test_worker_pool_leaves_no_blas_worker_spinning():
+    # a forked pool made OpenBLAS start its worker thread anew in this
+    # process at a later call, and the new worker spun on the second core
+    run_experiment(ExperimentConfig(name="linf-vs-n", trials=2, seed=1, workers=2,
+                                    params={"n_grid": [300], "m": 6, "p": 0.5}))
+    A = np.random.default_rng(0).random((64, 64))
+    cpu, start = _cpu_s(), time.perf_counter()
+    np.linalg.eigvalsh(A + A.T)
     wall = time.perf_counter() - start
     time.sleep(0.3)
     assert _cpu_s() - cpu < 1.3 * wall + 0.05
