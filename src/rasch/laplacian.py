@@ -194,21 +194,14 @@ def pseudo_inverse(lap: WeightedLaplacian) -> np.ndarray:
     return _rank_completion_inverse(lap.matrix)
 
 
-def pseudo_inverse_trace(lap: WeightedLaplacian, method: str = "eigen") -> float:
-    """``Trace(L^+)``, the sum of reciprocals of the nonzero eigenvalues.
-
-    ``method="eigen"`` sums ``1/lambda`` over the top ``m-1`` eigenvalues;
-    ``method="identity"`` takes the trace of the rank-completion inverse.  The
-    two agree to high precision and tests pin that agreement.
+def pseudo_inverse_trace(lap: WeightedLaplacian) -> float:
+    """``Trace(L^+)``, the sum of ``1/lambda`` over the top ``m-1``
+    eigenvalues; tests pin its agreement with the trace of `pseudo_inverse`.
     """
     if not lap.connected:
         raise DisconnectedGraphError(lap.components)
-    if method == "eigen":
-        lam = lap.spectrum[:-1]  # drop the structural zero
-        return float(np.sum(1.0 / lam))
-    if method == "identity":
-        return float(np.trace(pseudo_inverse(lap)))
-    raise ValueError(f"unknown method {method!r}")
+    lam = lap.spectrum[:-1]  # drop the structural zero
+    return float(np.sum(1.0 / lam))
 
 
 @dataclass(frozen=True)

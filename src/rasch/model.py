@@ -128,9 +128,9 @@ class ResponseData:
     is derived from the offsets on each read.  ``responses`` holds
     ``X_ti`` in {0, 1} with the negative-response convention of the model.
     Every input is stored at these widths, so ``n_users``, ``n_items`` and
-    the number of edges must be below ``2**31``; sums and products that can
-    leave them (the ``(user, item)`` sort key, split payloads, flat indices)
-    are formed in int64.
+    the number of edges must be below ``2**31``, and ``n_items`` at least 1;
+    sums and products that can leave them (the ``(user, item)`` sort key,
+    split payloads, flat indices) are formed in int64.
 
     Edges may be given in any order.  The arrays are copied, so the caller's
     arrays stay writable and later changes to them do not reach the data.
@@ -148,8 +148,8 @@ class ResponseData:
     user_indptr: np.ndarray
 
     def __init__(self, n_users: int, n_items: int, user_ids, item_ids, responses):
-        if n_users >= 2**31 or n_items >= 2**31:
-            raise ValueError("n_users and n_items must be below 2**31")
+        if not (0 <= n_users < 2**31 and 1 <= n_items < 2**31):
+            raise ValueError("n_users must be in [0, 2**31) and n_items in [1, 2**31)")
         users = np.array(user_ids, dtype=np.int64)
         items = np.array(item_ids, dtype=np.int64)
         resp = np.array(responses, dtype=np.int64)

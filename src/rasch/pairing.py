@@ -11,9 +11,11 @@ by every split of a call: each edge's float sort key, drawn into the buffer,
 gets the response's payload ``item + m * X`` in the low bits of its bit
 pattern and is sorted in place as float64: in rows of about ``ROW_KEYS``
 keys that hold whole users when every responding user answered the same
-number of items, and in one row otherwise.
-When two keys tie in their remaining bits, the split's keys are drawn again
-from its sub-stream and ordered by their stable argsort.  Whatever the route,
+number of items, and in one row otherwise.  Rounding the float key and
+dropping its payload bits keep its order, so a sort that finds no two keys
+sharing their remaining bits gives the exact (user, key) order at every
+user id.  When two keys do, the split's keys are drawn again from its
+sub-stream and ordered by `np.lexsort`, exact and stable.  Whatever the route,
 the comparisons of one split are summarized by one m x m win matrix:
 `split_wins` compiles the splits of a multi-split fit straight into these
 matrices, which is all the estimators read; it counts each pair by a code
@@ -172,19 +174,19 @@ class PairedComparisons:
 # ---------------------------------------------------------------------------
 
 def _sorted_payload(key: np.ndarray, payload: np.ndarray, bits: int, width: int) -> np.ndarray | None:
-    """``payload[np.argsort(key, kind="stable")]`` for keys ``>= 0`` and
-    payloads in ``[0, 2**bits)``, found by one value sort in ``key``'s own
-    buffer; None when that sort cannot stand in for the argsort.
+    """``payload`` in the stable sorted order of ``key``, for keys ``>= 0``
+    and payloads in ``[0, 2**bits)``, found by one value sort in ``key``'s
+    own buffer; None when that sort cannot stand in for a stable one.
 
     A non-negative float64, subnormals included, sorts as its int64 bit
     pattern.  The low ``bits`` bits of each key are replaced in place by its
     payload and the keys are sorted as values; when no two of them share the
-    bits above those, the sort orders the payloads exactly as the stable
-    argsort of the keys does, and they are returned as the int64 view of
-    ``key``.  An exact tie, or two keys less than ``2**bits`` ulps apart,
-    returns None, with ``key`` overwritten.  The keys are sorted as float64
-    in rows of ``width``, the last row taking what is left: that is the
-    whole sort if every key of a row is below every key of the next.
+    bits above those, the sort orders the payloads exactly as a stable sort
+    of the keys does, and they are returned as the int64 view of ``key``.
+    An exact tie, or two keys less than ``2**bits`` ulps apart, returns
+    None, with ``key`` overwritten.  The keys are sorted as float64 in rows
+    of ``width``, the last row taking what is left: that is the whole sort
+    if every key of a row is below every key of the next.
     """
     mask = (1 << bits) - 1
     packed = key.view(np.int64)
@@ -229,16 +231,15 @@ class _SplitPlan(NamedTuple):
 
     ``payload`` is each edge's ``item + m * X``, below ``2**bits``; a split
     sorts it by the float key ``user_key + key``, ``user_key`` being
-    ``2 * user``, in rows of ``width`` edges that hold whole users, or by
-    `np.lexsort` when ``lexsort``.  Pair ``j`` of a split is entries
-    ``first[j]`` and ``second[j]`` of that order.
+    ``2 * user``, in rows of ``width`` edges that hold whole users, and by
+    `np.lexsort` of ``(key, user_key)`` when that sort reports a tie.  Pair
+    ``j`` of a split is entries ``first[j]`` and ``second[j]`` of that order.
     """
 
     payload: np.ndarray
     bits: int
     width: int
     user_key: np.ndarray
-    lexsort: bool
     first: np.ndarray | slice
     second: np.ndarray | slice
 
@@ -258,14 +259,13 @@ def _split_plan(data: ResponseData) -> _SplitPlan:
     # The payload is formed in int64: m * X overflows the int8 responses from
     # m = 128.  When the users with responses share a degree d, a row holds
     # max(1, ROW_KEYS // d) whole users; otherwise one row holds every key.
-    # 2 * user is exact in float64, so it orders as the user ids do; the
-    # float key 2 * user + key keeps >= 31 bits of key resolution only while
-    # the user-id part stays below 2^20, and lexsort serves larger ids.
+    # 2 * user is exact in float64, so it orders as the user ids do; the key
+    # resolution of 2 * user + key falls as the ids grow (2**-31 near user
+    # 2**20), which makes ties likelier but never reorders two keys.
     fixed = np.all(degrees[degrees > 0] == d)
     return _SplitPlan(data.item_ids + m * data.responses.astype(np.int64), (2 * m - 1).bit_length(),
                       d * max(1, ROW_KEYS // d) if fixed else data.n_edges,
-                      np.repeat(np.arange(data.n_users) * 2.0, degrees), data.n_users > 2**20,
-                      first, second)
+                      np.repeat(np.arange(data.n_users) * 2.0, degrees), first, second)
 
 
 def _split_pairs(plan: _SplitPlan, seed: int, splits):
@@ -277,28 +277,26 @@ def _split_pairs(plan: _SplitPlan, seed: int, splits):
     left-over edge of an odd degree is the user's last.  ``a`` and ``b``
     may be views of the key buffer, which the next split overwrites.
     """
-    # Both sorts stay because lexsort is slower.  On 5e4 edges (n=1e4, m=50,
-    # p=0.1) lexsort takes 1.33 ms, a stable argsort of the float key 1.27 ms,
-    # and the packed value sort of `_sorted_payload` 0.35 ms as float64
-    # against 0.40 ms as int64 (medians of 100, 2-core x86-64 with AVX-512,
-    # numpy 2.4).  Rows of whole users made split_wins(n_split=50) at n=1e4,
-    # m=50, d = 10 take 40.1 ms against 47.9 ms in rows of one user, and at
-    # LSAT size (n=1000, d = 5, n_split=100) 11.9 against 15.5 ms (medians of
-    # 40 interleaved).  It fell back to the argsort in 1 of 500 splits at
-    # n=1e4, m=50.
+    # Lexsort orders only a reported tie because it is slower.  On 5e4 edges
+    # (n=1e4, m=50, p=0.1) lexsort takes 1.33 ms, a stable argsort of the
+    # float key 1.27 ms, and the packed value sort of `_sorted_payload`
+    # 0.35 ms as float64 against 0.40 ms as int64 (medians of 100, 2-core
+    # x86-64 with AVX-512, numpy 2.4).  Rows of whole users made
+    # split_wins(n_split=50) at n=1e4, m=50, d = 10 take 40.1 ms against
+    # 47.9 ms in rows of one user, and at LSAT size (n=1000, d = 5,
+    # n_split=100) 11.9 against 15.5 ms (medians of 40 interleaved).  It
+    # fell back to lexsort in 0 of 2,000 splits: 1,000 of 20 inputs shaped as
+    # n=1e4, m=50, p=0.1 and 1,000 of 20 fixed-length ones (all-zeros,
+    # uniform-mp, m=50, p=0.2), n_split=50, seeds 0-19.
     keys = np.empty(plan.payload.size)
     for k in splits:
         _rng.substream(seed, _rng.SPLIT, k).random(out=keys)
-        if plan.lexsort:
+        keys += plan.user_key
+        order = _sorted_payload(keys, plan.payload, plan.bits, plan.width)
+        if order is None:
+            # the value sort overwrote the keys: draw them again
+            _rng.substream(seed, _rng.SPLIT, k).random(out=keys)
             order = plan.payload[np.lexsort((keys, plan.user_key))]
-        else:
-            keys += plan.user_key
-            order = _sorted_payload(keys, plan.payload, plan.bits, plan.width)
-            if order is None:
-                # the value sort overwrote the keys: draw them again
-                _rng.substream(seed, _rng.SPLIT, k).random(out=keys)
-                keys += plan.user_key
-                order = plan.payload[np.argsort(keys, kind="stable")]
         yield order[plan.first], order[plan.second]
 
 

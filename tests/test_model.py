@@ -233,6 +233,14 @@ class TestResponseData:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ResponseData(2, 2, users, items, resp)
 
+    @pytest.mark.parametrize("n_users, n_items", [(2, 0), (2, -2), (-1, 2)])
+    def test_rejects_sizes_out_of_range(self, n_users, n_items):
+        # before the size check these built (n_items <= 0) or failed inside
+        # bincount (n_users = -1); an empty item set made rp_mle raise
+        # IndexError and wp_mle ZeroDivisionError later
+        with pytest.raises(ValueError, match=r"^n_users must be in \[0, 2\*\*31\) and n_items in "):
+            ResponseData(n_users, n_items, [], [], [])
+
     @pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1], []])
     def test_stores_read_only_copies(self, order):
         users = np.array([0, 1, 1], dtype=np.int64)[order]

@@ -84,8 +84,9 @@ class TestRandomSplit:
                     and np.array_equal(a.items_lo, c.items_lo))
 
     def test_large_user_ids_pair_like_small_ones(self):
-        # past 2**20 users the split sorts with lexsort instead of the float
-        # key; relabelling the users order-preservingly must not move a pair
+        # the float key 2 * user + key resolves fewer bits of the key as the
+        # ids grow, and a tie it reports is ordered by lexsort; relabelling
+        # the users order-preservingly must not move a pair
         users = np.repeat(np.arange(6), 5)
         items = np.tile(np.arange(5), 6)
         resp = np.random.default_rng(0).integers(0, 2, 30)
@@ -99,22 +100,43 @@ class TestRandomSplit:
             for name in ("items_hi", "items_lo", "_x_hi", "_x_lo"):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         np.testing.assert_array_equal(split_wins(small, 9, 3), split_wins(large, 9, 3))
+        # one draw whose keys tie as float keys at both ids pairs alike at both
+        tied = [0.1, 0.5 + 2**-52, 0.5]
+        assert _mocked_split(5, tied)[1:] == _mocked_split(2**20 + 5, tied)[1:]
 
     def test_keys_that_tie_as_float_keys_past_2_20_users_pair_in_exact_order(self):
         # near user 2**20 the float key 2 * user + key resolves 2**-31, so the
         # keys 0.5 + 2**-33 and 0.5 tie in it, across the pair boundary; the
         # exact (user, key) order pairs the edges drawn 0.1 and 0.5
         user = 2**20 + 5
-        data = ResponseData(user + 1, 3, np.full(3, user), np.arange(3), np.array([1, 0, 0]))
-        keys = np.array([0.1, 0.5 + 2**-33, 0.5])
+        keys = [0.1, 0.5 + 2**-33, 0.5]
         assert 2.0 * user + keys[1] == 2.0 * user + keys[2]
-        stream = SimpleNamespace(random=lambda out: np.copyto(out, keys))
-        with mock.patch.object(pairing._rng, "substream", lambda *args: stream):
-            split = random_split(data, seed=0)
-            W = split_wins(data, 0, 1)[0]
-        assert (split.users.tolist(), split.items_hi.tolist(), split.items_lo.tolist()) == (
-            [user], [2], [0])
-        assert W[0, 2] == W.sum() == 1  # item 0, answered X = 1, beat item 2
+        assert _mocked_split(user, keys) == ([user], [2], [0], ZERO_BEAT_TWO)
+
+    def test_keys_that_tie_as_float_keys_at_small_user_ids_pair_in_exact_order(self):
+        # at user 5 the float key 2 * user + key resolves 2**-49, so the keys
+        # 0.5 + 2**-52 and 0.5 tie in it; the exact (user, key) order pairs
+        # the edges drawn 0.1 and 0.5, as it does at user 2**20 + 5
+        keys = [0.1, 0.5 + 2**-52, 0.5]
+        assert 2.0 * 5 + keys[1] == 2.0 * 5 + keys[2]
+        assert _mocked_split(5, keys) == ([5], [2], [0], ZERO_BEAT_TWO)
+
+
+# one comparison: item 0, answered X = 1, beat item 2
+ZERO_BEAT_TWO = [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+
+def _mocked_split(user, keys):
+    """Users, ``items_hi``, ``items_lo`` and win matrix of the split of one
+    user ``user`` who answered items 0, 1, 2 with 1, 0, 0, when the split
+    stream draws ``keys``; `random_split` and `split_wins` must agree."""
+    data = ResponseData(user + 1, 3, np.full(3, user), np.arange(3), np.array([1, 0, 0]))
+    stream = SimpleNamespace(random=lambda out: np.copyto(out, keys))
+    with mock.patch.object(pairing._rng, "substream", lambda *args: stream):
+        split = random_split(data, seed=0)
+        W = split_wins(data, 0, 1)[0]
+    assert W.tobytes() == compile_comparisons(data, split).wins.tobytes()
+    return split.users.tolist(), split.items_hi.tolist(), split.items_lo.tolist(), W.tolist()
 
 
 def _ulps_above(x, n):
@@ -125,10 +147,10 @@ def _ulps_above(x, n):
 def _engine_order(key, payload, bits, width):
     """The order `_split_pairs` gives ``payload`` when one user's split
     stream draws the float keys ``key``, sorted in rows of ``width``: the
-    value sort, or the stable argsort of the keys drawn again on a tie.
+    value sort, or `np.lexsort` of the keys drawn again on a tie.
     Read through a plan whose one "pair" slot is the whole order."""
     plan = pairing._SplitPlan(payload=payload, bits=bits, width=width, user_key=np.zeros(key.size),
-                              lexsort=False, first=slice(None), second=slice(0, 0))
+                              first=slice(None), second=slice(0, 0))
     stream = SimpleNamespace(random=lambda out: np.copyto(out, key))
     with mock.patch.object(pairing._rng, "substream", lambda *args: stream):
         (order, _), = pairing._split_pairs(plan, 0, (0,))
@@ -339,8 +361,8 @@ class TestSplitWinsBranches:
         self.check(data)
 
     def test_tie_fallback_pairs_in_edge_order(self):
-        # every key of a user is 2 * user + 0.5: the value sort finds a tie,
-        # and the stable argsort of the keys drawn again keeps edge order
+        # every key of a user is 0.5: the value sort finds a tie, and lexsort
+        # of the keys drawn again, exact and stable, keeps edge order
         stream = SimpleNamespace(random=lambda out: out.fill(0.5))
         for degrees in ([2, 4, 6, 0, 4] * 10, [5] * 30, [1, 2, 3, 4, 5, 6, 7] * 5):
             data = _degree_data(degrees, seed=1)

@@ -453,6 +453,39 @@ def test_fixed_degree_rows_hold_whole_users_and_at_most_row_keys(d, n, seed):
     assert W[0].tobytes() == compile_comparisons(data, random_split(data, seed, 0)).wins.tobytes()
 
 
+@st.composite
+def spread_user_keys(draw):
+    """Responses of a few users with ids spread past 2**20, up to 2**21 + 9,
+    and per-edge split keys: uniform, or with about half of them among
+    ``0.5 + j * 2**-40``, j < 4, which tie as float keys ``2 * user + key``
+    past user 2**9 and tie exactly at equal j."""
+    ids = draw(st.lists(st.integers(0, 2**21 + 9), min_size=1, max_size=8))
+    ids = np.unique(ids + [draw(st.integers(2**20 + 1, 2**21 + 9))])
+    m = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(SEEDS))
+    degree = rng.integers(0, m + 1, ids.size)
+    users = np.repeat(ids, degree)
+    items = np.concatenate([np.sort(rng.permutation(m)[:k]) for k in degree])
+    data = ResponseData(int(ids[-1]) + 1, m, users, items, rng.integers(0, 2, users.size))
+    keys = rng.random(users.size)
+    if draw(st.booleans()):
+        near = 0.5 + rng.integers(0, 4, users.size) * 2.0**-40
+        keys = np.where(rng.random(users.size) < 0.5, near, keys)
+    return data, keys
+
+
+@PROPERTY
+@given(spread_user_keys())
+def test_splits_past_2_20_users_follow_the_exact_user_key_order(case):
+    data, keys = case
+    plan = pairing._split_plan(data)
+    whole = plan._replace(first=slice(None), second=slice(0, 0))  # one "pair": the order
+    with mock.patch.object(pairing, "_rng", _FixedKeys(keys)):
+        (order, _), = pairing._split_pairs(whole, 0, (0,))
+    want = plan.payload[np.lexsort((keys, data.user_ids))]
+    np.testing.assert_array_equal(order, want)
+
+
 def test_tied_keys_with_empty_and_single_response_users():
     # user 0: one response with a subnormal key; user 1: none; user 2: four
     # exactly tied keys; user 3: float keys 0, 1 and 2 ulps above 2 * 3 + 0.25
