@@ -17,8 +17,11 @@ where the float split keys resolve fewer bits of the key:
   and ``mrp`` at the ``uniform-mp``, even-degree and spread-user points);
 - ``H_hat``, ``V_diff_hat`` and ``Sigma_hat`` of the ``wp`` and ``mrp``
   plug-in covariances, except at the spread-user points;
-- the ``rec_*``, ``wins`` and ``counts`` arrays of
-  ``compile_comparisons(data, random_split(data, seed, k))`` for k = 0-2;
+- the ``item_ids``, ``responses`` and ``user_indptr`` arrays of each sample;
+- for k = 0-2, every field of ``split = random_split(data, seed, k)`` with
+  its dtype (``users``, ``items_hi``, ``items_lo`` and the private ``_x_hi``
+  and ``_x_lo``), and the ``rec_*``, ``wins``, ``counts``, ``edge_i`` and
+  ``edge_j`` arrays of ``compile_comparisons(data, split)``;
 
 and the stdout of ``rasch infer lsat --method mrp --n-split 100 --seed 3``
 and of ``rasch infer <lsat.csv> --method wp``.  A fit that raises
@@ -51,7 +54,9 @@ POINTS = ((10_000, 20, 0.5, "standard-normal", "bernoulli", ALL_METHODS),
           (300, 6, 0.6, "standard-normal", "spread-users", ("rp", "mrp")))
 SPREAD = 7919  # user-id factor of the "spread-users" points
 COV_FIELDS = ("H_hat", "V_diff_hat", "Sigma_hat")
-PC_FIELDS = ("rec_i", "rec_j", "rec_t", "rec_y", "wins", "counts")
+DATA_FIELDS = ("item_ids", "responses", "user_indptr")
+SPLIT_FIELDS = ("users", "items_hi", "items_lo", "_x_hi", "_x_lo")
+PC_FIELDS = ("rec_i", "rec_j", "rec_t", "rec_y", "wins", "counts", "edge_i", "edge_j")
 
 
 def _fit(data, method: str, seed: int, covariances: bool) -> list[tuple[str, np.ndarray]]:
@@ -108,6 +113,9 @@ def fingerprint() -> str:
             where = f"n={n} m={m} p={p} seed={seed}"
             if mode != "bernoulli":
                 where += f" {spec} {mode}"
+            for name in DATA_FIELDS:
+                arr = getattr(data, name)
+                feed(f"{where} data {name} {arr.dtype}", arr.tobytes())
             for method in methods:
                 try:
                     arrays = _fit(data, method, seed, covariances=mode != "spread-users")
@@ -117,7 +125,11 @@ def fingerprint() -> str:
                 for name, arr in arrays:
                     feed(f"{where} {method} {name}", np.ascontiguousarray(arr, float).tobytes())
             for k in range(3):
-                pc = rasch.compile_comparisons(data, rasch.random_split(data, seed, k))
+                split = rasch.random_split(data, seed, k)
+                for name in SPLIT_FIELDS:
+                    arr = getattr(split, name)
+                    feed(f"{where} split {k} {name} {arr.dtype}", arr.tobytes())
+                pc = rasch.compile_comparisons(data, split)
                 for name in PC_FIELDS:
                     feed(f"{where} split {k} {name}", getattr(pc, name).tobytes())
     feed("infer lsat mrp", _cli_stdout(["infer", "lsat", "--method", "mrp",

@@ -27,7 +27,7 @@ from .errors import EstimationError
 from .estimators import ItemEstimate
 from .model import GroundTruth, ResponseData, sigmoid
 from .laplacian import _laplacian_matrix, _rank_completion_inverse
-from .pairing import _indicator_blocks, _pair_users, _pseudo_wins, _split_pairs, _split_plan, split_wins
+from .pairing import _decoded_pairs, _indicator_blocks, _pair_users, _pseudo_wins, split_wins
 from .solver import _counts, _derivatives
 
 __all__ = [
@@ -143,20 +143,19 @@ def _wp_score_covariance(data: ResponseData, theta: np.ndarray) -> np.ndarray:
     return V / data.n_users
 
 
-def _split_user_gradients(data: ResponseData, theta: np.ndarray, seed: int, k: int) -> np.ndarray:
-    """Per-user score vectors of the split-``k`` comparison loss at ``theta``.
+def _split_user_gradients(data: ResponseData, theta: np.ndarray, seed: int, splits):
+    """Per-user score vectors of the comparison loss of each split in
+    ``splits`` at ``theta``, the splits read from one plan.
 
     A response is in at most one pair of a split, so each entry is set once.
     """
-    (a, b), = _split_pairs(_split_plan(data), seed, (k,))
-    x_a, items_a = np.divmod(a, data.n_items)
-    x_b, items_b = np.divmod(b, data.n_items)
-    val = np.where(x_a != x_b, sigmoid(theta[items_a] - theta[items_b]) - x_a, 0.0)
     users = _pair_users(data)
-    G = np.zeros((data.n_users, data.n_items))
-    G[users, items_a] = val
-    G[users, items_b] = -val
-    return G
+    for items_a, x_a, items_b, x_b in _decoded_pairs(data, seed, splits):
+        val = np.where(x_a != x_b, sigmoid(theta[items_a] - theta[items_b]) - x_a, 0.0)
+        G = np.zeros((data.n_users, data.n_items))
+        G[users, items_a] = val
+        G[users, items_b] = -val
+        yield G
 
 
 def _split_wins(data: ResponseData, est: ItemEstimate) -> np.ndarray:
@@ -202,8 +201,7 @@ def plugin_covariance(data: ResponseData, est: ItemEstimate,
         if est.method not in ("rp", "mrp") or est.seed is None:
             raise ValueError("exact split mixture needs a split-based estimate with a seed")
         V_same = np.zeros((data.n_items, data.n_items))
-        for k in range(est.n_split):
-            Gk = _split_user_gradients(data, theta, est.seed, k)
+        for Gk in _split_user_gradients(data, theta, est.seed, range(est.n_split)):
             V_same += Gk.T @ Gk
         V_same /= n * est.n_split
     if est.method != "wp":

@@ -132,8 +132,9 @@ class ResponseData:
     sums and products that can leave them (the ``(user, item)`` sort key,
     split payloads, flat indices) are formed in int64.
 
-    Edges may be given in any order.  The arrays are copied, so the caller's
-    arrays stay writable and later changes to them do not reach the data.
+    Edges may be given in any order, and responses as bool.  The caller's
+    arrays are only read and the stored ones are copies, so the caller's
+    stay writable and later changes to them do not reach the data.
     Input already sorted without duplicates, as every sampler, the LSAT
     loaders and `to_csv` produce it, is recognized in one linear pass; other
     input is sorted once.  Two objects are equal only when they are the same
@@ -150,7 +151,7 @@ class ResponseData:
     def __init__(self, n_users: int, n_items: int, user_ids, item_ids, responses):
         if not (0 <= n_users < 2**31 and 1 <= n_items < 2**31):
             raise ValueError("n_users must be in [0, 2**31) and n_items in [1, 2**31)")
-        users = np.array(user_ids, dtype=np.int64)
+        users = np.asarray(user_ids, dtype=np.int64)  # only read, never stored
         items = np.array(item_ids, dtype=np.int64)
         resp = np.array(responses, dtype=np.int64)
         if not (users.shape == items.shape == resp.shape) or users.ndim != 1:
@@ -350,7 +351,7 @@ def sample_responses(gt: GroundTruth, p: float, seed: int = 0, mode: str = "bern
         raise ValueError(f"unknown sampling mode {mode!r}")
     resp_rng = _rng.substream(seed, _rng.RESPONSES)
     probs = sigmoid(gt.theta_star[items] - gt.zeta_star[users])
-    responses = (resp_rng.random(users.size) < probs).astype(np.int64)
+    responses = resp_rng.random(users.size) < probs
     return ResponseData(n, m, users, items, responses)
 
 

@@ -23,9 +23,12 @@ formed from the two payloads, one `bincount` per split, and computes the
 second half of a large batch of splits on a helper thread with a key buffer
 of its own.  `random_split` and `compile_comparisons` expose one split
 record by record, next to its win and count matrices, for checks and for
-`laplacian.build_z_laplacian` (the paper's l2 error predictor); a split
-keeps the responses it paired, and compiles against the data object it was
-drawn from only.  The overlapping route of the
+`laplacian.build_z_laplacian` (the paper's l2 error predictor).  A split
+decodes its payloads ``a`` in one place, `_decoded_pairs`, as ``X = a >= m``
+and ``item = a - m X``, orients each pair by ``np.maximum``/``np.minimum`` and
+keeps the bool responses it paired as int8 views; it compiles against the
+data object it was drawn from only, into the pairs whose responses differ,
+where ``Y = 1{X_hi < X_lo}`` is ``X_lo``.  The overlapping route of the
 pseudo-likelihood estimators takes every within-user item pair without
 listing them: its win matrix is ``X1^T diag(w) X0``, from the users' 0/1
 response indicators ``X1 = 1{X = 1}``, ``X0 = 1{X = 0}`` and weights ``w``,
@@ -209,11 +212,8 @@ def _pair_slots(data: ResponseData) -> np.ndarray:
     ``j`` of a user is entries ``2 j`` and ``2 j + 1`` of the user's block
     in the order of a split, and the left-over entry of an odd block is
     its last.  Derived from the offsets on each call, one ``repeat`` and one
-    ``arange``.  The 9-byte store cached them as int32 on the data object,
-    4 bytes per pair of every input, formed by a mask over every edge: 0.77-
-    1.51 ms against 0.20-0.30 ms this way on the seed-1 inputs of the three
-    in-process benchmark workloads, 5e4-1e5 edges (medians of 200, 2-core
-    x86-64, numpy 2.4).
+    ``arange`` (0.20-0.30 ms on 5e4-1e5 edges, 2-core x86-64, numpy 2.4), so
+    nothing is kept per input.
     """
     indptr = data.user_indptr
     half = np.diff(indptr) // 2
@@ -300,6 +300,19 @@ def _split_pairs(plan: _SplitPlan, seed: int, splits):
         yield order[plan.first], order[plan.second]
 
 
+def _decoded_pairs(data: ResponseData, seed: int, splits):
+    """``(items_a, x_a, items_b, x_b)`` of the pairs of each split in
+    ``splits``, read from one plan: the int64 items and bool responses of
+    the payloads ``a = item + m * X`` of `_split_pairs`, as ``X = a >= m``
+    and ``item = a - m X``: 0.035 ms per 22,399 payloads (n=1e4, m=50,
+    p=0.1) against 0.092 ms for an int64 ``divmod`` (medians of 400
+    interleaved, 2-core x86-64, numpy 2.4)."""
+    m = data.n_items
+    for a, b in _split_pairs(_split_plan(data), seed, splits):
+        x_a, x_b = a >= m, b >= m
+        yield a - m * x_a, x_a, b - m * x_b, x_b
+
+
 def random_split(data: ResponseData, seed: int, split_index: int = 0) -> SplitAssignment:
     """Disjoint random pairing of each user's responded items.
 
@@ -309,18 +322,17 @@ def random_split(data: ResponseData, seed: int, split_index: int = 0) -> SplitAs
     an independent sub-stream, so repeated splits of the same data never share
     randomness.
     """
-    (a, b), = _split_pairs(_split_plan(data), seed, (split_index,))
-    x_a, items_a = np.divmod(a, data.n_items)
-    x_b, items_b = np.divmod(b, data.n_items)
-    a_is_hi = items_a >= items_b
-    split = SplitAssignment(
-        users=_pair_users(data),
-        items_hi=np.where(a_is_hi, items_a, items_b),
-        items_lo=np.where(a_is_hi, items_b, items_a),
-    )
+    (items_a, x_a, items_b, x_b), = _decoded_pairs(data, seed, (split_index,))
+    split = SplitAssignment(users=_pair_users(data), items_hi=np.maximum(items_a, items_b),
+                            items_lo=np.minimum(items_a, items_b))
+    # the responses at item_hi and item_lo, selected by bool operations: on
+    # 47,307 pairs (n=1e4, m=20, p=0.5) 0.035 ms against 0.65 ms for two
+    # np.where on the orientation
+    differ = x_a ^ x_b
+    x_hi = x_a ^ (differ & (items_a < items_b))
     object.__setattr__(split, "_source", data)
-    object.__setattr__(split, "_x_hi", _frozen(np.where(a_is_hi, x_a, x_b).astype(np.int8)))
-    object.__setattr__(split, "_x_lo", _frozen(np.where(a_is_hi, x_b, x_a).astype(np.int8)))
+    object.__setattr__(split, "_x_hi", _frozen(x_hi).view(np.int8))
+    object.__setattr__(split, "_x_lo", _frozen(x_hi ^ differ).view(np.int8))
     return split
 
 
@@ -364,12 +376,12 @@ def compile_comparisons(data: ResponseData, split: SplitAssignment) -> PairedCom
     """
     if split._source is not data:
         raise ValueError("a split compiles only against the data object random_split drew it from")
-    x_hi, x_lo = split._x_hi, split._x_lo
-    keep = x_hi != x_lo
+    x_lo = split._x_lo
+    keep = np.flatnonzero(split._x_hi != x_lo)
     return PairedComparisons(
-        m=data.n_items, rec_i=split.items_hi[keep], rec_j=split.items_lo[keep],
-        rec_t=split.users[keep],
-        rec_y=(x_hi[keep] < x_lo[keep]).astype(np.int64),  # Y_ij = 1{X_ti < X_tj}
+        m=data.n_items, rec_i=split.items_hi.take(keep), rec_j=split.items_lo.take(keep),
+        rec_t=split.users.take(keep),
+        rec_y=x_lo.take(keep),  # Y_ij = 1{X_ti < X_tj}, which is X_tj where they differ
     )
 
 
@@ -414,16 +426,11 @@ def _indicator_blocks(data: ResponseData, scheme: str):
     a zeroed ``(users, m)`` code array, flat at ``(user - first) * m + item``;
     ``X1`` and ``X0`` are then its entries equal to 2 and to 1, as float64.
     The codes are the int8 responses plus one, one byte per edge and no
-    cast.  The rows come from the offsets, one ``repeat`` per block.  Neither
-    the index nor a code matrix is cached on the data.  On the 9-byte-per-edge
-    store of the time, an int64 index per edge raised the benchmark's
-    peak RSS by 31% on its wp-dense pool (102.4 to 134.3 MB) and by 19% on
-    mrp-sparse (77.9 to 92.9 MB), and an int8 n x m code matrix raised it by
-    24% on mrp-sparse (77.9 to 96.4 MB) and 4% on wp-dense (seeds 1-2).
-    Scattering float64 0/1 values into ``X1`` and ``X0`` directly
-    took 1.42 ms per pass at n=1e4, m=20, p=0.5 against 0.92 ms this way,
-    and 1.18 against 0.95 ms at m=50, p=0.1 (``np.equal(code, k, out=X1)``:
-    0.97 and 1.13 ms; medians of 200, 2-core x86-64, numpy 2.4).
+    cast.  The rows come from the offsets, one ``repeat`` per block, and
+    neither the index nor a code matrix is kept per input.  Scattering
+    float64 0/1 values into ``X1`` and ``X0`` directly took 1.42 ms per pass
+    at n=1e4, m=20, p=0.5 against 0.92 ms this way (medians of 200, 2-core
+    x86-64, numpy 2.4).
     """
     if scheme not in ("wp", "pmle"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'wp' or 'pmle'")

@@ -246,8 +246,22 @@ class TestResponseData:
         users = np.array([0, 1, 1], dtype=np.int64)[order]
         items = np.array([1, 0, 1], dtype=np.int64)[order]
         resp = np.array([1, 0, 1], dtype=np.int64)[order]
+        given = [a.copy() for a in (users, items, resp)]
         data = ResponseData(2, 2, users, items, resp)
         before = [a.copy() for a in (data.user_ids, data.item_ids, data.responses)]
+        # the caller's arrays, the int64 user ids taken without a copy
+        # included, are read and never written
+        for arr, kept in zip((users, items, resp), given):
+            assert np.array_equal(arr, kept)
+        # read-only input builds, and bool responses build the same arrays
+        frozen = [a.copy() for a in (users, items, resp)]
+        for arr in frozen:
+            arr.setflags(write=False)
+        for data_again in (ResponseData(2, 2, *frozen),
+                           ResponseData(2, 2, users, items, resp.astype(bool))):
+            for name in ("item_ids", "responses", "user_indptr"):
+                got, want = getattr(data_again, name), getattr(data, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         for arr in (users, items, resp):
             assert arr.flags.writeable
             arr[...] = 0

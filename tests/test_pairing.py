@@ -308,6 +308,45 @@ class TestCompile:
             np.add.at(want, (pc.rec_j, pc.rec_i), pc.rec_y)
             np.testing.assert_array_equal(W[k], want)
 
+    @pytest.mark.parametrize("m", [128, 300])
+    def test_record_path_at_wide_m_matches_the_divmod_decoding(self, m):
+        # from m = 128 a payload item + m * X no longer fits in int8; users of
+        # degree 0, 1, odd and even, and every split field against the pairs
+        # decoded with divmod
+        data = _degree_data(np.tile([0, 1, 3, 2, 0, 5, 1, 7, 4, m - 1, m], 6), m=m, seed=m)
+        seed, K = 9, 3
+        W = split_wins(data, seed, K)
+        plan = pairing._split_plan(data)
+        for k in range(K):
+            split = random_split(data, seed, k)
+            (a, b), = pairing._split_pairs(plan, seed, (k,))
+            x_a, items_a = np.divmod(a, m)
+            x_b, items_b = np.divmod(b, m)
+            a_is_hi = items_a >= items_b
+            want = {
+                "users": np.repeat(np.arange(data.n_users), data.user_degrees() // 2),
+                "items_hi": np.where(a_is_hi, items_a, items_b),
+                "items_lo": np.where(a_is_hi, items_b, items_a),
+                "_x_hi": np.where(a_is_hi, x_a, x_b).astype(np.int8),
+                "_x_lo": np.where(a_is_hi, x_b, x_a).astype(np.int8),
+            }
+            for name, arr in want.items():
+                got = getattr(split, name)
+                assert got.dtype == (np.int8 if name.startswith("_x") else np.int64)
+                assert got.tobytes() == arr.tobytes()
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[...] = 0
+            pc = compile_comparisons(data, split)
+            keep = want["_x_hi"] != want["_x_lo"]
+            assert pc.rec_i.tobytes() == want["items_hi"][keep].tobytes()
+            assert pc.rec_j.tobytes() == want["items_lo"][keep].tobytes()
+            assert pc.rec_t.tobytes() == want["users"][keep].tobytes()
+            rec_y = (want["_x_hi"][keep] < want["_x_lo"][keep]).astype(np.int64)
+            assert pc.rec_y.tobytes() == rec_y.tobytes()
+            assert 0 < pc.n_records < split.n_pairs
+            assert pc.wins.tobytes() == W[k].tobytes()
+
 
 def _degree_data(degrees, m=7, seed=0):
     """Responses where user ``t`` answered ``degrees[t]`` distinct items."""

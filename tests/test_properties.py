@@ -571,7 +571,7 @@ def test_split_user_gradients_match_per_record_sums(data, seed, k):
         won = 1.0 - y  # the larger-indexed item i won
         want[t, i] += p - won
         want[t, j] -= p - won
-    got = _split_user_gradients(data, theta, seed, k)
+    got, = _split_user_gradients(data, theta, seed, (k,))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
