@@ -11,10 +11,13 @@ items and the splits sort in rows of whole users, the (1e4, 50, 0.1)
 Bernoulli sample without the last response of each user of odd degree, where the
 degrees are even but unequal and the splits pair by strided views, and the
 (300, 6, 0.6) samples with user ``t`` relabelled ``7919 t``, ids up to 2.4e6,
-where the float split keys resolve fewer bits of the key:
+where the float split keys resolve fewer bits of the key, and the Bernoulli
+samples at (2000, 100, 0.6), where a row of a split's sort holds three users
+of the largest degree and the windows around the users it cuts are long:
 
 - theta_hat of ``rp``, ``mrp`` (n_split=20), ``wp`` and ``pmle`` (only ``rp``
-  and ``mrp`` at the ``uniform-mp``, even-degree and spread-user points);
+  and ``mrp`` at the ``uniform-mp``, even-degree, spread-user and m = 100
+  points);
 - ``H_hat``, ``V_diff_hat`` and ``Sigma_hat`` of the ``wp`` and ``mrp``
   plug-in covariances, except at the spread-user points;
 - the ``item_ids``, ``responses`` and ``user_indptr`` arrays of each sample;
@@ -51,7 +54,8 @@ POINTS = ((10_000, 20, 0.5, "standard-normal", "bernoulli", ALL_METHODS),
           (300, 6, 0.6, "standard-normal", "bernoulli", ALL_METHODS),
           (10_000, 50, 0.2, "all-zeros", "uniform-mp", ("rp", "mrp")),
           (10_000, 50, 0.1, "standard-normal", "even-degrees", ("rp", "mrp")),
-          (300, 6, 0.6, "standard-normal", "spread-users", ("rp", "mrp")))
+          (300, 6, 0.6, "standard-normal", "spread-users", ("rp", "mrp")),
+          (2_000, 100, 0.6, "standard-normal", "bernoulli", ("rp", "mrp")))
 SPREAD = 7919  # user-id factor of the "spread-users" points
 COV_FIELDS = ("H_hat", "V_diff_hat", "Sigma_hat")
 DATA_FIELDS = ("item_ids", "responses", "user_indptr")

@@ -9,12 +9,11 @@ read in one way, `_split_pairs`, from a plan that the splits of one call
 share.  It orders the edges with one value sort in one key buffer, reused
 by every split of a call: each edge's float sort key, drawn into the buffer,
 gets the response's payload ``item + m * X`` in the low bits of its bit
-pattern and is sorted in place as float64: in rows of about ``ROW_KEYS``
-keys that hold whole users when every responding user answered the same
-number of items, and in one row otherwise.  Rounding the float key and
-dropping its payload bits keep its order, so a sort that finds no two keys
-sharing their remaining bits gives the exact (user, key) order at every
-user id.  When two keys do, the split's keys are drawn again from its
+pattern and is sorted in place as float64, in rows of about ``ROW_KEYS``
+keys, after which the few keys around each row boundary that cuts a user
+are sorted again.  Rounding the float key and dropping its payload bits
+keep its order, so a sort that finds no two keys sharing their remaining
+bits gives the exact (user, key) order at every user id.  When two keys do, the split's keys are drawn again from its
 sub-stream and ordered by `np.lexsort`, exact and stable.  Whatever the route,
 the comparisons of one split are summarized by one m x m win matrix:
 `split_wins` compiles the splits of a multi-split fit straight into these
@@ -83,14 +82,13 @@ PRODUCT_LIMIT = 2**19
 # x86-64, numpy 2.4.
 SPLIT_THREAD_EDGES = 2**15
 
-# Keys in a row of a split's sort when every responding user has one degree
-# d: rows of d * max(1, ROW_KEYS // d) keys hold whole users, so sorting each
-# row is the whole sort, and numpy's AVX-512 sort keeps a row of up to about
-# 2**7 keys in registers.  `_sorted_payload` on 1e5 keys, n=1e4 users of
-# d = 10, medians of 300 interleaved: 0.58 ms in int64 rows of one user,
-# 0.44 ms in float64 rows of 30 keys, 0.38 of 60, 0.37 of 120, 0.38 of 250
-# and 0.84 ms in one row; on 5,000 keys of d = 5 (LSAT-sized), 0.044-0.066
-# ms against 0.025-0.033 ms in rows of 125 (2-core x86-64, numpy 2.4).
+# Keys in a row of a split's sort: numpy's AVX-512 sort keeps a row of up to
+# about 2**7 keys in registers.  With d the largest degree, a row holds
+# d * max(3, ROW_KEYS // d) keys, and a user cut by a row boundary is sorted
+# again in a window of 2 (d - 1) keys around it (see `_row_layout`).
+# `_sorted_payload` on the 49,763 keys of n=1e4, m=50, p=0.1 (d = 15): 0.22
+# ms in rows of 126 keys with 316 windows against 0.34 ms in one row
+# (medians of 300, 2-core x86-64, numpy 2.4).
 ROW_KEYS = 2**7
 
 
@@ -102,7 +100,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _win_matrix(m: int, hi, lo, y) -> np.ndarray:
     """m x m win matrix of comparisons ``(hi, lo, y)``, ``hi > lo``;
     ``y = 1`` iff ``lo`` won, counting on ``[lo, hi]``."""
-    key = np.where(y == 1, lo * m + hi, hi * m + lo)
+    # hi * m + lo, moved to lo * m + hi where y = 1, without a branch: 0.056
+    # ms against 0.136 ms for np.where on the 20,503 records of a split at
+    # n=1e4, m=20, p=0.5 (medians of 300, 2-core x86-64, numpy 2.4)
+    key = hi * m + lo + (y == 1) * ((lo - hi) * (m - 1))
     return np.bincount(key, minlength=m * m).reshape(m, m)
 
 
@@ -176,7 +177,8 @@ class PairedComparisons:
 # Operations
 # ---------------------------------------------------------------------------
 
-def _sorted_payload(key: np.ndarray, payload: np.ndarray, bits: int, width: int) -> np.ndarray | None:
+def _sorted_payload(key: np.ndarray, payload: np.ndarray, bits: int, width: int,
+                    seams: np.ndarray) -> np.ndarray | None:
     """``payload`` in the stable sorted order of ``key``, for keys ``>= 0``
     and payloads in ``[0, 2**bits)``, found by one value sort in ``key``'s
     own buffer; None when that sort cannot stand in for a stable one.
@@ -188,8 +190,10 @@ def _sorted_payload(key: np.ndarray, payload: np.ndarray, bits: int, width: int)
     of the keys does, and they are returned as the int64 view of ``key``.
     An exact tie, or two keys less than ``2**bits`` ulps apart, returns
     None, with ``key`` overwritten.  The keys are sorted as float64 in rows
-    of ``width``, the last row taking what is left: that is the whole sort
-    if every key of a row is below every key of the next.
+    of ``width``, the last row taking what is left, and then each row of
+    positions ``seams`` is sorted again: that is the whole sort if every key
+    out of place after the rows lies in one such window, and the windows are
+    disjoint.
     """
     mask = (1 << bits) - 1
     packed = key.view(np.int64)
@@ -198,6 +202,9 @@ def _sorted_payload(key: np.ndarray, payload: np.ndarray, bits: int, width: int)
     full = key.size - key.size % width
     key[:full].reshape(-1, width).sort()
     key[full:].sort()
+    window = key[seams]
+    window.sort()
+    key[seams] = window
     high = packed >> bits
     if (high[1:] == high[:-1]).any():
         return None
@@ -231,7 +238,8 @@ class _SplitPlan(NamedTuple):
 
     ``payload`` is each edge's ``item + m * X``, below ``2**bits``; a split
     sorts it by the float key ``user_key + key``, ``user_key`` being
-    ``2 * user``, in rows of ``width`` edges that hold whole users, and by
+    ``2 * user``, in rows of ``width`` edges and then in the windows
+    ``seams`` around the row boundaries that cut a user, and by
     `np.lexsort` of ``(key, user_key)`` when that sort reports a tie.  Pair
     ``j`` of a split is entries ``first[j]`` and ``second[j]`` of that order.
     """
@@ -239,15 +247,39 @@ class _SplitPlan(NamedTuple):
     payload: np.ndarray
     bits: int
     width: int
+    seams: np.ndarray
     user_key: np.ndarray
     first: np.ndarray | slice
     second: np.ndarray | slice
 
 
+def _row_layout(indptr: np.ndarray) -> tuple[int, np.ndarray]:
+    """Row width and seam windows of the sort of a split over users with
+    offsets ``indptr``.
+
+    A row holds ``max(3, ROW_KEYS // d)`` times the largest degree ``d``.  A
+    row boundary that falls inside a user's block gets a window of the
+    ``2 (d - 1)`` positions around it, moved inside the array where it would
+    leave it.  As the keys order by user first, sorting the rows puts every
+    user in its own block and orders each user that no boundary cuts; a cut
+    user lies within its boundary's window, and as a row holds at least
+    three users of degree ``d``, no two windows overlap.  Every boundary
+    falls between users when all degrees are equal, and there are no windows.
+    """
+    n = int(indptr[-1])
+    d = int(np.diff(indptr).max(initial=1))
+    width = d * max(3, ROW_KEYS // d)
+    inside = np.ones(n + 1, bool)
+    inside[indptr] = False
+    cuts = np.arange(width, n, width)
+    cuts = cuts[inside[cuts]]
+    start = np.clip(cuts - (d - 1), 0, n - 2 * (d - 1))
+    return width, start[:, None] + np.arange(2 * (d - 1))
+
+
 def _split_plan(data: ResponseData) -> _SplitPlan:
     m = data.n_items
     degrees = data.user_degrees()
-    d = int(degrees.max(initial=1))
     if not (degrees % 2).any():
         # every degree is even: the pairs are the entries two by two, read as
         # strided views instead of gathers; on n=1e4 users of degree 10,
@@ -257,15 +289,12 @@ def _split_plan(data: ResponseData) -> _SplitPlan:
         first = _pair_slots(data)
         second = first + 1
     # The payload is formed in int64: m * X overflows the int8 responses from
-    # m = 128.  When the users with responses share a degree d, a row holds
-    # max(1, ROW_KEYS // d) whole users; otherwise one row holds every key.
-    # 2 * user is exact in float64, so it orders as the user ids do; the key
-    # resolution of 2 * user + key falls as the ids grow (2**-31 near user
-    # 2**20), which makes ties likelier but never reorders two keys.
-    fixed = np.all(degrees[degrees > 0] == d)
+    # m = 128.  2 * user is exact in float64, so it orders as the user ids
+    # do; the key resolution of 2 * user + key falls as the ids grow (2**-31
+    # near user 2**20), which makes ties likelier but never reorders two keys.
+    width, seams = _row_layout(data.user_indptr)
     return _SplitPlan(data.item_ids + m * data.responses.astype(np.int64), (2 * m - 1).bit_length(),
-                      d * max(1, ROW_KEYS // d) if fixed else data.n_edges,
-                      np.repeat(np.arange(data.n_users) * 2.0, degrees), first, second)
+                      width, seams, np.repeat(np.arange(data.n_users) * 2.0, degrees), first, second)
 
 
 def _split_pairs(plan: _SplitPlan, seed: int, splits):
@@ -277,22 +306,19 @@ def _split_pairs(plan: _SplitPlan, seed: int, splits):
     left-over edge of an odd degree is the user's last.  ``a`` and ``b``
     may be views of the key buffer, which the next split overwrites.
     """
-    # Lexsort orders only a reported tie because it is slower.  On 5e4 edges
-    # (n=1e4, m=50, p=0.1) lexsort takes 1.33 ms, a stable argsort of the
-    # float key 1.27 ms, and the packed value sort of `_sorted_payload`
-    # 0.35 ms as float64 against 0.40 ms as int64 (medians of 100, 2-core
-    # x86-64 with AVX-512, numpy 2.4).  Rows of whole users made
-    # split_wins(n_split=50) at n=1e4, m=50, d = 10 take 40.1 ms against
-    # 47.9 ms in rows of one user, and at LSAT size (n=1000, d = 5,
-    # n_split=100) 11.9 against 15.5 ms (medians of 40 interleaved).  It
-    # fell back to lexsort in 0 of 2,000 splits: 1,000 of 20 inputs shaped as
-    # n=1e4, m=50, p=0.1 and 1,000 of 20 fixed-length ones (all-zeros,
-    # uniform-mp, m=50, p=0.2), n_split=50, seeds 0-19.
+    # Lexsort orders only a reported tie because it is slower.  On 49,763
+    # edges (n=1e4, m=50, p=0.1) lexsort takes 9.0 ms, a stable argsort of
+    # the float key 0.86 ms, and the packed value sort of `_sorted_payload`
+    # 0.22 ms in rows and seam windows (medians of 100, 2-core x86-64 with
+    # AVX-512, numpy 2.4).  It fell back to lexsort in 0 of 2,000 splits:
+    # 1,000 of 20 inputs shaped as n=1e4, m=50, p=0.1 and 1,000 of 20
+    # fixed-length ones (all-zeros, uniform-mp, m=50, p=0.2), n_split=50,
+    # seeds 0-19.
     keys = np.empty(plan.payload.size)
     for k in splits:
         _rng.substream(seed, _rng.SPLIT, k).random(out=keys)
         keys += plan.user_key
-        order = _sorted_payload(keys, plan.payload, plan.bits, plan.width)
+        order = _sorted_payload(keys, plan.payload, plan.bits, plan.width, plan.seams)
         if order is None:
             # the value sort overwrote the keys: draw them again
             _rng.substream(seed, _rng.SPLIT, k).random(out=keys)

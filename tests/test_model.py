@@ -31,7 +31,7 @@ def _two_branch_sigmoid(x):
 
 
 SPECIAL_X = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
-                      5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+                      5e-324, -5e-324, 1e-320, -1e-320, 1e-310, -1e-310, 2.2250738585072014e-308,
                       36.7, -36.7, 709.8, -709.8, 745.2, -745.2])
 
 
@@ -43,6 +43,18 @@ class TestLogistic:
             got = sigmoid(x)
             assert got.shape == x.shape and got.dtype == np.float64
             assert got.tobytes() == _two_branch_sigmoid(x).tobytes()
+
+    def test_numerator_matches_the_where_form(self):
+        # the numerator max(t, x >= 0) is 1 for x >= 0 and t = exp(-|x|)
+        # below, NaN kept: the same bits as selecting it with np.where
+        def where_form(x):
+            t = np.exp(np.minimum(x, -x))
+            return np.where(x >= 0, 1.0, t) / (1.0 + t)
+
+        x = np.random.default_rng(1).normal(0.0, 3.0, 99_600)
+        for values in (SPECIAL_X, x):
+            assert sigmoid(values).tobytes() == where_form(values).tobytes()
+            assert sigmoid(values).tobytes() == _two_branch_sigmoid(values).tobytes()
 
     def test_zero_d_input_returns_float(self):
         for v in SPECIAL_X:

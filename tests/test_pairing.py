@@ -144,13 +144,14 @@ def _ulps_above(x, n):
     return (np.asarray(x, float).view(np.int64) + n).view(float)
 
 
-def _engine_order(key, payload, bits, width):
+def _engine_order(key, payload, bits, width, seams):
     """The order `_split_pairs` gives ``payload`` when one user's split
-    stream draws the float keys ``key``, sorted in rows of ``width``: the
-    value sort, or `np.lexsort` of the keys drawn again on a tie.
-    Read through a plan whose one "pair" slot is the whole order."""
-    plan = pairing._SplitPlan(payload=payload, bits=bits, width=width, user_key=np.zeros(key.size),
-                              first=slice(None), second=slice(0, 0))
+    stream draws the float keys ``key``, sorted in rows of ``width`` and
+    windows ``seams``: the value sort, or `np.lexsort` of the keys drawn
+    again on a tie.  Read through a plan whose one "pair" slot is the whole
+    order."""
+    plan = pairing._SplitPlan(payload=payload, bits=bits, width=width, seams=seams,
+                              user_key=np.zeros(key.size), first=slice(None), second=slice(0, 0))
     stream = SimpleNamespace(random=lambda out: np.copyto(out, key))
     with mock.patch.object(pairing._rng, "substream", lambda *args: stream):
         (order, _), = pairing._split_pairs(plan, 0, (0,))
@@ -161,24 +162,34 @@ class TestSortedPayload:
     """The packed value sort against the stable argsort it stands in for."""
 
     @staticmethod
-    def check(key, payload, bits, width=None):
+    def check(key, payload, bits, degrees=None, row_keys=pairing.ROW_KEYS):
+        """``key`` holds the keys of users of ``degrees``, in user order
+        (default: one user, so one row), sorted in the rows and windows of
+        the plan under the row-key target ``row_keys``."""
         key = np.asarray(key, float)
         payload = np.asarray(payload, np.int64)
-        width = width or max(key.size, 1)  # default: one row of all the keys
+        indptr = np.concatenate(([0], np.cumsum([key.size] if degrees is None else degrees)))
+        with mock.patch.object(pairing, "ROW_KEYS", row_keys):
+            width, seams = pairing._row_layout(indptr)
         want = payload[np.argsort(key, kind="stable")]
         high = np.sort(key).view(np.int64) >> bits
         tied = bool((high[1:] == high[:-1]).any())
-        got = _sorted_payload(key.copy(), payload, bits, width)
+        got = _sorted_payload(key.copy(), payload, bits, width, seams)
         # None exactly when two keys share their bits above the payload's
         assert (got is None) == tied
         if got is not None:
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(_engine_order(key, payload, bits, width), want)
+        np.testing.assert_array_equal(_engine_order(key, payload, bits, width, seams), want)
+        return seams
 
     def test_distinct_keys_of_several_users(self):
         rng = np.random.default_rng(0)
-        users = np.repeat(np.arange(200), rng.integers(0, 9, 200))
-        self.check(users * 2.0 + rng.random(users.size), rng.integers(0, 8, users.size), 3)
+        degrees = rng.integers(0, 9, 200)
+        users = np.repeat(np.arange(200), degrees)
+        key, payload = users * 2.0 + rng.random(users.size), rng.integers(0, 8, users.size)
+        self.check(key, payload, 3)
+        for row_keys in (1, 9, 16, pairing.ROW_KEYS):
+            assert self.check(key, payload, 3, degrees, row_keys).size  # rows cut users
 
     def test_exact_ties_keep_edge_order(self):
         self.check([4.5, 4.5, 2.25, 4.5, 2.25], [6, 1, 7, 3, 0], 3)
@@ -197,23 +208,51 @@ class TestSortedPayload:
         self.check([2e-323, 5e-324, 2.2250738585072014e-308, 0.25], [1, 0, 1, 0], 1)
 
     def test_row_width_sorts_like_one_row(self):
-        # 30 users of 6 keys each, in user order: sorting each row of 6 or 42
-        # keys (4 rows and a last one of 12) is the whole sort, for distinct,
-        # exactly tied and near-tied keys
+        # 30 users of 6 keys each, in user order: sorting each row of 18 or 42
+        # keys (4 rows and a last one of 12) is the whole sort, with no
+        # windows, for distinct, exactly tied and near-tied keys
         rng = np.random.default_rng(1)
         users = np.repeat(np.arange(30), 6)
         payload = rng.integers(0, 8, users.size)
         base = users * 2.0 + 0.5  # low mantissa bits zero: base .. base + 7 ulps tie
         for key in (users * 2.0 + rng.random(users.size), base,
                     _ulps_above(base, rng.integers(0, 8, users.size))):
-            self.check(key, payload, 3, width=6)
-            self.check(key, payload, 3, width=42)
+            assert self.check(key, payload, 3, [6] * 30, row_keys=6).size == 0
+            assert self.check(key, payload, 3, [6] * 30, row_keys=42).size == 0
             self.check(key, payload, 3)
+
+    def test_windows_sort_the_users_that_rows_cut(self):
+        # ragged users of degree 0 to 7, rows of 21 keys, a last row shorter
+        # than 7: the windows around the cuts complete the sort for distinct,
+        # exactly tied and near-tied keys
+        rng = np.random.default_rng(2)
+        degrees = np.concatenate((rng.integers(0, 8, 60), [7, 1, 0, 1]))
+        users = np.repeat(np.arange(degrees.size), degrees)
+        payload = rng.integers(0, 8, users.size)
+        base = users * 2.0 + 0.5
+        for key in (users * 2.0 + rng.random(users.size), base,
+                    _ulps_above(base, rng.integers(0, 8, users.size))):
+            seams = self.check(key, payload, 3, degrees, row_keys=4)
+            assert seams.shape[1] == 12 and seams.shape[0] >= 5
+        assert users.size % 21 < 7
 
     def test_empty_single_and_payload_free(self):
         self.check([], [], 3)
         self.check([0.75], [5], 3)
         self.check([2.5, 0.5, 0.5], [0, 0, 0], 0)
+
+
+@pytest.mark.parametrize("m", [2, 7, 50])
+def test_win_matrix_key_matches_the_where_key(m):
+    # the branch-free key hi * m + lo + (y == 1) (lo - hi)(m - 1) against
+    # the np.where key, with y all 0, all 1 and mixed
+    rng = np.random.default_rng(m)
+    a, b = rng.integers(0, m, (2, 5_000))
+    hi, lo = np.maximum(a, b)[a != b], np.minimum(a, b)[a != b]
+    for y in (np.zeros_like(hi), np.ones_like(hi), rng.integers(0, 2, hi.size)):
+        key = np.where(y == 1, lo * m + hi, hi * m + lo)
+        want = np.bincount(key, minlength=m * m).reshape(m, m)
+        assert pairing._win_matrix(m, hi, lo, y).tobytes() == want.tobytes()
 
 
 class TestCompile:
@@ -358,8 +397,9 @@ def _degree_data(degrees, m=7, seed=0):
 
 class TestSplitWinsBranches:
     """`split_wins` against `compile_comparisons` on each way a split is
-    sorted (one row, or rows of whole users of the common degree) and paired
-    (strided views when every degree is even, else gathers)."""
+    sorted (rows of whole users at a common degree, or rows and the windows
+    around the users they cut) and paired (strided views when every degree
+    is even, else gathers)."""
 
     @staticmethod
     def check(data, seed=5, K=4):
@@ -371,13 +411,15 @@ class TestSplitWinsBranches:
 
     def test_even_unequal_degrees(self):
         data = _degree_data(np.tile([2, 4, 6, 0, 4], 40))
-        assert pairing._split_plan(data).width == data.n_edges  # one row
+        plan = pairing._split_plan(data)
+        assert plan.width == 126 and plan.seams.shape == (3, 10)  # rows cut 3 users
         assert 2 * pairing._pair_slots(data).size == data.n_edges  # strided pairs
         self.check(data)
 
     def test_fixed_odd_degree(self):
         data = _degree_data(np.full(150, 5))
-        assert pairing._split_plan(data).width == 125  # rows of 25 users
+        plan = pairing._split_plan(data)
+        assert plan.width == 125 and plan.seams.size == 0  # rows of 25 whole users
         assert 2 * pairing._pair_slots(data).size < data.n_edges  # gathered pairs
         self.check(data)
 
@@ -387,15 +429,17 @@ class TestSplitWinsBranches:
         assert data.n_edges % 125 == 5
         self.check(data)
 
-    def test_fixed_degree_above_the_row_keys_is_one_user_per_row(self):
+    def test_fixed_degree_above_the_row_keys_is_three_users_per_row(self):
         d = pairing.ROW_KEYS + 3
-        data = _degree_data([d, 0, d, d], m=d + 4)
-        assert pairing._split_plan(data).width == d
+        data = _degree_data([d, 0, d, d, d], m=d + 4)
+        plan = pairing._split_plan(data)
+        assert plan.width == 3 * d and plan.seams.size == 0
         self.check(data)
 
     def test_ragged_degrees(self):
         data = _degree_data(np.tile([1, 2, 3, 4, 5, 6, 7], 30))
-        assert pairing._split_plan(data).width == data.n_edges
+        plan = pairing._split_plan(data)
+        assert plan.width == 126 and plan.seams.shape == (3, 12)
         assert 2 * pairing._pair_slots(data).size < data.n_edges
         self.check(data)
 

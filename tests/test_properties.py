@@ -398,7 +398,7 @@ def rectangular_data(draw):
     of the items (``d`` = 1, 2, 3 or ``m``) and the other users none; with
     ``ragged``, one of two or more responding users answered ``d - 1``.
     Returns the data, a row-key target and the row width its splits are
-    sorted in under that target."""
+    sorted in under that target, ``d * max(3, row_keys // d)`` either way."""
     n = draw(st.integers(1, 12))
     m = draw(st.integers(2, 8))
     d = draw(st.sampled_from(sorted({1, 2, min(3, m), m})))
@@ -414,7 +414,7 @@ def rectangular_data(draw):
     items = np.concatenate([np.sort(rng.permutation(m)[:k]) for k in degree])
     data = ResponseData(n, m, users, items, rng.integers(0, 2, users.size))
     row_keys = draw(ROW_KEY_TARGETS)
-    return data, row_keys, data.n_edges if ragged else d * max(1, row_keys // d)
+    return data, row_keys, d * max(3, row_keys // d)
 
 
 @PROPERTY
@@ -447,10 +447,71 @@ def test_fixed_degree_rows_hold_whole_users_and_at_most_row_keys(d, n, seed):
     users = np.repeat(np.arange(n), degrees)
     items = np.concatenate([np.sort(rng.permutation(m)[:k]) for k in degrees])
     data = ResponseData(n, m, users, items, rng.integers(0, 2, users.size))
-    width = pairing._split_plan(data).width
-    assert width % d == 0 and width <= max(pairing.ROW_KEYS, d)
+    plan = pairing._split_plan(data)
+    # whole users, at least three a row: no boundary cuts one
+    assert plan.width % d == 0 and plan.width <= max(pairing.ROW_KEYS, 3 * d)
+    assert plan.seams.size == 0
     W = split_wins(data, seed, 1)
     assert W[0].tobytes() == compile_comparisons(data, random_split(data, seed, 0)).wins.tobytes()
+
+
+@st.composite
+def ragged_rows(draw):
+    """Responses of users of ragged degrees up to ``d``, with users of
+    degree 0 and 1, under a row-key target ``row_keys`` below ``3 d``, so
+    that a row holds three users of degree ``d`` and its boundaries cut
+    users; with ``short``, users of degree 1 and then one of degree ``d``
+    appended so that the last row holds fewer than ``d`` keys and the last
+    boundary cuts that user.  Returns the data and the target."""
+    row_keys = draw(st.sampled_from([1, 2, 4, 9, 16]))
+    d = draw(st.integers(max(2, row_keys // 3 + 1), row_keys // 3 + 8))
+    m = d + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(SEEDS))
+    degrees = rng.integers(0, d + 1, draw(st.integers(3, 40)))
+    degrees[:3] = d, 0, 1
+    degrees = rng.permutation(degrees)
+    if draw(st.booleans()):  # short
+        width = d * max(3, row_keys // d)
+        ones = (draw(st.integers(1, d - 1)) - d - degrees.sum()) % width
+        degrees = np.concatenate((degrees, np.ones(ones, int), [d]))
+    degrees = np.concatenate((degrees, np.zeros(draw(st.integers(0, 2)), int)))
+    users = np.repeat(np.arange(degrees.size), degrees)
+    items = np.concatenate([np.sort(rng.permutation(m)[:k]) for k in degrees])
+    return ResponseData(degrees.size, m, users, items, rng.integers(0, 2, users.size)), row_keys
+
+
+@PROPERTY
+@given(ragged_rows(), SEEDS, st.sampled_from([None, 0.0, 0.5]))
+def test_ragged_rows_and_windows_sort_like_the_oracle(case, seed, near):
+    # keys uniform, or a few ulps above 2 * user + near: exact and near ties
+    data, row_keys = case
+    rng = np.random.default_rng(seed)
+    if near is None:
+        keys = rng.random(data.n_edges)
+    else:
+        base = data.user_ids * 2.0 + near
+        full = (base.view(np.int64) + rng.integers(0, 41, data.n_edges)).view(float)
+        keys = full - data.user_ids * 2.0  # exact: full and 2 * user are within a factor 2
+    with mock.patch.object(pairing, "ROW_KEYS", row_keys):
+        plan = pairing._split_plan(data)
+        d = int(data.user_degrees().max())
+        assert plan.width == d * max(3, row_keys // d)
+        assert plan.seams.shape[1] == 2 * (d - 1)
+        assert np.unique(plan.seams).size == plan.seams.size  # disjoint windows
+        # the value sort: None exactly when two keys share their bits above
+        # the payload's, else the stable argsort order of the float keys
+        key = plan.user_key + keys
+        got = pairing._sorted_payload(key.copy(), plan.payload, plan.bits, plan.width, plan.seams)
+        high = np.sort(key).view(np.int64) >> plan.bits
+        assert (got is None) == bool((high[1:] == high[:-1]).any())
+        if got is not None:
+            np.testing.assert_array_equal(got, plan.payload[np.argsort(key, kind="stable")])
+        # the engine: the exact (user, key) order, by lexsort on a tie
+        whole = plan._replace(first=slice(None), second=slice(0, 0))
+        with mock.patch.object(pairing, "_rng", _FixedKeys(keys)):
+            (order, _), = pairing._split_pairs(whole, 0, (0,))
+        np.testing.assert_array_equal(order, plan.payload[np.lexsort((keys, data.user_ids))])
+        _assert_split_matches_on_keys(data, keys)
 
 
 @st.composite
@@ -957,7 +1018,8 @@ def test_ids_and_slots_derived_from_the_offsets_match_the_stored_formulas(shape,
     assert slots.tobytes() == _masked_pair_slots(indptr).tobytes()
     if shape == "rows":
         d = int(data.user_degrees().max())
-        assert pairing._split_plan(data).width == d * max(1, pairing.ROW_KEYS // d)
+        plan = pairing._split_plan(data)
+        assert plan.width == d * max(3, pairing.ROW_KEYS // d) and plan.seams.size == 0
     else:
         assert (2 * slots.size == data.n_edges) == (shape == "strided")
     W = split_wins(data, seed, 3)
