@@ -1,9 +1,10 @@
-"""The two halves of a batch of splits, on two threads.
+"""The two halves of a batch of splits, or of chunks of users, on two threads.
 
 The splits of one fit are independent: each is drawn from its own sub-stream
 and fitted on its own win matrix, so its result does not depend on the other
-splits or on the thread that computes it.  `in_halves` lets a large batch
-use two CPUs; the results are the same bits as on one.
+splits or on the thread that computes it.  So is each block of users of the
+indicator products.  `in_halves` lets a large batch use two CPUs; the
+results are the same bits as on one.
 """
 
 from __future__ import annotations

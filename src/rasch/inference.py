@@ -6,13 +6,15 @@ curvature at the estimate.  For ``wp``, ``V`` averages the outer products of
 per-user weighted-pseudo gradients (``V_diff``); for ``rp``/``mrp`` with K
 splits, ``V = H/K + (K-1)/K * V_diff``, because the score covariance within
 one split equals its curvature.  The per-user gradients are formed as matrix
-products of the users' response indicators, block by block, without listing
-the within-user pairs; each is a gemm of fewer than ``pairing.PRODUCT_LIMIT``
-multiply-adds, which OpenBLAS runs on the calling thread.  One product can
-still wake its worker thread, which then spins on the second core:
-``Gk^T Gk`` of the per-split scores, an n x m syrk taken only for the exact
-finite-split mixture.  Intervals are two-sided normal intervals on the
-diagonal, optionally Bonferroni-corrected across items.
+products of the users' response indicators, block by block, from
+`pairing._block_products`, without listing the within-user pairs; each is a
+gemm of fewer than ``pairing.PRODUCT_LIMIT`` multiply-adds, which OpenBLAS
+runs on the calling thread.  A large input takes the second half of its
+chunks of blocks on a helper thread; the blocks are summed in block order,
+so the covariance is the same bits on one thread or two.  The exact
+finite-split mixture sums ``Gk^T Gk`` of the per-split scores by the same
+blocks of users.  Intervals are two-sided normal intervals on the diagonal,
+optionally Bonferroni-corrected across items.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .errors import EstimationError
 from .estimators import ItemEstimate
 from .model import GroundTruth, ResponseData, sigmoid
 from .laplacian import _laplacian_matrix, _rank_completion_inverse
-from .pairing import _decoded_pairs, _indicator_blocks, _pair_users, _pseudo_wins, split_wins
+from .pairing import (_block_grams, _block_products, _decoded_pairs, _pair_users, _product_block,
+                      _pseudo_wins, split_wins)
 from .solver import _counts, _derivatives
 
 __all__ = [
@@ -118,18 +121,20 @@ def _wp_score_covariance(data: ResponseData, theta: np.ndarray) -> np.ndarray:
     """``G^T G / n`` of the per-user ``"wp"`` scores at ``theta``, block by block:
     ``G = w * [X1 * (X0 (S - 1)^T) + X0 * (X1 S^T)]``, ``S_ij = sigma(theta_i - theta_j)``.
 
-    Each product is one gemm of a block of `pairing._indicator_blocks` with
+    Each product is one gemm of one block of `pairing._block_products` with
     an ``(m, m)`` array, of fewer than ``pairing.PRODUCT_LIMIT``
-    multiply-adds, so OpenBLAS takes it on the calling thread; ``G^T G`` is
-    one too, as it is taken from two distinct arrays.
+    multiply-adds, so OpenBLAS takes it on the calling thread; a block's
+    ``G^T G`` is one too, as it is taken from two distinct arrays.
     """
-    m = data.n_items
     S = sigmoid(theta[:, None] - theta[None, :])
     lose, win = (S - 1.0).T, S.T
-    V = np.zeros((m, m))
-    for _, X1, X0, w in _indicator_blocks(data, "wp"):
-        G = X0 @ lose
-        P = X1 @ win
+
+    def product(X1, X0, w, block):
+        G, P = np.empty_like(X1), np.empty_like(X0)
+        for first in range(0, len(w), block):
+            rows = slice(first, first + block)
+            np.matmul(X0[rows], lose, out=G[rows])
+            np.matmul(X1[rows], win, out=P[rows])
         # in place, the same products and sum as w * (X1 * G + X0 * P)
         G *= X1
         P *= X0
@@ -139,8 +144,9 @@ def _wp_score_covariance(data: ResponseData, theta: np.ndarray) -> np.ndarray:
         # thread by a rule of its own (300 block products at m = 35-45 took
         # 7-11 times their wall time in CPU); on a copy it is a gemm
         np.copyto(P, G)
-        V += G.T @ P
-    return V / data.n_users
+        return _block_grams(G, P, block)
+
+    return _block_products(data, "wp", product) / data.n_users
 
 
 def _split_user_gradients(data: ResponseData, theta: np.ndarray, seed: int, splits):
@@ -201,8 +207,14 @@ def plugin_covariance(data: ResponseData, est: ItemEstimate,
         if est.method not in ("rp", "mrp") or est.seed is None:
             raise ValueError("exact split mixture needs a split-based estimate with a seed")
         V_same = np.zeros((data.n_items, data.n_items))
+        block = _product_block(data.n_items)
         for Gk in _split_user_gradients(data, theta, est.seed, range(est.n_split)):
-            V_same += Gk.T @ Gk
+            # by blocks of users, each slice times a copy of itself: a gemm
+            # of fewer than PRODUCT_LIMIT multiply-adds, where Gk^T Gk
+            # whole is a syrk that wakes OpenBLAS's worker thread
+            for first in range(0, n, block):
+                rows = Gk[first:first + block]
+                V_same += rows.T @ rows.copy()
         V_same /= n * est.n_split
     if est.method != "wp":
         ns = W.shape[0]

@@ -31,11 +31,15 @@ where ``Y = 1{X_hi < X_lo}`` is ``X_lo``.  The overlapping route of the
 pseudo-likelihood estimators takes every within-user item pair without
 listing them: its win matrix is ``X1^T diag(w) X0``, from the users' 0/1
 response indicators ``X1 = 1{X = 1}``, ``X0 = 1{X = 0}`` and weights ``w``,
-block by block; a block is filled by one scatter of int8 codes ``X + 1``,
-and ``X1`` and ``X0`` are its codes equal to 2 and to 1.  One rule sizes
-the blocks, for this win matrix and for the score covariance of
-`inference`: fewer than ``PRODUCT_LIMIT / m**2`` users, so that every
-product over a block is a gemm that OpenBLAS runs on the calling thread.
+block by block.  One reader, `_block_products`, serves this win matrix and
+the score covariance of `inference`.  It fills chunks of whole blocks, one
+scatter of int8 codes ``X + 1`` per chunk, ``X1`` and ``X0`` being its codes
+equal to 2 and to 1, and hands each chunk to the caller's product, which
+returns one matrix per block.  A block is fewer than ``PRODUCT_LIMIT /
+m**2`` users, so that every product over a block is a gemm that OpenBLAS
+runs on the calling thread.  A large input reads the second half of its
+chunks on a helper thread; the blocks' matrices are summed in block order,
+so the result is the same bits on one thread or two.
 """
 
 from __future__ import annotations
@@ -60,19 +64,33 @@ __all__ = [
 
 
 # Multiply-adds below which every product over a block of indicators stays
-# on the calling thread.  The products of `_pseudo_wins` and of
-# `inference._wp_score_covariance` each take a block's (users, m) array with
-# an m-wide one, so blocks of (PRODUCT_LIMIT - 1) // m**2 users keep them
-# under 2**19, where OpenBLAS runs a gemm on one thread: a 128 x 64 @ 64 x 64
-# gemm (2**19) woke its worker thread, which kept spinning on the second core
-# after the call and slowed the next fit, and one of 127 rows did not (2-core
-# x86-64, numpy 2.4.6, OpenBLAS 0.3.31).  A product of one array with its own
+# on the calling thread.  The products of `_pseudo_wins`, of
+# `inference._wp_score_covariance` and of its exact split mixture each take
+# a block's (users, m) array with an m-wide one, so blocks of
+# (PRODUCT_LIMIT - 1) // m**2 users keep them under 2**19, where OpenBLAS
+# runs a gemm on one thread: a 128 x 64 @ 64 x 64 gemm (2**19) woke its
+# worker thread, which kept spinning on the second core after the call and
+# slowed the next fit, and one of 127 rows did not (2-core x86-64, numpy
+# 2.4.6, OpenBLAS 0.3.31).  A product of one array with its own
 # transpose goes to syrk instead, which threads by a rule of its own, so the
 # consumers keep the two operands distinct.  A block's float64 arrays stay
 # under 2**19 / m entries too.  Above m = 64 blocks shrink, to 52 users at
-# m = 100 and 13 at m = 200, where a score covariance at n=1e4, p=0.1 took
-# 103 ms against 36 ms on two cores with 1024-user blocks.
+# m = 100 and 13 at m = 200; a large input still takes them on two cores,
+# by halves of its chunks of blocks (`BLOCK_THREAD_SIZE`).
 PRODUCT_LIMIT = 2**19
+
+# (users, m) entries in a chunk of `_block_products`.  The Python cost of a
+# pass is paid per chunk, not per block, so that two threads overlap: a
+# chunk holds as many whole blocks as fit, 6 blocks of 209 users at m = 50.
+CHUNK_ENTRIES = 2**16
+
+# n_users * m**2 from which `_block_products` reads the two halves of its
+# chunks on two threads.  Two threads against one, median times of
+# `_wp_score_covariance` at n=1e4: 0.91 vs 0.94 ms at m=20, p=0.5 (4e6, where
+# `_pseudo_wins` took 0.65 vs 0.53 ms), 0.96 vs 1.43 ms at m=30, p=0.1 (9e6),
+# 1.63 vs 2.67 ms at m=50 and 5.2 vs 11.5 ms at m=100 (2-core x86-64,
+# numpy 2.4).
+BLOCK_THREAD_SIZE = 2**23
 
 # Edges from which `split_wins` computes the two halves of its splits on two
 # threads.  Two threads against one, median times of `split_wins`: 22.1 vs
@@ -435,53 +453,86 @@ def disagreement_prob(theta_i: float, theta_j: float, zeta_t: float):
     return out if np.ndim(out) else float(out)
 
 
-def _indicator_blocks(data: ResponseData, scheme: str):
-    """Dense 0/1 response indicators, ``max(1, (PRODUCT_LIMIT - 1) // m**2)``
-    users at a time.
+def _product_block(m: int) -> int:
+    """Users in a block of the indicator products, ``max(1, (PRODUCT_LIMIT - 1) // m**2)``."""
+    return max(1, (PRODUCT_LIMIT - 1) // m**2)
 
-    Yields ``(first, X1, X0, w)``: row ``t`` of ``X1`` (``X0``) marks the items
-    user ``first + t`` answered with ``X = 1`` (``X = 0``), and ``w[t]`` is the
-    user's weight, ``mt_even / (m_t (m_t - 1))`` for ``"wp"`` and 1 for
-    ``"pmle"``, 0 below two responses.  Item ``i`` beat item ``j`` for user
-    ``t`` exactly where ``X1[t, i] X0[t, j] = 1``.  A product of a block's
-    ``(users, m)`` array with an ``(m, m)`` one is then a gemm of fewer than
-    ``PRODUCT_LIMIT`` multiply-adds, which OpenBLAS runs on the calling thread
-    (up to m = 724; past that a block is one user).
 
-    A block is filled by one scatter of int8 response codes, ``X + 1``, into
+def _block_grams(A: np.ndarray, B: np.ndarray, block: int) -> np.ndarray:
+    """``A[s]^T B[s]`` for each slice ``s`` of ``block`` rows, in row order,
+    stacked; each is one gemm, into its slot of the stack."""
+    out = np.empty((-(-len(A) // block), A.shape[1], B.shape[1]))
+    for k, first in enumerate(range(0, len(A), block)):
+        np.matmul(A[first:first + block].T, B[first:first + block], out=out[k])
+    return out
+
+
+def _block_products(data: ResponseData, scheme: str, product) -> np.ndarray:
+    """Sum of the m x m matrices that ``product`` forms from the 0/1 response
+    indicators of each block of `_product_block` users, added in block order.
+
+    The users are read in chunks of a whole number of blocks, about
+    ``CHUNK_ENTRIES`` ``(users, m)`` entries each, and ``product(X1, X0, w,
+    block)`` is called once per chunk: row ``t`` of ``X1`` (``X0``) marks the
+    items the chunk's user ``t`` answered with ``X = 1`` (``X = 0``), and
+    ``w[t]`` is the user's weight, ``mt_even / (m_t (m_t - 1))`` for ``"wp"``
+    and 1 for ``"pmle"``, 0 below two responses.  Item ``i`` beat item ``j``
+    for user ``t`` exactly where ``X1[t, i] X0[t, j] = 1``.  ``product`` may
+    overwrite its arrays.  It returns one matrix per slice of ``block`` rows
+    of the chunk, in row order, and takes each of its gemms on one such
+    slice: a product of a slice with an ``(m, m)`` array is then a gemm of
+    fewer than ``PRODUCT_LIMIT`` multiply-adds, which OpenBLAS runs on the
+    calling thread (up to m = 724; past that a block is one user).
+
+    A chunk is filled by one scatter of int8 response codes, ``X + 1``, into
     a zeroed ``(users, m)`` code array, flat at ``(user - first) * m + item``;
-    ``X1`` and ``X0`` are then its entries equal to 2 and to 1, as float64.
-    The codes are the int8 responses plus one, one byte per edge and no
-    cast.  The rows come from the offsets, one ``repeat`` per block, and
-    neither the index nor a code matrix is kept per input.  Scattering
-    float64 0/1 values into ``X1`` and ``X0`` directly took 1.42 ms per pass
-    at n=1e4, m=20, p=0.5 against 0.92 ms this way (medians of 200, 2-core
-    x86-64, numpy 2.4).
+    ``X1`` and ``X0`` are then its entries equal to 2 and to 1, as float64:
+    0.92 ms a pass at n=1e4, m=20, p=0.5 against 1.42 ms for a scatter of
+    float64 0/1 values into both (medians of 200, 2-core x86-64, numpy 2.4).
+    From ``n_users * m**2 >= BLOCK_THREAD_SIZE`` and two usable CPUs, the
+    second half of the chunks is read on a helper thread.  Each block's
+    matrix depends on its own users only, and the sum starts from zeros and
+    adds them in block order on the calling thread, so it is the same bits
+    either way.
     """
     if scheme not in ("wp", "pmle"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'wp' or 'pmle'")
-    m = data.n_items
+    m, n = data.n_items, data.n_users
     indptr = data.user_indptr
     degrees = data.user_degrees()
     mt = degrees.astype(float)
     w = ((mt - mt % 2) / np.maximum(mt * (mt - 1.0), 1.0) if scheme == "wp"
          else (mt >= 2).astype(float))
     codes = data.responses + 1
-    block = max(1, (PRODUCT_LIMIT - 1) // m**2)
-    for first in range(0, data.n_users, block):
-        last = min(first + block, data.n_users)
-        edges = slice(indptr[first], indptr[last])
-        code = np.zeros((last - first, m), np.int8)
-        # in intp: past 2**31 entries a block's flat index leaves int32
-        rows = np.repeat(np.arange(last - first), degrees[first:last])
-        code.ravel()[rows * m + data.item_ids[edges]] = codes[edges]
-        yield first, (code == 2).astype(float), (code == 1).astype(float), w[first:last]
+    block = _product_block(m)
+    chunk = block * max(1, CHUNK_ENTRIES // (block * m))
+
+    def read(lo: int, hi: int) -> list:
+        out = []
+        for first in range(lo * chunk, min(hi * chunk, n), chunk):
+            last = min(first + chunk, n)
+            edges = slice(indptr[first], indptr[last])
+            code = np.zeros((last - first, m), np.int8)
+            # in intp: past 2**31 entries a chunk's flat index leaves int32
+            rows = np.repeat(np.arange(last - first), degrees[first:last])
+            code.ravel()[rows * m + data.item_ids[edges]] = codes[edges]
+            out.extend(product((code == 2).astype(float), (code == 1).astype(float),
+                               w[first:last], block))
+        return out
+
+    total = np.zeros((m, m))
+    for half in _threads.in_halves(read, -(-n // chunk), n * m * m >= BLOCK_THREAD_SIZE):
+        for mat in half:
+            total += mat
+    return total
 
 
 def _pseudo_wins(data: ResponseData, scheme: str) -> np.ndarray:
-    """Win matrix of every within-user comparison, ``sum_t w_t X1[t]^T X0[t]``."""
-    W = np.zeros((data.n_items, data.n_items))
-    for _, X1, X0, w in _indicator_blocks(data, scheme):
-        W += (X1 * w[:, None]).T @ X0
-    return W
+    """Win matrix of every within-user comparison, ``sum_t w_t X1[t]^T X0[t]``,
+    summed over the blocks of `_block_products`."""
 
+    def product(X1, X0, w, block):
+        X1 *= w[:, None]
+        return _block_grams(X1, X0, block)
+
+    return _block_products(data, scheme, product)

@@ -712,14 +712,32 @@ def _naive_indicator_blocks(data, scheme, block):
     return out
 
 
+def _reader_blocks(data, scheme):
+    """``(first, X1, X0, w)`` of each block, cut from the chunks that
+    `pairing._block_products` hands its product, in the order it hands them."""
+    out = []
+
+    def product(X1, X0, w, block):
+        first = out[-1][0] + out[-1][3].size if out else 0
+        for lo in range(0, w.size, block):
+            rows = slice(lo, lo + block)
+            out.append((first + lo, X1[rows], X0[rows], w[rows]))
+        return [np.zeros((data.n_items, data.n_items))] * -(-w.size // block)
+
+    pairing._block_products(data, scheme, product)
+    return out
+
+
 @PROPERTY
 @given(blocked_response_data(), SEEDS)
 def test_indicator_blocks_match_a_per_user_construction_byte_for_byte(case, seed):
     data, block = case
     m = data.n_items
     theta = np.random.default_rng(seed).normal(0.0, 2.0, m)
-    with mock.patch.object(pairing, "PRODUCT_LIMIT", block * m**2 + 1):
-        got = {scheme: list(pairing._indicator_blocks(data, scheme)) for scheme in ("wp", "pmle")}
+    # chunks of two blocks: most inputs span several, the last one partial
+    with mock.patch.object(pairing, "PRODUCT_LIMIT", block * m**2 + 1), \
+            mock.patch.object(pairing, "CHUNK_ENTRIES", 2 * block * m):
+        got = {scheme: _reader_blocks(data, scheme) for scheme in ("wp", "pmle")}
         W = {scheme: _pseudo_wins(data, scheme) for scheme in ("wp", "pmle")}
         V = _wp_score_covariance(data, theta)
     for scheme, blocks in got.items():

@@ -1,6 +1,7 @@
-"""The two-thread paths of `split_wins` and `solve_newton_batch` against
-one-thread oracles, and the blocks that keep every product of the
-pseudo-likelihood and the score covariance on the calling thread."""
+"""The two-thread paths of `split_wins`, `solve_newton_batch` and the
+indicator-block products against one-thread oracles, and the blocks that
+keep every product of the pseudo-likelihood and the score covariance on the
+calling thread."""
 
 import resource
 import sys
@@ -15,10 +16,12 @@ from rasch import _rng, _threads, pairing, solver
 from rasch.errors import ConvergenceError
 from rasch.estimators import pmle, wp_mle
 from rasch.experiments import ExperimentConfig, run_experiment
-from rasch.inference import plugin_covariance
-from rasch.model import ResponseData, sample_ground_truth, sample_responses
-from rasch.pairing import _indicator_blocks, split_wins
+from rasch.inference import _wp_score_covariance, plugin_covariance
+from rasch.lsat import load_lsat
+from rasch.model import ResponseData, sample_ground_truth, sample_responses, sigmoid
+from rasch.pairing import _block_products, _pseudo_wins, split_wins
 from rasch.solver import SolverOptions, solve_newton_batch
+from test_properties import _naive_indicator_blocks
 
 
 @pytest.fixture
@@ -181,15 +184,84 @@ def test_indicator_blocks_keep_every_product_under_two_to_the_19(m):
     rng = np.random.default_rng(m)
     users = rng.choice(n, min(n, 40), replace=False)  # most rows of a block are empty
     data = ResponseData(n, m, users, rng.integers(0, m, users.size), rng.integers(0, 2, users.size))
-    firsts, sizes = [], []
-    for first, X1, X0, w in _indicator_blocks(data, "wp"):
-        assert X1.shape == X0.shape == (w.size, m)
-        firsts.append(first)
-        sizes.append(w.size)
+    chunks, sizes = [], []
+
+    def product(X1, X0, w, got_block):
+        assert got_block == block and X1.shape == X0.shape == (w.size, m)
+        chunks.append(w.size)
+        sizes.extend(min(block, w.size - first) for first in range(0, w.size, block))
+        return [np.ones((m, m))] * -(-w.size // block)
+
+    assert (_block_products(data, "wp", product) == len(sizes)).all()  # one matrix a block
+    assert all(size % block == 0 for size in chunks[:-1])  # chunks hold whole blocks
     assert sizes[:-1] == [block] * (len(sizes) - 1) and 1 <= sizes[-1] <= block
-    assert firsts == np.cumsum([0] + sizes[:-1]).tolist() and sum(sizes) == n
+    assert sum(chunks) == sum(sizes) == n
     if m <= 724:
         assert max(sizes) * m**2 < 2**19
+
+
+def _above_the_block_gate():
+    """m = 100: blocks of 52 users, chunks of 12 blocks (624 users); 1,560
+    users make two whole chunks and a partial third."""
+    data = sample_responses(sample_ground_truth(1560, 100, "standard-normal", seed=7), 0.1, seed=7)
+    m, block = data.n_items, pairing._product_block(data.n_items)
+    chunk = block * (pairing.CHUNK_ENTRIES // (block * m))
+    assert data.n_users * m**2 >= pairing.BLOCK_THREAD_SIZE
+    assert -(-data.n_users // chunk) == 3 and data.n_users % chunk
+    return data
+
+
+def _block_results(data, theta):
+    return [_pseudo_wins(data, "wp"), _pseudo_wins(data, "pmle"), _wp_score_covariance(data, theta)]
+
+
+def test_block_products_on_two_threads_match_one_and_a_per_user_construction(two_cpus):
+    data = _above_the_block_gate()
+    m = data.n_items
+    theta = np.random.default_rng(2).normal(0.0, 1.0, m)
+    got = _block_results(data, theta)
+    assert two_cpus.call_count == 3
+    with mock.patch.object(_threads, "_usable_cpus", return_value=1):
+        one = _block_results(data, theta)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in one]
+    block = pairing._product_block(m)
+    S = sigmoid(theta[:, None] - theta[None, :])
+    wins = {scheme: np.zeros((m, m)) for scheme in ("wp", "pmle")}
+    cov = np.zeros((m, m))
+    for scheme, W in wins.items():
+        for _, X1, X0, w, _ in _naive_indicator_blocks(data, scheme, block):
+            W += (X1 * w[:, None]).T @ X0
+            if scheme == "wp":
+                G = X1 * (X0 @ (S - 1.0).T) + X0 * (X1 @ S.T)
+                G *= w[:, None]
+                cov += G.T @ G.copy()
+    want = [wins["wp"], wins["pmle"], cov / data.n_users]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_block_products_below_the_gate_stay_on_the_caller(two_cpus):
+    dense = _sparse_data(m=20, p=0.5)  # wp-dense
+    assert dense.n_users * 20**2 < pairing.BLOCK_THREAD_SIZE
+    for data in (dense, load_lsat()):
+        _block_results(data, np.zeros(data.n_items))
+    assert two_cpus.call_count == 0
+
+
+def test_error_in_a_threaded_chunk_reaches_the_caller(two_cpus):
+    data = _above_the_block_gate()
+    caller, before = threading.current_thread(), threading.active_count()
+    chunks = []
+
+    def product(X1, X0, w, block):
+        chunks.append(w.size)
+        if threading.current_thread() is not caller:
+            raise MemoryError("second half")
+        return [np.zeros((data.n_items, data.n_items))] * -(-w.size // block)
+
+    with pytest.raises(MemoryError, match="second half"):
+        _block_products(data, "wp", product)
+    assert two_cpus.call_count == 1 and len(chunks) == 2
+    assert threading.active_count() == before
 
 
 def _cpu_s():
@@ -218,7 +290,11 @@ def test_pseudo_fits_and_intervals_leave_no_blas_worker_spinning(m):
     cpu, start = _cpu_s(), time.perf_counter()
     rounds(10)
     wall = time.perf_counter() - start
+    busy = _cpu_s()
     time.sleep(0.3)
+    # the rounds take their block products on two threads, so a worker left
+    # spinning shows in the idle CPU time after them
+    assert _cpu_s() - busy < 0.05
     assert _cpu_s() - cpu < 1.3 * wall + 0.05
 
 
