@@ -32,16 +32,8 @@ product that wakes OpenBLAS's worker thread leaves it spinning on a second
 core after the call, which shows as ``idle_cpu_s`` above 0; ``cpu_s`` above
 ``wall_s`` shows it too, unless the rounds themselves use two threads,
 as their indicator-block products do on this input.  No workload runs
-``wp`` at m = 50, so the benchmark itself cannot show it.  Under
-``layers`` it keeps the median seconds of a
-call of ``split_wins``, ``solve_newton_batch``, ``_pseudo_wins``,
-``_wp_score_covariance`` and ``plugin_covariance`` on the seed-1 input of
-each workload (the first input of the pool that ``perfbench/jobs.py`` draws
-from seed 1, and the LSAT corpus), timed in ``LAYER_ROUNDS`` rounds of one
-fresh interpreter per side, the sides alternating which runs first: per side
-the median over the rounds of each round's median of ``LAYER_REPS`` calls,
-and how many rounds the change was faster in.  Runs are sequential, so the
-two sides never share the processor.
+``wp`` at m = 50, so the benchmark itself cannot show it.  Runs are
+sequential, so the two sides never share the processor.
 It also records how many CPUs the runs could use (``usable_cpus``): a fit
 with enough work computes its splits on two threads when two are usable, so
 its timings depend on that count.
@@ -89,52 +81,6 @@ time.sleep(0.3)
 end = cpu_s()
 print(json.dumps({{"cpu_s": round(end - cpu, 4), "wall_s": round(wall, 4),
                   "idle_cpu_s": round(end - busy, 4)}}))
-"""
-LAYER_ROUNDS, LAYER_REPS = 7, 15
-LAYERS = f"""
-import json, statistics, sys, time
-sys.path.insert(0, "perfbench")
-import numpy as np
-import rasch
-import jobs
-from rasch import EstimatorConfig, lsat
-from rasch.inference import _wp_score_covariance
-from rasch.pairing import _pseudo_wins, split_wins
-from rasch.solver import solve_newton_batch
-
-def seed1_input(workload):
-    # data, seed, split count and method of the first input of the seed-1 pool
-    if isinstance(workload, jobs.LsatCli):
-        return lsat.load_lsat(), jobs.pool_seeds(1, workload.pool_size)[0], 100, "mrp"
-    for s in jobs.pool_seeds(1, 2 * workload.pool_size):
-        gt = rasch.sample_ground_truth(workload.n, workload.m, workload.spec, seed=s)
-        if np.abs(gt.theta_star).max() <= jobs.THETA_CAP:
-            data = rasch.sample_responses(gt, workload.p, seed=s, mode=workload.mode)
-            return data, s, 50, "wp" if workload.job == "wp+ci+pmle" else "mrp"
-
-def median_s(call):
-    call()
-    times = []
-    for _ in range({LAYER_REPS}):
-        t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-out = {{}}
-for name, workload in jobs.WORKLOADS.items():
-    data, seed, K, method = seed1_input(workload)
-    est = (rasch.wp_mle(data) if method == "wp" else
-           rasch.mrp_mle(data, EstimatorConfig(method="mrp", seed=seed, n_split=K)))
-    W = split_wins(data, seed, K)
-    out[name] = {{
-        "split_wins": median_s(lambda: split_wins(data, seed, K)),
-        "solve_newton_batch": median_s(lambda: solve_newton_batch(W)),
-        "_pseudo_wins": median_s(lambda: _pseudo_wins(data, "wp")),
-        "_wp_score_covariance": median_s(lambda: _wp_score_covariance(data, est.theta_hat)),
-        "plugin_covariance": median_s(lambda: rasch.plugin_covariance(data, est)),
-    }}
-print(json.dumps(out))
 """
 
 
@@ -186,26 +132,6 @@ def blas_idle(checkout: Path) -> dict:
     proc = subprocess.run([sys.executable, "-c", BLAS_IDLE], cwd=checkout, env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
-
-
-def layers(dirs: dict) -> dict:
-    """The ``LAYERS`` timings of both sides, ``LAYER_ROUNDS`` alternating rounds."""
-    runs = {side: [] for side in SIDES}
-    for n in range(LAYER_ROUNDS):
-        for side in (SIDES if n % 2 == 0 else SIDES[::-1]):
-            env = dict(os.environ, PYTHONPATH=str(dirs[side] / "src"))
-            proc = subprocess.run([sys.executable, "-c", LAYERS], cwd=dirs[side], env=env,
-                                  capture_output=True, text=True, check=True)
-            runs[side].append(json.loads(proc.stdout))
-    first = runs["parent"][0]
-    return {
-        "rounds": LAYER_ROUNDS, "reps": LAYER_REPS,
-        "median_s": {side: {w: {layer: statistics.median(r[w][layer] for r in runs[side])
-                                for layer in first[w]} for w in first} for side in SIDES},
-        "change_won": {w: {layer: sum(c[w][layer] < p[w][layer]
-                                      for p, c in zip(runs["parent"], runs["change"]))
-                           for layer in first[w]} for w in first},
-    }
 
 
 def src_lines(checkout: Path) -> int:
@@ -314,7 +240,6 @@ def main(argv=None) -> int:
         "usable_cpus": len(os.sched_getaffinity(0)),
         "workloads": workloads,
         "blas_idle": {side: blas_idle(d) for side, d in dirs.items()},
-        "layers": layers(dirs),
         "src_lines": {side: src_lines(d) for side, d in dirs.items()},
         "src_line_kinds": {side: src_line_kinds(d) for side, d in dirs.items()},
         "tier1": {side: counts for side, (counts, _) in tier1.items()},

@@ -9,9 +9,9 @@ one split equals its curvature.  The per-user gradients are formed as matrix
 products of the users' response indicators, block by block, from
 `pairing._block_products`, without listing the within-user pairs; each is a
 gemm of fewer than ``pairing.PRODUCT_LIMIT`` multiply-adds, which OpenBLAS
-runs on the calling thread.  A large input takes the second half of its
-chunks of blocks on a helper thread; the blocks are summed in block order,
-so the covariance is the same bits on one thread or two.  The exact
+runs on the calling thread.  A large input takes its odd chunks of blocks
+on a helper thread; the blocks are summed in block order, so the
+covariance is the same bits on one thread or two.  The exact
 finite-split mixture sums ``Gk^T Gk`` of the per-split scores by the same
 blocks of users.  Intervals are two-sided normal intervals on the diagonal,
 optionally Bonferroni-corrected across items.
@@ -29,8 +29,8 @@ from .errors import EstimationError
 from .estimators import ItemEstimate
 from .model import GroundTruth, ResponseData, sigmoid
 from .laplacian import _laplacian_matrix, _rank_completion_inverse
-from .pairing import (_block_grams, _block_products, _decoded_pairs, _pair_users, _product_block,
-                      _pseudo_wins, split_wins)
+from .pairing import (_block_products, _decoded_pairs, _pair_users, _product_block, _pseudo_wins,
+                      split_wins)
 from .solver import _counts, _derivatives
 
 __all__ = [
@@ -144,7 +144,7 @@ def _wp_score_covariance(data: ResponseData, theta: np.ndarray) -> np.ndarray:
         # thread by a rule of its own (300 block products at m = 35-45 took
         # 7-11 times their wall time in CPU); on a copy it is a gemm
         np.copyto(P, G)
-        return _block_grams(G, P, block)
+        return G, P
 
     return _block_products(data, "wp", product) / data.n_users
 

@@ -35,11 +35,12 @@ block by block.  One reader, `_block_products`, serves this win matrix and
 the score covariance of `inference`.  It fills chunks of whole blocks, one
 scatter of int8 codes ``X + 1`` per chunk, ``X1`` and ``X0`` being its codes
 equal to 2 and to 1, and hands each chunk to the caller's product, which
-returns one matrix per block.  A block is fewer than ``PRODUCT_LIMIT /
-m**2`` users, so that every product over a block is a gemm that OpenBLAS
-runs on the calling thread.  A large input reads the second half of its
-chunks on a helper thread; the blocks' matrices are summed in block order,
-so the result is the same bits on one thread or two.
+returns two arrays ``A`` and ``B``; the reader sums ``A^T B`` block by
+block.  A block is fewer than ``PRODUCT_LIMIT / m**2`` users, so that every
+product over a block is a gemm that OpenBLAS runs on the calling thread.  A
+large input reads its odd chunks on a helper thread, which holds at most
+two chunks' results at a time; the blocks' matrices are summed in block
+order, so the result is the same bits on one thread or two.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ __all__ = [
 # consumers keep the two operands distinct.  A block's float64 arrays stay
 # under 2**19 / m entries too.  Above m = 64 blocks shrink, to 52 users at
 # m = 100 and 13 at m = 200; a large input still takes them on two cores,
-# by halves of its chunks of blocks (`BLOCK_THREAD_SIZE`).
+# chunk by chunk (`BLOCK_THREAD_SIZE`).
 PRODUCT_LIMIT = 2**19
 
 # (users, m) entries in a chunk of `_block_products`.  The Python cost of a
@@ -84,8 +85,18 @@ PRODUCT_LIMIT = 2**19
 # chunk holds as many whole blocks as fit, 6 blocks of 209 users at m = 50.
 CHUNK_ENTRIES = 2**16
 
-# n_users * m**2 from which `_block_products` reads the two halves of its
-# chunks on two threads.  Two threads against one, median times of
+# Entries of a chunk's stack of m x m block matrices, which waits for the
+# sum in block order: a chunk holds at most STACK_ENTRIES // m**2 blocks
+# (at least one), so it holds 2 MB of them at most up to m = 512 and one
+# block's past that, and `_block_products` holds a few chunks whatever
+# n_users.  At n=3e3, m=200, p=0.1 (13-user
+# blocks), caps of 2**16, 2**18 and 2**20 entries took 10.3, 7.6 and 10.1 ms
+# a score covariance and 5.4, 3.1 and 4.4 ms a `_pseudo_wins`, at a
+# tracemalloc peak of 2.4, 8.9 and 27 MB (2-core x86-64, numpy 2.4).
+STACK_ENTRIES = 2**18
+
+# n_users * m**2 from which `_block_products` reads its odd chunks on a
+# helper thread.  Two threads against one, median times of
 # `_wp_score_covariance` at n=1e4: 0.91 vs 0.94 ms at m=20, p=0.5 (4e6, where
 # `_pseudo_wins` took 0.65 vs 0.53 ms), 0.96 vs 1.43 ms at m=30, p=0.1 (9e6),
 # 1.63 vs 2.67 ms at m=50 and 5.2 vs 11.5 ms at m=100 (2-core x86-64,
@@ -458,18 +469,10 @@ def _product_block(m: int) -> int:
     return max(1, (PRODUCT_LIMIT - 1) // m**2)
 
 
-def _block_grams(A: np.ndarray, B: np.ndarray, block: int) -> np.ndarray:
-    """``A[s]^T B[s]`` for each slice ``s`` of ``block`` rows, in row order,
-    stacked; each is one gemm, into its slot of the stack."""
-    out = np.empty((-(-len(A) // block), A.shape[1], B.shape[1]))
-    for k, first in enumerate(range(0, len(A), block)):
-        np.matmul(A[first:first + block].T, B[first:first + block], out=out[k])
-    return out
-
-
 def _block_products(data: ResponseData, scheme: str, product) -> np.ndarray:
-    """Sum of the m x m matrices that ``product`` forms from the 0/1 response
-    indicators of each block of `_product_block` users, added in block order.
+    """Sum of ``A[s]^T B[s]`` over the blocks ``s`` of `_product_block` users,
+    added in block order, where ``A, B = product(X1, X0, w, block)`` are
+    formed from the users' 0/1 response indicators.
 
     The users are read in chunks of a whole number of blocks, about
     ``CHUNK_ENTRIES`` ``(users, m)`` entries each, and ``product(X1, X0, w,
@@ -478,11 +481,11 @@ def _block_products(data: ResponseData, scheme: str, product) -> np.ndarray:
     ``w[t]`` is the user's weight, ``mt_even / (m_t (m_t - 1))`` for ``"wp"``
     and 1 for ``"pmle"``, 0 below two responses.  Item ``i`` beat item ``j``
     for user ``t`` exactly where ``X1[t, i] X0[t, j] = 1``.  ``product`` may
-    overwrite its arrays.  It returns one matrix per slice of ``block`` rows
-    of the chunk, in row order, and takes each of its gemms on one such
-    slice: a product of a slice with an ``(m, m)`` array is then a gemm of
-    fewer than ``PRODUCT_LIMIT`` multiply-adds, which OpenBLAS runs on the
-    calling thread (up to m = 724; past that a block is one user).
+    overwrite its arrays, returns two distinct ``(users, m)`` arrays and
+    takes each of its own gemms on one slice of ``block`` rows.  A product
+    of a slice with an ``(m, m)`` array, and each ``A[s]^T B[s]``, is then a
+    gemm of fewer than ``PRODUCT_LIMIT`` multiply-adds, which OpenBLAS runs
+    on the calling thread (up to m = 724; past that a block is one user).
 
     A chunk is filled by one scatter of int8 response codes, ``X + 1``, into
     a zeroed ``(users, m)`` code array, flat at ``(user - first) * m + item``;
@@ -490,10 +493,11 @@ def _block_products(data: ResponseData, scheme: str, product) -> np.ndarray:
     0.92 ms a pass at n=1e4, m=20, p=0.5 against 1.42 ms for a scatter of
     float64 0/1 values into both (medians of 200, 2-core x86-64, numpy 2.4).
     From ``n_users * m**2 >= BLOCK_THREAD_SIZE`` and two usable CPUs, the
-    second half of the chunks is read on a helper thread.  Each block's
-    matrix depends on its own users only, and the sum starts from zeros and
-    adds them in block order on the calling thread, so it is the same bits
-    either way.
+    odd chunks are read on a helper thread (`_threads.in_order`).  Each
+    block's matrix depends on its own users only, and the sum starts from
+    zeros and adds them in block order on the calling thread, so it is the
+    same bits either way.  A chunk holds at most ``STACK_ENTRIES // m**2``
+    blocks, and a few chunks are held at a time whatever ``n_users``.
     """
     if scheme not in ("wp", "pmle"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'wp' or 'pmle'")
@@ -505,25 +509,29 @@ def _block_products(data: ResponseData, scheme: str, product) -> np.ndarray:
          else (mt >= 2).astype(float))
     codes = data.responses + 1
     block = _product_block(m)
-    chunk = block * max(1, CHUNK_ENTRIES // (block * m))
+    chunk = block * max(1, min(CHUNK_ENTRIES // (block * m), STACK_ENTRIES // m**2))
 
-    def read(lo: int, hi: int) -> list:
-        out = []
-        for first in range(lo * chunk, min(hi * chunk, n), chunk):
-            last = min(first + chunk, n)
-            edges = slice(indptr[first], indptr[last])
-            code = np.zeros((last - first, m), np.int8)
-            # in intp: past 2**31 entries a chunk's flat index leaves int32
-            rows = np.repeat(np.arange(last - first), degrees[first:last])
-            code.ravel()[rows * m + data.item_ids[edges]] = codes[edges]
-            out.extend(product((code == 2).astype(float), (code == 1).astype(float),
-                               w[first:last], block))
-        return out
+    def read(k: int) -> np.ndarray:
+        first, last = k * chunk, min(k * chunk + chunk, n)
+        edges = slice(indptr[first], indptr[last])
+        code = np.zeros((last - first, m), np.int8)
+        # in intp: past 2**31 entries a chunk's flat index leaves int32
+        rows = np.repeat(np.arange(last - first), degrees[first:last])
+        code.ravel()[rows * m + data.item_ids[edges]] = codes[edges]
+        A, B = product((code == 2).astype(float), (code == 1).astype(float),
+                       w[first:last], block)
+        grams = np.empty((-(-(last - first) // block), m, m))
+        for s, lo in enumerate(range(0, last - first, block)):
+            np.matmul(A[lo:lo + block].T, B[lo:lo + block], out=grams[s])
+        return grams
 
     total = np.zeros((m, m))
-    for half in _threads.in_halves(read, -(-n // chunk), n * m * m >= BLOCK_THREAD_SIZE):
-        for mat in half:
-            total += mat
+
+    def add(grams: np.ndarray) -> None:
+        for mat in grams:
+            np.add(total, mat, out=total)
+
+    _threads.in_order(read, -(-n // chunk), n * m * m >= BLOCK_THREAD_SIZE, add)
     return total
 
 
@@ -533,6 +541,6 @@ def _pseudo_wins(data: ResponseData, scheme: str) -> np.ndarray:
 
     def product(X1, X0, w, block):
         X1 *= w[:, None]
-        return _block_grams(X1, X0, block)
+        return X1, X0
 
     return _block_products(data, scheme, product)

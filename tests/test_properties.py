@@ -722,7 +722,7 @@ def _reader_blocks(data, scheme):
         for lo in range(0, w.size, block):
             rows = slice(lo, lo + block)
             out.append((first + lo, X1[rows], X0[rows], w[rows]))
-        return [np.zeros((data.n_items, data.n_items))] * -(-w.size // block)
+        return X1, X0
 
     pairing._block_products(data, scheme, product)
     return out

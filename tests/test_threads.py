@@ -7,6 +7,7 @@ import resource
 import sys
 import threading
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -184,15 +185,18 @@ def test_indicator_blocks_keep_every_product_under_two_to_the_19(m):
     rng = np.random.default_rng(m)
     users = rng.choice(n, min(n, 40), replace=False)  # most rows of a block are empty
     data = ResponseData(n, m, users, rng.integers(0, m, users.size), rng.integers(0, 2, users.size))
-    chunks, sizes = [], []
+    chunks = []
 
     def product(X1, X0, w, got_block):
         assert got_block == block and X1.shape == X0.shape == (w.size, m)
         chunks.append(w.size)
-        sizes.extend(min(block, w.size - first) for first in range(0, w.size, block))
-        return [np.ones((m, m))] * -(-w.size // block)
+        return X1, X0
 
-    assert (_block_products(data, "wp", product) == len(sizes)).all()  # one matrix a block
+    with mock.patch.object(np, "matmul", wraps=np.matmul) as gemm:
+        _block_products(data, "wp", product)
+    # the reader's own gemms, one a block: A[s]^T B[s] of each slice s
+    sizes = [call.args[1].shape[0] for call in gemm.call_args_list]
+    assert all(call.args[0].shape == (m, size) for call, size in zip(gemm.call_args_list, sizes))
     assert all(size % block == 0 for size in chunks[:-1])  # chunks hold whole blocks
     assert sizes[:-1] == [block] * (len(sizes) - 1) and 1 <= sizes[-1] <= block
     assert sum(chunks) == sum(sizes) == n
@@ -205,7 +209,7 @@ def _above_the_block_gate():
     users make two whole chunks and a partial third."""
     data = sample_responses(sample_ground_truth(1560, 100, "standard-normal", seed=7), 0.1, seed=7)
     m, block = data.n_items, pairing._product_block(data.n_items)
-    chunk = block * (pairing.CHUNK_ENTRIES // (block * m))
+    chunk = block * min(pairing.CHUNK_ENTRIES // (block * m), pairing.STACK_ENTRIES // m**2)
     assert data.n_users * m**2 >= pairing.BLOCK_THREAD_SIZE
     assert -(-data.n_users // chunk) == 3 and data.n_users % chunk
     return data
@@ -255,13 +259,105 @@ def test_error_in_a_threaded_chunk_reaches_the_caller(two_cpus):
     def product(X1, X0, w, block):
         chunks.append(w.size)
         if threading.current_thread() is not caller:
-            raise MemoryError("second half")
-        return [np.zeros((data.n_items, data.n_items))] * -(-w.size // block)
+            raise MemoryError("helper")
+        return X1, X0
 
-    with pytest.raises(MemoryError, match="second half"):
+    with pytest.raises(MemoryError, match="helper"):
         _block_products(data, "wp", product)
     assert two_cpus.call_count == 1 and len(chunks) == 2
     assert threading.active_count() == before
+
+
+def test_block_products_hold_a_few_chunks_whatever_the_users(two_cpus):
+    # 20,000 users at m = 200 make 1,539 blocks of 13 users, 2.5 MB of
+    # matrices a thousand; a chunk stacks at most 2 MB of them
+    data = _sparse_data(n=20_000, m=200, p=0.1)
+    theta = np.zeros(data.n_items)
+    for call in (lambda: _wp_score_covariance(data, theta), lambda: _pseudo_wins(data, "wp")):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * pairing.STACK_ENTRIES
+    assert two_cpus.call_count == 2
+
+
+def test_in_order_takes_each_result_in_order_and_holds_few(two_cpus):
+    for n in (1, 2, 7, 40):
+        computed, taken, held = [], [], []
+
+        def work(k):
+            computed.append(k)
+            return k
+
+        def take(k):
+            held.append(len(computed) - len(taken))
+            time.sleep(0.001)  # a slow consumer: the helper must wait for it
+            taken.append(k)
+
+        _threads.in_order(work, n, True, take)
+        assert taken == list(range(n)) and sorted(computed) == taken
+        # the caller's result, one in the hand-off and one in the helper's hand
+        assert max(held) <= 3
+    assert two_cpus.call_count == 3  # none for n = 1
+
+
+@pytest.mark.parametrize("failing", [2, 3])
+@pytest.mark.parametrize("where", ["work", "take"])
+def test_in_order_raises_at_the_first_failing_step_and_stops_the_helper(two_cpus, failing, where):
+    before = threading.active_count()
+    computed, taken = [], []
+
+    def work(k):
+        computed.append(k)
+        if where == "work" and k == failing:
+            raise ValueError(k)
+        return k
+
+    def take(k):
+        if where == "take" and k == failing:
+            raise ValueError(k)
+        taken.append(k)
+
+    with pytest.raises(ValueError) as err:
+        _threads.in_order(work, 40, True, take)
+    assert err.value.args == (failing,) and taken == list(range(failing))
+    assert max(computed) <= failing + 4  # the helper stopped
+    assert threading.active_count() == before
+
+
+def test_in_order_keeps_its_order_for_four_callers_at_a_short_switch_interval(two_cpus):
+    def caller(results, failing):
+        def work(k):
+            if k == failing:
+                raise ValueError(k)
+            return k
+
+        for _ in range(20):
+            taken = []
+            try:
+                _threads.in_order(work, 101, True, taken.append)
+            except ValueError as err:
+                taken.append(err.args)
+            results.append(taken)
+
+    runs = [([], failing) for failing in (None, 100, 37, 50)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=run, daemon=True) for run in runs]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    for results, failing in runs:
+        want = list(range(101)) if failing is None else [*range(failing), (failing,)]
+        assert results == [want] * 20
 
 
 def _cpu_s():
@@ -287,15 +383,18 @@ def test_pseudo_fits_and_intervals_leave_no_blas_worker_spinning(m):
     # sleeps
     rounds(1)
     time.sleep(0.3)  # a worker woken before now stops spinning
-    cpu, start = _cpu_s(), time.perf_counter()
+    with mock.patch.object(_threads, "_usable_cpus", return_value=1):
+        cpu, start = _cpu_s(), time.perf_counter()
+        rounds(10)
+        wall = time.perf_counter() - start
+        time.sleep(0.3)
+        assert _cpu_s() - cpu < 1.3 * wall + 0.05
+    # on two threads the rounds' block products pass their wall time in CPU
+    # by themselves, so a worker left spinning shows in the idle after them
     rounds(10)
-    wall = time.perf_counter() - start
     busy = _cpu_s()
     time.sleep(0.3)
-    # the rounds take their block products on two threads, so a worker left
-    # spinning shows in the idle CPU time after them
     assert _cpu_s() - busy < 0.05
-    assert _cpu_s() - cpu < 1.3 * wall + 0.05
 
 
 @pytest.mark.skipif(_threads._usable_cpus() < 2, reason="needs a second CPU to spin on")
