@@ -9,9 +9,10 @@ one split equals its curvature.  The per-user gradients are formed as matrix
 products of the users' response indicators, block by block, from
 `pairing._block_products`, without listing the within-user pairs; each is a
 gemm of fewer than ``pairing.PRODUCT_LIMIT`` multiply-adds, which OpenBLAS
-runs on the calling thread.  A large input takes its odd chunks of blocks
-on a helper thread; the blocks are summed in block order, so the
-covariance is the same bits on one thread or two.  The exact
+runs on the calling thread.  A large input sums each half of its chunks of
+blocks from zeros in block order and adds the two totals, the second half
+on a helper thread when two CPUs are usable; the halves are fixed by the
+input alone, so the covariance is the same bits on one CPU or two.  The exact
 finite-split mixture sums ``Gk^T Gk`` of the per-split scores by the same
 blocks of users.  Intervals are two-sided normal intervals on the diagonal,
 optionally Bonferroni-corrected across items.

@@ -38,9 +38,10 @@ equal to 2 and to 1, and hands each chunk to the caller's product, which
 returns two arrays ``A`` and ``B``; the reader sums ``A^T B`` block by
 block.  A block is fewer than ``PRODUCT_LIMIT / m**2`` users, so that every
 product over a block is a gemm that OpenBLAS runs on the calling thread.  A
-large input reads its odd chunks on a helper thread, which holds at most
-two chunks' results at a time; the blocks' matrices are summed in block
-order, so the result is the same bits on one thread or two.
+large input sums each half of its chunks from zeros in block order and then
+adds the two totals, the second half on a helper thread when two CPUs are
+usable; the halves are fixed by the input alone, so the result is the same
+bits on one CPU or two.
 """
 
 from __future__ import annotations
@@ -85,22 +86,12 @@ PRODUCT_LIMIT = 2**19
 # chunk holds as many whole blocks as fit, 6 blocks of 209 users at m = 50.
 CHUNK_ENTRIES = 2**16
 
-# Entries of a chunk's stack of m x m block matrices, which waits for the
-# sum in block order: a chunk holds at most STACK_ENTRIES // m**2 blocks
-# (at least one), so it holds 2 MB of them at most up to m = 512 and one
-# block's past that, and `_block_products` holds a few chunks whatever
-# n_users.  At n=3e3, m=200, p=0.1 (13-user
-# blocks), caps of 2**16, 2**18 and 2**20 entries took 10.3, 7.6 and 10.1 ms
-# a score covariance and 5.4, 3.1 and 4.4 ms a `_pseudo_wins`, at a
-# tracemalloc peak of 2.4, 8.9 and 27 MB (2-core x86-64, numpy 2.4).
-STACK_ENTRIES = 2**18
-
-# n_users * m**2 from which `_block_products` reads its odd chunks on a
-# helper thread.  Two threads against one, median times of
-# `_wp_score_covariance` at n=1e4: 0.91 vs 0.94 ms at m=20, p=0.5 (4e6, where
-# `_pseudo_wins` took 0.65 vs 0.53 ms), 0.96 vs 1.43 ms at m=30, p=0.1 (9e6),
-# 1.63 vs 2.67 ms at m=50 and 5.2 vs 11.5 ms at m=100 (2-core x86-64,
-# numpy 2.4).
+# n_users * m**2 from which `_block_products` sums the two halves of its
+# chunks apart, the second on a helper thread.  Two threads against one,
+# median times of `_wp_score_covariance` at n=1e4: 0.91 vs 0.94 ms at m=20,
+# p=0.5 (4e6, where `_pseudo_wins` took 0.65 vs 0.53 ms), 0.96 vs 1.43 ms at
+# m=30, p=0.1 (9e6), 1.63 vs 2.67 ms at m=50 and 5.2 vs 11.5 ms at m=100
+# (2-core x86-64, numpy 2.4).
 BLOCK_THREAD_SIZE = 2**23
 
 # Edges from which `split_wins` computes the two halves of its splits on two
@@ -471,8 +462,9 @@ def _product_block(m: int) -> int:
 
 def _block_products(data: ResponseData, scheme: str, product) -> np.ndarray:
     """Sum of ``A[s]^T B[s]`` over the blocks ``s`` of `_product_block` users,
-    added in block order, where ``A, B = product(X1, X0, w, block)`` are
-    formed from the users' 0/1 response indicators.
+    added in an order fixed by the input (below), where ``A, B =
+    product(X1, X0, w, block)`` are formed from the users' 0/1 response
+    indicators.
 
     The users are read in chunks of a whole number of blocks, about
     ``CHUNK_ENTRIES`` ``(users, m)`` entries each, and ``product(X1, X0, w,
@@ -492,12 +484,17 @@ def _block_products(data: ResponseData, scheme: str, product) -> np.ndarray:
     ``X1`` and ``X0`` are then its entries equal to 2 and to 1, as float64:
     0.92 ms a pass at n=1e4, m=20, p=0.5 against 1.42 ms for a scatter of
     float64 0/1 values into both (medians of 200, 2-core x86-64, numpy 2.4).
-    From ``n_users * m**2 >= BLOCK_THREAD_SIZE`` and two usable CPUs, the
-    odd chunks are read on a helper thread (`_threads.in_order`).  Each
-    block's matrix depends on its own users only, and the sum starts from
-    zeros and adds them in block order on the calling thread, so it is the
-    same bits either way.  A chunk holds at most ``STACK_ENTRIES // m**2``
-    blocks, and a few chunks are held at a time whatever ``n_users``.
+    While ``n_users * m**2 < BLOCK_THREAD_SIZE`` the blocks' matrices are
+    added to zeros in block order.  From there ``c >= 2`` chunks are cut into
+    halves at ``c // 2``, each half's matrices are added to zeros in block
+    order, and the result is the first half's total plus the second's
+    (`_threads.in_halves`): the second half runs on a helper thread when two
+    CPUs are usable and on the caller after the first otherwise.  Each
+    block's matrix depends on its own users only, so the result is the same
+    bits on one CPU or two.  A half holds one running total, one block's
+    matrix and one chunk's arrays, whatever ``n_users``: a score covariance
+    at n=2e4, m=200, p=0.1 peaks at 8.9 MiB under tracemalloc (2-core
+    x86-64, numpy 2.4).
     """
     if scheme not in ("wp", "pmle"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'wp' or 'pmle'")
@@ -509,30 +506,26 @@ def _block_products(data: ResponseData, scheme: str, product) -> np.ndarray:
          else (mt >= 2).astype(float))
     codes = data.responses + 1
     block = _product_block(m)
-    chunk = block * max(1, min(CHUNK_ENTRIES // (block * m), STACK_ENTRIES // m**2))
+    chunk = block * max(1, CHUNK_ENTRIES // (block * m))
 
-    def read(k: int) -> np.ndarray:
-        first, last = k * chunk, min(k * chunk + chunk, n)
-        edges = slice(indptr[first], indptr[last])
-        code = np.zeros((last - first, m), np.int8)
-        # in intp: past 2**31 entries a chunk's flat index leaves int32
-        rows = np.repeat(np.arange(last - first), degrees[first:last])
-        code.ravel()[rows * m + data.item_ids[edges]] = codes[edges]
-        A, B = product((code == 2).astype(float), (code == 1).astype(float),
-                       w[first:last], block)
-        grams = np.empty((-(-(last - first) // block), m, m))
-        for s, lo in enumerate(range(0, last - first, block)):
-            np.matmul(A[lo:lo + block].T, B[lo:lo + block], out=grams[s])
-        return grams
+    def read(lo: int, hi: int) -> np.ndarray:
+        total, gram = np.zeros((m, m)), np.empty((m, m))
+        for first in range(lo * chunk, min(hi * chunk, n), chunk):
+            last = min(first + chunk, n)
+            edges = slice(indptr[first], indptr[last])
+            code = np.zeros((last - first, m), np.int8)
+            # in intp: past 2**31 entries a chunk's flat index leaves int32
+            rows = np.repeat(np.arange(last - first), degrees[first:last])
+            code.ravel()[rows * m + data.item_ids[edges]] = codes[edges]
+            A, B = product((code == 2).astype(float), (code == 1).astype(float),
+                           w[first:last], block)
+            for s in range(0, last - first, block):
+                np.matmul(A[s:s + block].T, B[s:s + block], out=gram)
+                total += gram
+        return total
 
-    total = np.zeros((m, m))
-
-    def add(grams: np.ndarray) -> None:
-        for mat in grams:
-            np.add(total, mat, out=total)
-
-    _threads.in_order(read, -(-n // chunk), n * m * m >= BLOCK_THREAD_SIZE, add)
-    return total
+    halves = _threads.in_halves(read, -(-n // chunk), n * m * m >= BLOCK_THREAD_SIZE)
+    return sum(halves[1:], halves[0])  # the first half's total + the second's
 
 
 def _pseudo_wins(data: ResponseData, scheme: str) -> np.ndarray:

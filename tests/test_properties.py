@@ -712,6 +712,30 @@ def _naive_indicator_blocks(data, scheme, block):
     return out
 
 
+def _in_block_order(data, grams):
+    """The sum of the blocks' m x m matrices ``grams`` from zeros, in order."""
+    total = np.zeros((data.n_items, data.n_items))
+    for gram in grams:
+        total += gram
+    return total
+
+
+def _summed_in_halves(data, grams):
+    """The sum of the blocks' m x m matrices ``grams``, given in block order,
+    in the order `pairing._block_products` documents: from zeros in block
+    order; from ``n_users * m**2 >= BLOCK_THREAD_SIZE`` and two chunks, each
+    half of the chunks (cut at ``n_chunks // 2``) from zeros in block order,
+    then the first half's total + the second's."""
+    m = data.n_items
+    block = pairing._product_block(m)
+    chunk = block * max(1, pairing.CHUNK_ENTRIES // (block * m))
+    n_chunks = -(-data.n_users // chunk)
+    if data.n_users * m**2 < pairing.BLOCK_THREAD_SIZE or n_chunks < 2:
+        return _in_block_order(data, grams)
+    cut = n_chunks // 2 * chunk // block
+    return _in_block_order(data, grams[:cut]) + _in_block_order(data, grams[cut:])
+
+
 def _reader_blocks(data, scheme):
     """``(first, X1, X0, w)`` of each block, cut from the chunks that
     `pairing._block_products` hands its product, in the order it hands them."""
@@ -927,11 +951,12 @@ def test_splits_past_127_items_match_an_int64_oracle(mode, p):
 
 def test_pseudo_wins_past_127_items_match_an_int64_oracle():
     data = sample_responses(sample_ground_truth(1500, 200, "standard-normal", seed=5), 0.05, seed=5)
+    assert data.n_users * 200**2 >= pairing.BLOCK_THREAD_SIZE  # summed in two halves
     for scheme in ("wp", "pmle"):
-        wins = np.zeros((200, 200))
         block = (PRODUCT_LIMIT - 1) // 200**2  # 13 users
-        for _, X1, X0, w, _ in _naive_indicator_blocks(_int64_edges(data), scheme, block):
-            wins += (X1 * w[:, None]).T @ X0
+        grams = [(X1 * w[:, None]).T @ X0
+                 for _, X1, X0, w, _ in _naive_indicator_blocks(_int64_edges(data), scheme, block)]
+        wins = _summed_in_halves(data, grams)
         assert _pseudo_wins(data, scheme).tobytes() == wins.tobytes()
 
 

@@ -22,7 +22,7 @@ from rasch.lsat import load_lsat
 from rasch.model import ResponseData, sample_ground_truth, sample_responses, sigmoid
 from rasch.pairing import _block_products, _pseudo_wins, split_wins
 from rasch.solver import SolverOptions, solve_newton_batch
-from test_properties import _naive_indicator_blocks
+from test_properties import _in_block_order, _naive_indicator_blocks, _summed_in_halves
 
 
 @pytest.fixture
@@ -167,15 +167,23 @@ def test_error_in_a_threaded_split_reaches_the_caller(two_cpus):
 
 
 def test_one_cpu_or_small_input_stays_on_the_caller():
+    threads = []
+
+    def work(lo, hi):
+        threads.append(threading.current_thread())
+        return lo, hi
+
     with mock.patch.object(_threads.threading, "Thread") as spy:
         with mock.patch.object(_threads, "_usable_cpus", return_value=1):
-            assert _threads.in_halves(lambda lo, hi: (lo, hi), 10, True) == [(0, 10)]
+            # the halves depend on the input alone: on one CPU both run here
+            assert _threads.in_halves(work, 10, True) == [(0, 5), (5, 10)]
         with mock.patch.object(_threads, "_usable_cpus", return_value=2):
-            assert _threads.in_halves(lambda lo, hi: (lo, hi), 10, False) == [(0, 10)]
-            assert _threads.in_halves(lambda lo, hi: (lo, hi), 1, True) == [(0, 1)]
+            assert _threads.in_halves(work, 10, False) == [(0, 10)]
+            assert _threads.in_halves(work, 1, True) == [(0, 1)]
             W = split_wins(_sparse_data(n=500, m=5, p=1.0), 0, 100)  # LSAT-sized
             solve_newton_batch(W)
     assert spy.call_count == 0
+    assert threads == [threading.current_thread()] * 4
 
 
 @pytest.mark.parametrize("m", [1, 5, 20, 50, 64, 725])
@@ -209,7 +217,7 @@ def _above_the_block_gate():
     users make two whole chunks and a partial third."""
     data = sample_responses(sample_ground_truth(1560, 100, "standard-normal", seed=7), 0.1, seed=7)
     m, block = data.n_items, pairing._product_block(data.n_items)
-    chunk = block * min(pairing.CHUNK_ENTRIES // (block * m), pairing.STACK_ENTRIES // m**2)
+    chunk = block * (pairing.CHUNK_ENTRIES // (block * m))
     assert data.n_users * m**2 >= pairing.BLOCK_THREAD_SIZE
     assert -(-data.n_users // chunk) == 3 and data.n_users % chunk
     return data
@@ -217,6 +225,23 @@ def _above_the_block_gate():
 
 def _block_results(data, theta):
     return [_pseudo_wins(data, "wp"), _pseudo_wins(data, "pmle"), _wp_score_covariance(data, theta)]
+
+
+def _per_user_block_results(data, theta, summed=_summed_in_halves):
+    """`_block_results` from each block's matrix set entry by entry, summed
+    by ``summed(data, grams)``: in the documented order by default."""
+    block = pairing._product_block(data.n_items)
+    S = sigmoid(theta[:, None] - theta[None, :])
+    wins = {scheme: [] for scheme in ("wp", "pmle")}
+    cov = []
+    for scheme, grams in wins.items():
+        for _, X1, X0, w, _ in _naive_indicator_blocks(data, scheme, block):
+            grams.append((X1 * w[:, None]).T @ X0)
+            if scheme == "wp":
+                G = X1 * (X0 @ (S - 1.0).T) + X0 * (X1 @ S.T)
+                G *= w[:, None]
+                cov.append(G.T @ G.copy())
+    return [summed(data, wins["wp"]), summed(data, wins["pmle"]), summed(data, cov) / data.n_users]
 
 
 def test_block_products_on_two_threads_match_one_and_a_per_user_construction(two_cpus):
@@ -228,26 +253,18 @@ def test_block_products_on_two_threads_match_one_and_a_per_user_construction(two
     with mock.patch.object(_threads, "_usable_cpus", return_value=1):
         one = _block_results(data, theta)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in one]
-    block = pairing._product_block(m)
-    S = sigmoid(theta[:, None] - theta[None, :])
-    wins = {scheme: np.zeros((m, m)) for scheme in ("wp", "pmle")}
-    cov = np.zeros((m, m))
-    for scheme, W in wins.items():
-        for _, X1, X0, w, _ in _naive_indicator_blocks(data, scheme, block):
-            W += (X1 * w[:, None]).T @ X0
-            if scheme == "wp":
-                G = X1 * (X0 @ (S - 1.0).T) + X0 * (X1 @ S.T)
-                G *= w[:, None]
-                cov += G.T @ G.copy()
-    want = [wins["wp"], wins["pmle"], cov / data.n_users]
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in _per_user_block_results(data, theta)]
 
 
 def test_block_products_below_the_gate_stay_on_the_caller(two_cpus):
     dense = _sparse_data(m=20, p=0.5)  # wp-dense
     assert dense.n_users * 20**2 < pairing.BLOCK_THREAD_SIZE
     for data in (dense, load_lsat()):
-        _block_results(data, np.zeros(data.n_items))
+        theta = np.random.default_rng(3).normal(0.0, 1.0, data.n_items)
+        got = _block_results(data, theta)
+        # below the gate every block is added to zeros in block order
+        want = _per_user_block_results(data, theta, _in_block_order)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     assert two_cpus.call_count == 0
 
 
@@ -270,7 +287,7 @@ def test_error_in_a_threaded_chunk_reaches_the_caller(two_cpus):
 
 def test_block_products_hold_a_few_chunks_whatever_the_users(two_cpus):
     # 20,000 users at m = 200 make 1,539 blocks of 13 users, 2.5 MB of
-    # matrices a thousand; a chunk stacks at most 2 MB of them
+    # matrices a thousand; each half holds one running total and one chunk
     data = _sparse_data(n=20_000, m=200, p=0.1)
     theta = np.zeros(data.n_items)
     for call in (lambda: _wp_score_covariance(data, theta), lambda: _pseudo_wins(data, "wp")):
@@ -280,84 +297,8 @@ def test_block_products_hold_a_few_chunks_whatever_the_users(two_cpus):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 8 * pairing.STACK_ENTRIES
+        assert peak < 6 * 8 * 2**18
     assert two_cpus.call_count == 2
-
-
-def test_in_order_takes_each_result_in_order_and_holds_few(two_cpus):
-    for n in (1, 2, 7, 40):
-        computed, taken, held = [], [], []
-
-        def work(k):
-            computed.append(k)
-            return k
-
-        def take(k):
-            held.append(len(computed) - len(taken))
-            time.sleep(0.001)  # a slow consumer: the helper must wait for it
-            taken.append(k)
-
-        _threads.in_order(work, n, True, take)
-        assert taken == list(range(n)) and sorted(computed) == taken
-        # the caller's result, one in the hand-off and one in the helper's hand
-        assert max(held) <= 3
-    assert two_cpus.call_count == 3  # none for n = 1
-
-
-@pytest.mark.parametrize("failing", [2, 3])
-@pytest.mark.parametrize("where", ["work", "take"])
-def test_in_order_raises_at_the_first_failing_step_and_stops_the_helper(two_cpus, failing, where):
-    before = threading.active_count()
-    computed, taken = [], []
-
-    def work(k):
-        computed.append(k)
-        if where == "work" and k == failing:
-            raise ValueError(k)
-        return k
-
-    def take(k):
-        if where == "take" and k == failing:
-            raise ValueError(k)
-        taken.append(k)
-
-    with pytest.raises(ValueError) as err:
-        _threads.in_order(work, 40, True, take)
-    assert err.value.args == (failing,) and taken == list(range(failing))
-    assert max(computed) <= failing + 4  # the helper stopped
-    assert threading.active_count() == before
-
-
-def test_in_order_keeps_its_order_for_four_callers_at_a_short_switch_interval(two_cpus):
-    def caller(results, failing):
-        def work(k):
-            if k == failing:
-                raise ValueError(k)
-            return k
-
-        for _ in range(20):
-            taken = []
-            try:
-                _threads.in_order(work, 101, True, taken.append)
-            except ValueError as err:
-                taken.append(err.args)
-            results.append(taken)
-
-    runs = [([], failing) for failing in (None, 100, 37, 50)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        callers = [threading.Thread(target=caller, args=run, daemon=True) for run in runs]
-        for thread in callers:
-            thread.start()
-        for thread in callers:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in callers)
-    for results, failing in runs:
-        want = list(range(101)) if failing is None else [*range(failing), (failing,)]
-        assert results == [want] * 20
 
 
 def _cpu_s():
