@@ -186,6 +186,40 @@ def test_one_cpu_or_small_input_stays_on_the_caller():
     assert threads == [threading.current_thread()] * 4
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+def test_in_halves_on_two_cpus_runs_the_second_half_on_a_helper(two_cpus, n):
+    caller, before = threading.current_thread(), threading.active_count()
+    ran = {}
+
+    def work(lo, hi):
+        ran[lo, hi] = threading.current_thread()
+        return lo, hi
+
+    half = n // 2
+    assert _threads.in_halves(work, n, True) == [(0, half), (half, n)]
+    assert ran[0, half] is caller and ran[half, n] is not caller
+    assert two_cpus.call_count == 1 and threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", [0, 5])
+def test_in_halves_on_one_cpu_raises_as_the_halves_run_in_order(failing):
+    done = []
+
+    def work(lo, hi):
+        if lo == failing:
+            raise ValueError(lo)
+        done.append((lo, hi))
+
+    with mock.patch.object(_threads.threading, "Thread") as spy, \
+            mock.patch.object(_threads, "_usable_cpus", return_value=1):
+        with pytest.raises(ValueError) as err:
+            _threads.in_halves(work, 10, True)
+    assert err.value.args == (failing,)
+    # a failing first half stops before the second; a failing second ran after the first
+    assert done == ([] if failing == 0 else [(0, 5)])
+    assert spy.call_count == 0
+
+
 @pytest.mark.parametrize("m", [1, 5, 20, 50, 64, 725])
 def test_indicator_blocks_keep_every_product_under_two_to_the_19(m):
     block = max(1, (2**19 - 1) // m**2)
@@ -254,6 +288,30 @@ def test_block_products_on_two_threads_match_one_and_a_per_user_construction(two
         one = _block_results(data, theta)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in one]
     assert [a.tobytes() for a in got] == [a.tobytes() for a in _per_user_block_results(data, theta)]
+
+
+def test_block_products_keep_their_bits_for_four_callers_at_a_short_switch_interval(two_cpus):
+    data = _above_the_block_gate()
+    theta = np.random.default_rng(2).normal(0.0, 1.0, data.n_items)
+    want = [a.tobytes() for a in _block_results(data, theta)]
+    runs = [[] for _ in range(4)]
+
+    def caller(results):
+        for _ in range(3):
+            results.append([a.tobytes() for a in _block_results(data, theta)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(run,), daemon=True) for run in runs]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert runs == [[want] * 3] * 4
 
 
 def test_block_products_below_the_gate_stay_on_the_caller(two_cpus):
